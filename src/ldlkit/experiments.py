@@ -16,7 +16,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -42,6 +42,12 @@ DEFAULT_THETA = {
     ("syllable", 2): 0.005,
     ("letter", 3): 0.008,
 }
+
+
+# Support scores held at once while producing many items: items are
+# produced in chunks whose (chunk, max_len, n_cues) support block fits
+# this budget, so memory does not grow with the number of items.
+SUPPORT_CHUNK_BYTES = 32 * 2**20
 
 
 class ConfigError(ValueError):
@@ -340,14 +346,45 @@ def comprehension_accuracies(
     return {s: comp.evaluate(results, state.split, s) for s in comp.SCHEMES}
 
 
+def _support_blocks(m: PositionalSupportModel, X: np.ndarray, params: ProductionParams):
+    """Each row's (max_len, n_cues) search support, one GEMM per chunk of rows."""
+    per_row = 8 * (m.max_len * len(m.inventory) + m.columns.size)
+    step = max(1, SUPPORT_CHUNK_BYTES // per_row)
+    for start in range(0, X.shape[0], step):
+        yield from m.search_supports(X[start : start + step], params)
+
+
+def produce_items(
+    S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
+    params: ProductionParams,
+) -> list[ProductionResult]:
+    """produce() for every row of S_targets, with supports computed in chunks."""
+    if params.input_space == "predicted_cues":
+        # One vector-matrix product per item, as produce() computes it: a row
+        # of a matrix product may round differently.
+        X = np.array([s @ G.W for s in S_targets])
+    else:
+        X = S_targets
+    return [
+        produce(s, G, m, F, params, support=sup)
+        for s, sup in zip(S_targets, _support_blocks(m, X, params))
+    ]
+
+
+def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
+    """Items whose path search hit max_paths, and items with no candidate."""
+    return {
+        "truncated_items": sum(r.truncated for r in results),
+        "zero_candidate_items": sum(r.n_candidates == 0 for r in results),
+    }
+
+
 def production_results(
     state: PipelineState, ids: Sequence[int]
 ) -> dict[int, ProductionResult]:
     params = state.cfg.production_params()
-    out = {}
-    for i in ids:
-        out[i] = produce(state.space.S[i], state.G, state.positional, state.F, params)
-    return out
+    results = produce_items(state.space.S[list(ids)], state.G, state.positional, state.F, params)
+    return dict(zip(ids, results))
 
 
 def production_accuracies(
@@ -394,6 +431,7 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
         all_ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))
         prod = production_results(state, all_ids)
         report["production"] = production_accuracies(state, prod)
+        report.update(production_counts(prod.values()))
         rows = [(state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in all_ids]
         save_production_report(rows, os.path.join(cfg.output, "production.csv"))
         _write_summary_table(report, os.path.join(cfg.output, "summary.csv"))
@@ -607,13 +645,12 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         inputs = np.vstack([space.S, S_nonce_sg])
     posmodel = train_positional(inputs, targets, inv, cue_cfg, cfg.production_input)
 
-    params = cfg.production_params()
+    S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
+    results = produce_items(S_pl, G, posmodel, F, cfg.production_params())
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
     candidate_rows = []
-    for i, w in enumerate(usable):
-        s_pl = semantics.wug_plural_vector(S_nonce_sg[i], space.registry)
-        res = produce(s_pl, G, posmodel, F, params)
+    for w, res in zip(usable, results):
         ranked = res.top_n
         per_nonce[w] = [c.surface for c in ranked]
         for rank, cand in enumerate(ranked, start=1):
@@ -633,6 +670,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         "candidates": per_nonce,
         "marker_summary": marker_counts,
         "total_candidates": sum(marker_counts.values()),
+        **production_counts(results),
     }
     with open(os.path.join(cfg.output, "candidates.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

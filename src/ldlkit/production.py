@@ -11,14 +11,23 @@ surviving candidates are ranked by how well their own projected meaning
 correlates with the target meaning.
 
 Positional support models are estimated in closed form only; there is
-no token-by-token training path for them.
+no token-by-token training path for them.  A model stores only the
+(position, cue) columns attested in training: a cue that never fills a
+position has support exactly 0 there, so the model keeps one
+(input_dim, n_attested) weight matrix and the flat position-cue index of
+each column.  Supports are computed for a batch of inputs with one
+matrix product and scattered into a zero (batch, max_len, n_cues)
+block, so the path search sees every cue in index order, unattested
+ones at 0.  The few supports that can decide the search's top-k choice
+are then summed again in input order (search_supports), so an item's
+candidates do not depend on the batch it is computed in.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +35,9 @@ import numpy as np
 from .cues import CueConfig, CueInventory, extract_grams
 from .comprehension import pearson_matrix
 from .mappings import Mapping, solve_endstate
+
+
+_EPS = np.finfo(np.float64).eps
 
 
 class ProductionError(ValueError):
@@ -50,31 +62,125 @@ def merge_grams(grams: Sequence[str], cfg: Optional[CueConfig] = None) -> str:
         if tokens[-(len(gt) - 1) :] != gt[:-1]:
             raise ProductionError(f"grams do not overlap: {tokens} + {gt}")
         tokens.append(gt[-1])
-    inner = [t for t in tokens if t != cfg.boundary]
-    return cfg.joiner.join(inner)
+    return _surface(tokens, cfg)
+
+
+def _surface(units: Sequence[str], cfg: CueConfig) -> str:
+    """The form spelled by a boundary-padded unit sequence."""
+    return cfg.joiner.join(t for t in units if t != cfg.boundary)
 
 
 @dataclass
 class PositionalSupportModel:
     """One linear mapping per word position onto per-cue support scores.
 
-    weights has shape (max_len, input_dim, n_cues); position p's matrix
-    maps the configured input space (predicted cue vector or semantic
-    vector) to a support score for every inventory cue at position p.
+    Only attested (position, cue) pairs are stored.  Column c of weights
+    (input_dim, n_attested) maps the configured input space (predicted
+    cue vector or semantic vector) to the support of cue j at position p,
+    where columns[c] == p * n_cues + j; every other cue has support 0.
+    The inventory's token lists and (n-1)-unit overlap keys are computed
+    once here for the path search.
     """
 
-    weights: np.ndarray
+    weights: np.ndarray  # (input_dim, n_attested)
+    columns: np.ndarray  # (n_attested,) ascending flat indices p * n_cues + j
+    max_len: int
     inventory: CueInventory
     cfg: CueConfig
     input_space: str = "predicted_cues"  # predicted_cues | semantics
+    tokens: list[list[str]] = field(init=False, repr=False, compare=False)
+    prefixes: list[tuple] = field(init=False, repr=False, compare=False)
+    suffixes: list[tuple] = field(init=False, repr=False, compare=False)
 
-    @property
-    def max_len(self) -> int:
-        return self.weights.shape[0]
+    def __post_init__(self):
+        if self.weights.shape[1] != self.columns.size:
+            raise ProductionError("weights need one column per attested (position, cue) pair")
+        self.tokens = [self.cfg.tokens(g) for g in self.inventory.cues]
+        k = self.cfg.n - 1
+        self.prefixes = [tuple(t[:k]) for t in self.tokens]
+        self.suffixes = [tuple(t[-k:]) if k else () for t in self.tokens]
 
-    def supports(self, x: np.ndarray) -> np.ndarray:
-        """(max_len, n_cues) support scores for one input vector."""
-        return np.einsum("i,pij->pj", np.asarray(x, dtype=np.float64), self.weights)
+    @classmethod
+    def from_dense(
+        cls,
+        weights: np.ndarray,
+        inventory: CueInventory,
+        cfg: CueConfig,
+        input_space: str = "predicted_cues",
+    ) -> "PositionalSupportModel":
+        """Compact model from a dense (max_len, input_dim, n_cues) tensor;
+        all-zero (position, cue) columns are dropped."""
+        max_len, input_dim, n_cues = weights.shape
+        if n_cues != len(inventory):
+            raise ProductionError("dense weights need one column per inventory cue")
+        flat = np.moveaxis(np.asarray(weights, dtype=np.float64), 1, 0).reshape(input_dim, -1)
+        columns = np.flatnonzero(np.any(flat != 0.0, axis=0))
+        return cls(weights=flat[:, columns], columns=columns, max_len=max_len,
+                   inventory=inventory, cfg=cfg, input_space=input_space)
+
+    def supports(self, X: np.ndarray) -> np.ndarray:
+        """(n, max_len, n_cues) support scores for a batch of inputs (n, input_dim)."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.zeros((X.shape[0], self.max_len * len(self.inventory)))
+        out[:, self.columns] = X @ self.weights
+        return out.reshape(X.shape[0], self.max_len, len(self.inventory))
+
+    def search_supports(self, X: np.ndarray, params: ProductionParams) -> np.ndarray:
+        """supports(X), with every value that can change the path search's
+        choice of cues (_position_candidates) summed in input order.
+
+        A matrix product may add its terms in any order.  With near-singular
+        inputs, weights reach ~1e12, so that order can move a support by
+        ~1e-2: enough to cross theta or to reorder the top k, which would
+        make the result depend on the batch and the BLAS kernel.  Input
+        order is the order of numpy's einsum over one input and the dense
+        (max_len, input_dim, n_cues) tensor.  Each product value is within
+        2 * input_dim * eps * (|x| @ |w|) of the input-order sum.  Every
+        value whose bound reaches the k-th largest lower bound at its
+        position (and theta, unless weak cues are admitted) is summed again
+        in input order; no other value can be chosen under either rounding.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        block = self.supports(X)
+        n, _, n_cues = block.shape
+        flat = block.reshape(n, -1)
+        bound = 2 * X.shape[1] * _EPS * (np.abs(X) @ np.abs(self.weights))
+        neg_lower = -flat
+        neg_lower[:, self.columns] += bound
+        k = min(params.k, n_cues)
+        neg_lower = neg_lower.reshape(block.shape)
+        neg_lower.partition(k - 1, axis=2)
+        cutoff = -neg_lower[:, :, k - 1][:, self.columns // n_cues]
+        if not params.tolerance:
+            cutoff = np.maximum(cutoff, params.theta)
+        redo = (flat[:, self.columns] + bound >= cutoff) & (bound > 0)
+        # Columns with huge weights must be summed again for most rows: do
+        # those for all rows as one product, and the other values one by one.
+        wide = redo.sum(axis=0) * 2 >= n
+        rows, cols = np.nonzero(redo & ~wide)
+        wide = np.flatnonzero(wide)
+        XT = np.ascontiguousarray(X.T)
+        flat[:, self.columns[wide]] = _input_order_product(XT, self.weights[:, wide])
+        acc = np.zeros(rows.size)
+        for x_i, w_i in zip(XT, self.weights):
+            acc += x_i[rows] * w_i[cols]
+        flat[rows, self.columns[cols]] = acc
+        return block
+
+
+def _input_order_product(XT: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """XT.T @ W with every sum taken term by term in input order."""
+    out = np.empty((XT.shape[1], W.shape[1]))
+    step = 256  # columns per block, so that a block of sums stays in cache
+    for a in range(0, W.shape[1], step):
+        W_block = np.ascontiguousarray(W[:, a : a + step])
+        acc = np.zeros((XT.shape[1], W_block.shape[1]))
+        term = np.empty_like(acc)
+        for x_i, w_i in zip(XT, W_block):
+            np.multiply(x_i[:, None], w_i, out=term)
+            acc += term
+        out[:, a : a + step] = acc
+    return out
 
 
 def positional_targets(
@@ -110,18 +216,27 @@ def train_positional(
 
     One end-state solve per position over a shared input matrix; the
     input factorization is computed once and reused, which matches the
-    per-position minimum-norm solutions.
+    per-position minimum-norm solutions.  Only the (position, cue)
+    columns that some training form fills are solved for: the
+    minimum-norm weights of an all-zero target column are zero.
     """
     if targets.shape[0] == 0:
         raise ProductionError("empty training set")
     if inputs.shape[0] != targets.shape[0]:
         raise ProductionError("inputs and targets must have one row per item")
-    max_len = targets.shape[1]
+    n_items, max_len, n_cues = targets.shape
+    columns = np.flatnonzero(np.any(targets.reshape(n_items, -1) != 0.0, axis=0))
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
-    weights = np.empty((max_len, inputs.shape[1], targets.shape[2]))
+    # Each position's product runs over all its cues, so every stored column
+    # has the bits of the dense per-position solve: from_dense of that solve
+    # gives the same model.
+    ends = np.searchsorted(columns, np.arange(max_len + 1) * n_cues)
+    weights = np.empty((pinv.shape[0], columns.size))
     for p in range(max_len):
-        weights[p] = pinv @ targets[:, p, :]
-    return PositionalSupportModel(weights=weights, inventory=inv, cfg=cfg, input_space=input_space)
+        a, b = ends[p], ends[p + 1]
+        weights[:, a:b] = (pinv @ targets[:, p, :])[:, columns[a:b] - p * n_cues]
+    return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
+                                  inventory=inv, cfg=cfg, input_space=input_space)
 
 
 @dataclass
@@ -134,11 +249,11 @@ class CandidatePath:
     projected_semantics: Optional[np.ndarray] = None
     score: float = float("nan")
 
-    def cue_vector(self, inv: CueInventory) -> np.ndarray:
-        c = np.zeros(len(inv))
-        for g in self.grams:
-            c[inv.index[g]] = 1.0
-        return c
+
+class CandidatePaths(list):
+    """The paths of one search; truncated is set when max_paths stopped it."""
+
+    truncated: bool = False
 
 
 def _position_candidates(
@@ -164,35 +279,36 @@ def _position_candidates(
 
 def enumerate_paths(
     m: PositionalSupportModel,
-    x: np.ndarray,
+    support: np.ndarray,
     k: int = 10,
     theta: float = 0.008,
     tolerance: bool = False,
     max_tolerated: int = 2,
     max_paths: Optional[int] = None,
-) -> list[CandidatePath]:
+) -> CandidatePaths:
     """All overlap-valid boundary-to-boundary paths over supported cues.
 
+    support is one item's (max_len, n_cues) block from m.search_supports.
     Depth-first expansion over the per-position top-k candidate cues;
     a path may use at most max_tolerated sub-threshold cues when
     tolerance is on.  Results are deduplicated by surface string.  An
     empty list is a legitimate outcome (nothing sufficiently supported).
-    max_paths optionally truncates the search as a runaway guard; the
-    default explores everything.
+    max_paths optionally truncates the search as a runaway guard, and
+    the result's truncated flag records that it did; the default
+    explores everything.
     """
     if k < 1:
         raise ProductionError(f"k must be >= 1, got {k}")
     if theta < 0:
         raise ProductionError(f"theta must be >= 0, got {theta}")
-    supports = m.supports(x)
     per_pos = [
-        _position_candidates(supports[p], k, theta, tolerance) for p in range(m.max_len)
+        _position_candidates(support[p], k, theta, tolerance) for p in range(m.max_len)
     ]
 
     cfg = m.cfg
     boundary = cfg.boundary
     grams = m.inventory.cues
-    tok = {g: cfg.tokens(g) for g in grams}
+    tok = m.tokens
     n = cfg.n
 
     # Index each position's candidates by their (n-1)-unit prefix so the
@@ -201,32 +317,33 @@ def enumerate_paths(
     for cands in per_pos:
         d: dict[tuple, list[tuple[int, bool]]] = {}
         for j, weak in cands:
-            d.setdefault(tuple(tok[grams[j]][: n - 1]), []).append((j, weak))
+            d.setdefault(m.prefixes[j], []).append((j, weak))
         by_prefix.append(d)
 
     results: dict[str, CandidatePath] = {}
+    out = CandidatePaths()
     budget = max_tolerated if tolerance else 0
 
     def emit(path: list[int], tolerated: int) -> None:
-        gram_seq = tuple(grams[j] for j in path)
-        surface = merge_grams(gram_seq, cfg)
+        # Overlap holds by construction: merge the cached tokens directly.
+        surface = _surface(tok[path[0]] + [tok[j][-1] for j in path[1:]], cfg)
         if surface not in results:
             results[surface] = CandidatePath(
-                grams=gram_seq, surface=surface, tolerated_count=tolerated
+                grams=tuple(grams[j] for j in path), surface=surface, tolerated_count=tolerated
             )
 
     def dfs(path: list[int], tolerated: int) -> bool:
         if max_paths is not None and len(results) >= max_paths:
+            out.truncated = True
             return False
-        last = tok[grams[path[-1]]]
-        if last[-1] == boundary:
+        last = path[-1]
+        if tok[last][-1] == boundary:
             emit(path, tolerated)
             return True
         depth = len(path)
         if depth >= m.max_len:
             return True
-        suffix = tuple(last[-(n - 1):]) if n > 1 else None
-        nexts = by_prefix[depth].get(suffix, []) if n > 1 else per_pos[depth]
+        nexts = by_prefix[depth].get(m.suffixes[last], []) if n > 1 else per_pos[depth]
         for j, weak in nexts:
             t = tolerated + int(weak)
             if t > budget:
@@ -239,14 +356,15 @@ def enumerate_paths(
         return True
 
     for j, weak in per_pos[0]:
-        if tok[grams[j]][0] != boundary:
+        if tok[j][0] != boundary:
             continue
         t = int(weak)
         if t > budget:
             continue
         if not dfs([j], t):
             break
-    return list(results.values())
+    out.extend(results.values())
+    return out
 
 
 def synthesize_by_analysis(
@@ -265,7 +383,10 @@ def synthesize_by_analysis(
     """
     if not candidates:
         return []
-    C = np.vstack([c.cue_vector(inv) for c in candidates])
+    rows = [i for i, c in enumerate(candidates) for _ in c.grams]
+    cols = [inv.index[g] for c in candidates for g in c.grams]
+    C = np.zeros((len(candidates), len(inv)))
+    C[rows, cols] = 1.0
     S_hat = C @ F.W
     r = pearson_matrix(S_hat, np.asarray(s_target, dtype=np.float64)[None, :])[:, 0]
     scored = [
@@ -298,6 +419,7 @@ class ProductionResult:
     best: Optional[CandidatePath]
     top_n: list[CandidatePath]
     n_candidates: int
+    truncated: bool = False  # max_paths stopped the path search
 
 
 def produce(
@@ -306,19 +428,23 @@ def produce(
     m: PositionalSupportModel,
     F: Mapping,
     params: ProductionParams = ProductionParams(),
+    support: Optional[np.ndarray] = None,
 ) -> ProductionResult:
     """Synthesize the best-supported form for a target meaning.
 
     The target meaning is mapped to a predicted cue vector through the
     production matrix; paths are enumerated from the positional support
     of either that vector or the raw meaning, and reranked by synthesis
-    score.  An empty candidate set is a production failure.
+    score.  support is the item's (max_len, n_cues) block when the
+    caller has already computed supports for a batch of items.  An
+    empty candidate set is a production failure.
     """
     s_target = np.asarray(s_target, dtype=np.float64)
-    c_hat = s_target @ G.W
-    x = c_hat if params.input_space == "predicted_cues" else s_target
+    if support is None:
+        x = s_target @ G.W if params.input_space == "predicted_cues" else s_target
+        support = m.search_supports(x[None, :], params)[0]
     candidates = enumerate_paths(
-        m, x, k=params.k, theta=params.theta,
+        m, support, k=params.k, theta=params.theta,
         tolerance=params.tolerance, max_tolerated=params.max_tolerated,
         max_paths=params.max_paths,
     )
@@ -327,6 +453,7 @@ def produce(
         best=ranked[0] if ranked else None,
         top_n=ranked[: params.top_n],
         n_candidates=len(ranked),
+        truncated=candidates.truncated,
     )
 
 

@@ -1,5 +1,6 @@
 """Config handling, the experiment runners, and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -117,6 +118,16 @@ class TestRunEndstate:
         assert (tmp_path / "out" / "config.resolved").exists()
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(summary) == 3  # header + one row per direction
+        assert report["truncated_items"] == 0
+
+    def test_truncated_and_empty_searches_are_counted(self, data_path, tmp_path):
+        capped = run_endstate(base_config(data_path, tmp_path / "a", **{"production.max_paths": 1}))
+        assert capped["truncated_items"] > 0
+        assert capped["zero_candidate_items"] == 0
+        empty = run_endstate(base_config(data_path, tmp_path / "b", **{"production.theta": 1e9}))
+        assert empty["truncated_items"] == 0
+        assert empty["zero_candidate_items"] == empty["n_train"] + empty["n_validation"]
+        assert empty["production"]["train"] == 0.0
 
     def test_train_accuracy_perfect_on_seen_types(self, data_path, tmp_path):
         cfg = base_config(data_path, tmp_path)
@@ -342,6 +353,9 @@ class TestRunWug:
         csv_lines = (tmp_path / "out" / "candidates.csv").read_text().splitlines()
         assert csv_lines[0] == "nonce,rank,candidate,score,tolerated,marker"
         assert len(csv_lines) == total + 1
+        assert report["truncated_items"] == report["zero_candidate_items"] == 0
+        capped = run_wug(dataclasses.replace(cfg, production_max_paths=1), nonces)
+        assert capped["truncated_items"] == len(nonces)
 
     def test_all_novel_nonce_skipped(self, tmp_path):
         p = tmp_path / "corpus.tsv"

@@ -43,7 +43,12 @@ def support_model(rows_by_position, inv, cfg):
     for p, row in enumerate(rows_by_position):
         for gram, value in row.items():
             W[p, 0, inv.index[gram]] = value
-    return PositionalSupportModel(weights=W, inventory=inv, cfg=cfg)
+    return PositionalSupportModel.from_dense(W, inv, cfg)
+
+
+def support_of(m, x):
+    """One input's (max_len, n_cues) support block."""
+    return m.supports(np.atleast_2d(x))[0]
 
 
 class TestPositionalTargets:
@@ -64,7 +69,7 @@ class TestPositionalTargets:
         targets = positional_targets(strings, inv, cfg, max_len)
         model = train_positional(space.S, targets, inv, cfg, input_space="semantics")
         for i, s in enumerate(strings):
-            sup = model.supports(space.S[i])
+            sup = support_of(model, space.S[i])
             for p, g in enumerate(extract_grams(s, cfg)):
                 assert np.argmax(sup[p]) == inv.index[g]
 
@@ -83,7 +88,7 @@ class TestEnumeratePaths:
         m = support_model(
             [{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3
         )
-        paths = enumerate_paths(m, np.array([1.0]), k=5, theta=0.5)
+        paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
         assert [p.surface for p in paths] == ["al@"]
         validate_path(paths[0], PHONE3)
 
@@ -91,14 +96,14 @@ class TestEnumeratePaths:
         m = support_model(
             [{"#al": 0.3}, {"al@": 0.3}, {"l@#": 0.3}], self.inv, PHONE3
         )
-        assert enumerate_paths(m, np.array([1.0]), k=5, theta=0.9) == []
+        assert enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.9) == []
 
     def test_branching_paths(self):
         m = support_model(
             [{"#al": 1.0}, {"al@": 0.9, "alu": 0.8}, {"l@#": 0.9, "lu#": 0.8}],
             self.inv, PHONE3,
         )
-        paths = enumerate_paths(m, np.array([1.0]), k=5, theta=0.5)
+        paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
         assert {p.surface for p in paths} == {"al@", "alu"}
         for p in paths:
             validate_path(p, PHONE3)
@@ -106,10 +111,10 @@ class TestEnumeratePaths:
     def test_raising_theta_never_enlarges_candidates(self):
         rng = np.random.default_rng(0)
         W = rng.random((4, 1, len(self.inv)))
-        m = PositionalSupportModel(weights=W, inventory=self.inv, cfg=PHONE3)
+        m = PositionalSupportModel.from_dense(W, self.inv, PHONE3)
         previous = None
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-            surfaces = {p.surface for p in enumerate_paths(m, np.array([1.0]), k=5, theta=theta)}
+            surfaces = {p.surface for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta)}
             if previous is not None:
                 assert surfaces <= previous
             previous = surfaces
@@ -119,21 +124,36 @@ class TestEnumeratePaths:
             [{"#al": 1.0}, {"al@": 0.01}, {"l@#": 0.01}], self.inv, PHONE3
         )
         x = np.array([1.0])
-        assert enumerate_paths(m, x, k=5, theta=0.5, tolerance=False) == []
-        assert enumerate_paths(m, x, k=5, theta=0.5, tolerance=True, max_tolerated=1) == []
-        found = enumerate_paths(m, x, k=5, theta=0.5, tolerance=True, max_tolerated=2)
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=False) == []
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=1) == []
+        found = enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=2)
         surfaces = {p.surface: p for p in found}
         assert "al@" in surfaces, "two weak grams fit into the budget of two"
         assert surfaces["al@"].tolerated_count == 2
         assert all(p.tolerated_count <= 2 for p in found)
 
+    def test_unattested_cue_outranks_negative_support_in_tolerance_mode(self):
+        m = support_model(
+            [{"#al": 1.0}, {"al@": -0.5}, {"l@#": 1.0, "lu#": 1.0}], self.inv, PHONE3
+        )
+        alu = self.inv.index["alu"]
+        assert len(self.inv) + alu not in m.columns, "alu is never attested at position 1"
+        sup = support_of(m, [1.0])
+        assert sup[1, alu] == 0.0
+        # The four unattested cues at position 1 (support exactly 0) fill the
+        # top 4 ahead of al@ (-0.5); only alu continues #al.
+        paths = enumerate_paths(m, sup, k=4, theta=0.5, tolerance=True, max_tolerated=1)
+        assert [(p.surface, p.tolerated_count) for p in paths] == [("alu", 1)]
+        wider = enumerate_paths(m, sup, k=5, theta=0.5, tolerance=True, max_tolerated=1)
+        assert [p.surface for p in wider] == ["alu", "al@"]
+
     def test_tolerance_off_all_grams_meet_theta(self):
         rng = np.random.default_rng(1)
         W = rng.random((4, 1, len(self.inv)))
-        m = PositionalSupportModel(weights=W, inventory=self.inv, cfg=PHONE3)
+        m = PositionalSupportModel.from_dense(W, self.inv, PHONE3)
         theta = 0.4
-        sup = m.supports(np.array([1.0]))
-        for p in enumerate_paths(m, np.array([1.0]), k=5, theta=theta):
+        sup = support_of(m, [1.0])
+        for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta):
             for pos, g in enumerate(p.grams):
                 assert sup[pos, self.inv.index[g]] >= theta
 
@@ -143,10 +163,10 @@ class TestEnumeratePaths:
         rng = np.random.default_rng(2)
         for trial in range(30):
             W = rng.normal(size=(6, 3, len(inv)))
-            m = PositionalSupportModel(weights=W, inventory=inv, cfg=PHONE3)
+            m = PositionalSupportModel.from_dense(W, inv, PHONE3)
             x = rng.normal(size=3)
             for tol in (False, True):
-                paths = enumerate_paths(m, x, k=4, theta=0.1, tolerance=tol)
+                paths = enumerate_paths(m, support_of(m, x), k=4, theta=0.1, tolerance=tol)
                 surfaces = [p.surface for p in paths]
                 assert len(surfaces) == len(set(surfaces)), "deduplicated by surface"
                 for p in paths:
@@ -157,11 +177,13 @@ class TestEnumeratePaths:
         corpus = ["bada", "dalu", "badalu", "luba"]
         inv = build_inventory(corpus, PHONE3)
         W = np.abs(rng.normal(size=(6, 1, len(inv))))
-        m = PositionalSupportModel(weights=W, inventory=inv, cfg=PHONE3)
-        full = enumerate_paths(m, np.array([1.0]), k=6, theta=0.0)
-        if len(full) > 1:
-            capped = enumerate_paths(m, np.array([1.0]), k=6, theta=0.0, max_paths=1)
-            assert len(capped) == 1
+        m = PositionalSupportModel.from_dense(W, inv, PHONE3)
+        full = enumerate_paths(m, support_of(m, [1.0]), k=6, theta=0.0)
+        assert len(full) > 1 and not full.truncated
+        capped = enumerate_paths(m, support_of(m, [1.0]), k=6, theta=0.0, max_paths=1)
+        assert len(capped) == 1 and capped.truncated
+        exact = enumerate_paths(m, support_of(m, [1.0]), k=6, theta=0.0, max_paths=len(full))
+        assert len(exact) == len(full)
 
 
 class TestSynthesizeByAnalysis:
@@ -254,3 +276,12 @@ class TestProduce:
         res = produce(space.S[0], G, model, F, params)
         assert res.best is None
         assert res.n_candidates == 0
+        assert not res.truncated
+
+    def test_precomputed_support_matches_own(self):
+        d, cfg, strings, space, F, G, model = self.build(n_forms=10, seed=13)
+        params = ProductionParams(k=10, theta=0.1)
+        support = model.search_supports((space.S[0] @ G.W)[None], params)[0]
+        own = produce(space.S[0], G, model, F, params)
+        given = produce(space.S[0], G, model, F, params, support=support)
+        assert [(c.surface, c.score) for c in own.top_n] == [(c.surface, c.score) for c in given.top_n]
