@@ -149,17 +149,21 @@ def score_items(
     preds = S_hat[ids]
     R = pearson_matrix(preds, pool.rows)
     r_own = rowwise_pearson(preds, space.S[ids])
+    # Row-wise nanargmax in two array calls: NaN never wins, and argmax
+    # keeps the first of tied maxima.
+    undefined = np.isnan(R)
+    degenerate = undefined.all(axis=1).tolist()
+    bests = np.where(undefined, -np.inf, R).argmax(axis=1).tolist()
 
     out = []
     for k, i in enumerate(ids):
-        r = R[k]
-        if np.all(np.isnan(r)):
+        if degenerate[k]:
             out.append(
                 ItemScore(i, float(r_own[k]), -1, None, False, False,
                           reason="zero-variance prediction")
             )
             continue
-        best = int(np.nanargmax(r))
+        best = bests[k]
         key = space.gold_keys[i]
         cue_string = cfg.cue_string(d[i])
         out.append(

@@ -112,18 +112,23 @@ class CueMatrix:
     inventory: CueInventory
     novel_dropped: np.ndarray  # (n_items,) ints
 
-    def active_indices(self) -> list[np.ndarray]:
-        return [np.flatnonzero(r) for r in self.rows]
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) arrays of the active columns per row."""
-        active = self.active_indices()
-        indptr = np.zeros(len(active) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(a) for a in active])
-        indices = (
-            np.concatenate(active).astype(np.int64) if active else np.zeros(0, dtype=np.int64)
-        )
-        return indptr, indices
+        return csr_arrays(self.rows)
+
+
+def csr_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the nonzero columns of each row, in index order.
+
+    One row-major np.nonzero lists the columns of row 0, then row 1, and
+    so on, so indices[indptr[i]:indptr[i + 1]] are row i's columns.
+    """
+    row_of, indices = np.nonzero(rows)
+    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=rows.shape[0]), out=indptr[1:])
+    # nonzero returns strided views of one (nnz, 2) array; the compiled kernel
+    # takes contiguous arrays
+    return indptr, np.ascontiguousarray(indices, dtype=np.int64)
 
 
 def build_cue_matrix(corpus: Sequence[str], inv: CueInventory, cfg: CueConfig) -> CueMatrix:

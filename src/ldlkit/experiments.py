@@ -467,15 +467,16 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     stream = train_ids[local_stream]
     checkpoints = _default_checkpoints(stream.size, cfg.n_checkpoints)
 
-    final, snaps = train_incremental(
-        stream, state.C.rows, state.space.S, eta=cfg.eta, checkpoints=checkpoints
-    )
-
     curve_rows = []
-    for snap in snaps:
-        res = comprehension_scores(state, snap)
-        acc = comprehension_accuracies(state, res)
-        curve_rows.append((snap.trained_tokens, acc))
+
+    def score_checkpoint(m: Mapping) -> None:
+        acc = comprehension_accuracies(state, comprehension_scores(state, m))
+        curve_rows.append((m.trained_tokens, acc))
+
+    final, _ = train_incremental(
+        stream, state.C.rows, state.space.S, eta=cfg.eta, checkpoints=checkpoints,
+        on_checkpoint=score_checkpoint,
+    )
     inc_results = comprehension_scores(state, final)
     inc_acc = comprehension_accuracies(state, inc_results)
     end_results = comprehension_scores(state)  # end-state baseline on the same split
@@ -657,7 +658,8 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
             marker = classify_marker(cand.surface, w)
             marker_counts[marker] += 1
             candidate_rows.append(
-                [w, rank, cand.surface, repr(cand.score), cand.tolerated_count, marker]
+                [w, rank, cand.surface, repr(cand.score), cand.tolerated_count, marker,
+                 int(res.truncated)]
             )
 
     report = {
@@ -674,7 +676,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     }
     with open(os.path.join(cfg.output, "candidates.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["nonce", "rank", "candidate", "score", "tolerated", "marker"])
+        w.writerow(["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"])
         w.writerows(candidate_rows)
     write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
     _write_json(report, os.path.join(cfg.output, "report.json"))

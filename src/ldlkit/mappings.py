@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .cues import csr_arrays
 
 try:
     from . import _wh_kernel as _wh_backend
@@ -125,12 +127,17 @@ def train_incremental(
     eta: float = 0.001,
     checkpoints: Sequence[int] = (),
     kind: str = "comprehension",
+    on_checkpoint: Optional[Callable[[Mapping], None]] = None,
 ) -> tuple[Mapping, list[Mapping]]:
     """Single sequential pass of delta-rule updates over a token stream.
 
     stream holds entry ids; each token applies one update with the
-    entry's binary cue row and target row.  W starts at zero; snapshots
-    are taken after the given token counts (0 = before any token).
+    entry's binary cue row and target row.  W starts at zero.  After each
+    checkpoint's token count (0 = before any token) on_checkpoint is
+    called with a Mapping whose W is the live weight matrix: it must be
+    read, or copied, before the callback returns, since training goes on
+    in place.  No snapshot is stored and the returned list is empty.
+    Without a callback, a copy is kept at every checkpoint and returned.
     """
     if eta <= 0:
         raise MappingError(f"eta must be positive, got {eta}")
@@ -140,27 +147,31 @@ def train_incremental(
         raise MappingError("C and S must have one row per entry")
     if not np.isin(C, (0.0, 1.0)).all():
         raise MappingError("cue rows must be binary")
-    stream = np.asarray(stream, dtype=np.int64)
+    stream = np.ascontiguousarray(stream, dtype=np.int64)
     if stream.size and (stream.min() < 0 or stream.max() >= C.shape[0]):
         raise MappingError("stream contains out-of-range entry ids")
     ck = _as_checkpoint_array(checkpoints, stream.size)
 
-    indptr = np.zeros(C.shape[0] + 1, dtype=np.int64)
-    active = [np.flatnonzero(C[i]) for i in range(C.shape[0])]
-    indptr[1:] = np.cumsum([a.size for a in active])
-    indices = (
-        np.concatenate(active).astype(np.int64) if active else np.zeros(0, dtype=np.int64)
-    )
+    snaps: list[Mapping] = []
+    if on_checkpoint is None:
+        def on_checkpoint(m: Mapping) -> None:
+            snaps.append(replace(m, W=m.W.copy()))
 
+    indptr, indices = csr_arrays(C)
     W = np.zeros((C.shape[1], S.shape[1]), dtype=np.float64)
-    snapshots = np.zeros((ck.size, W.shape[0], W.shape[1]), dtype=np.float64)
-    _wh_backend.run_stream(W, indptr, indices, S, stream, float(eta), ck, snapshots)
-
-    snaps = [
-        Mapping(W=snapshots[i].copy(), kind=kind, provenance="incremental",
-                trained_tokens=int(ck[i]), eta=eta)
-        for i in range(ck.size)
-    ]
+    # Checkpoints are handled here, between segments of the stream, so the
+    # backend never holds snapshots.
+    no_checkpoints = np.zeros(0, dtype=np.int64)
+    no_snapshots = np.zeros((0,) + W.shape, dtype=np.float64)
+    done = 0
+    for t in ck.tolist():
+        _wh_backend.run_stream(W, indptr, indices, S, stream[done:t], float(eta),
+                               no_checkpoints, no_snapshots)
+        done = t
+        on_checkpoint(Mapping(W=W, kind=kind, provenance="incremental",
+                              trained_tokens=t, eta=eta))
+    _wh_backend.run_stream(W, indptr, indices, S, stream[done:], float(eta),
+                           no_checkpoints, no_snapshots)
     final = Mapping(W=W, kind=kind, provenance="incremental",
                     trained_tokens=int(stream.size), eta=eta)
     return final, snaps

@@ -460,17 +460,20 @@ def produce(
 def save_production_report(
     rows: Sequence[tuple[str, ProductionResult]], path: str | os.PathLike
 ) -> None:
-    """Per-item CSV: target, best candidate, match flag, ranked top-n."""
+    """Per-item CSV: target, best candidate, match flag, ranked top-n, and
+    whether max_paths cut the item's path search short."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["target", "best", "match", "rank", "candidate", "score", "tolerated"])
+        w.writerow(["target", "best", "match", "rank", "candidate", "score", "tolerated",
+                    "truncated"])
         for target, res in rows:
             best = res.best.surface if res.best else ""
             match = int(res.best is not None and res.best.surface == target)
+            truncated = int(res.truncated)
             if not res.top_n:
-                w.writerow([target, best, match, "", "", "", ""])
+                w.writerow([target, best, match, "", "", "", "", truncated])
             for rank, cand in enumerate(res.top_n, start=1):
                 w.writerow(
                     [target, best, match, rank, cand.surface,
-                     repr(cand.score), cand.tolerated_count]
+                     repr(cand.score), cand.tolerated_count, truncated]
                 )

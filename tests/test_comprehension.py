@@ -195,6 +195,28 @@ class TestGoldPool:
         assert all(r.correct_strict for r in results)
 
 
+def test_score_items_best_rows_match_per_row_nanargmax():
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(4, 6))
+    # row 4 ties row 1 exactly (power-of-two scaling); row 5 has no variance (a NaN column)
+    gold = np.vstack([base, 2.0 * base[1], np.full(6, 3.0)])
+    n = len(gold)
+    d = Dataset([entry(f"W{i}", f"W{i}", "nominative", "singular") for i in range(n)])
+    space = SemanticSpace(S=gold, gold_keys=[(f"W{i}",) for i in range(n)])
+    cfg = CueConfig(unit="letter", n=2)
+    pool = GoldPool.build(space, d, cfg)
+    S_hat = np.vstack([base[1], rng.normal(size=(n - 2, 6)), np.full(6, 1.0)])
+    results = score_items(S_hat, space, pool, d, cfg)
+    R = pearson_matrix(S_hat, pool.rows)
+    assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
+    assert R[0, 1] == R[0, 4]
+    for res, r in zip(results, R):
+        expected = -1 if np.isnan(r).all() else int(np.nanargmax(r))
+        assert res.best_index == expected
+    assert results[0].best_index == 1
+    assert results[-1].reason == "zero-variance prediction"
+
+
 def test_pearson_matrix_matches_numpy_corrcoef():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 12))

@@ -1,5 +1,6 @@
 """Config handling, the experiment runners, and the CLI."""
 
+import csv
 import dataclasses
 import json
 
@@ -124,6 +125,12 @@ class TestRunEndstate:
         capped = run_endstate(base_config(data_path, tmp_path / "a", **{"production.max_paths": 1}))
         assert capped["truncated_items"] > 0
         assert capped["zero_candidate_items"] == 0
+        with open(tmp_path / "a" / "out" / "production.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # one item per run of rows starting at rank 1 (or at no rank when empty)
+        firsts = [r for r in rows if r["rank"] in ("1", "")]
+        assert len(firsts) == capped["n_train"] + capped["n_validation"]
+        assert sum(int(r["truncated"]) for r in firsts) == capped["truncated_items"]
         empty = run_endstate(base_config(data_path, tmp_path / "b", **{"production.theta": 1e9}))
         assert empty["truncated_items"] == 0
         assert empty["zero_candidate_items"] == empty["n_train"] + empty["n_validation"]
@@ -351,11 +358,14 @@ class TestRunWug:
         assert report["total_candidates"] == total
         assert sum(report["marker_summary"].values()) == total
         csv_lines = (tmp_path / "out" / "candidates.csv").read_text().splitlines()
-        assert csv_lines[0] == "nonce,rank,candidate,score,tolerated,marker"
+        assert csv_lines[0] == "nonce,rank,candidate,score,tolerated,marker,truncated"
         assert len(csv_lines) == total + 1
         assert report["truncated_items"] == report["zero_candidate_items"] == 0
+        assert {line.rsplit(",", 1)[1] for line in csv_lines[1:]} == {"0"}
         capped = run_wug(dataclasses.replace(cfg, production_max_paths=1), nonces)
         assert capped["truncated_items"] == len(nonces)
+        csv_lines = (tmp_path / "out" / "candidates.csv").read_text().splitlines()
+        assert {line.rsplit(",", 1)[1] for line in csv_lines[1:]} == {"1"}
 
     def test_all_novel_nonce_skipped(self, tmp_path):
         p = tmp_path / "corpus.tsv"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
+from ldlkit.cues import csr_arrays
 from ldlkit.mappings import MappingError, WH_BACKEND, load_mapping, save_mapping
 from ldlkit import _wh_numpy
 
@@ -11,6 +14,22 @@ from ldlkit import _wh_numpy
 def normal_equations_oracle(X, Y):
     """Independent textbook solution for full-rank designs."""
     return np.linalg.solve(X.T @ X, X.T @ Y)
+
+
+def gather_scatter_stream(W, indptr, indices, S, stream, eta, checkpoints, snapshots):
+    """The fancy-index token loop that _wh_numpy.run_stream must reproduce bit for bit."""
+    ck = 0
+    n_ck = checkpoints.shape[0]
+    while ck < n_ck and checkpoints[ck] == 0:
+        snapshots[ck] = W
+        ck += 1
+    for t, eid in enumerate(stream, start=1):
+        idx = indices[indptr[eid] : indptr[eid + 1]]
+        delta = eta * (S[eid] - W[idx].sum(axis=0))
+        W[idx] += delta
+        while ck < n_ck and checkpoints[ck] == t:
+            snapshots[ck] = W
+            ck += 1
 
 
 class TestSolveEndstate:
@@ -202,6 +221,28 @@ class TestTrainIncremental:
         np.testing.assert_allclose(snaps[0].W, snaps2[0], atol=1e-12)
         np.testing.assert_allclose(snaps[1].W, snaps2[1], atol=1e-12)
 
+    def test_on_checkpoint_sees_live_weights_in_order(self):
+        C, S = self._toy(seed=3)
+        stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
+        checkpoints = [0, 10, 10, 33, len(stream)]
+        seen = []
+        final, snaps = train_incremental(
+            stream, C, S, eta=0.05, checkpoints=checkpoints,
+            on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W, m.W.copy())),
+        )
+        assert snaps == []
+        assert [t for t, _, _ in seen] == checkpoints
+        assert all(np.shares_memory(W, final.W) for _, W, _ in seen), "no snapshot copy"
+
+        default_final, default_snaps = train_incremental(
+            stream, C, S, eta=0.05, checkpoints=checkpoints
+        )
+        np.testing.assert_array_equal(default_final.W, final.W)
+        assert [s.trained_tokens for s in default_snaps] == checkpoints
+        for snap, (_, _, W_at) in zip(default_snaps, seen):
+            np.testing.assert_array_equal(snap.W, W_at)
+            assert not np.shares_memory(snap.W, default_final.W)
+
     def test_nonbinary_cues_rejected(self):
         C, S = self._toy()
         C[0, 0] = 0.5
@@ -236,6 +277,45 @@ class TestTrainIncremental:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "fallback-ok" in proc.stdout
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_entries=st.integers(1, 6),
+    n_cues=st.integers(20, 40),
+    dim=st.integers(2, 12),  # a one-column W[idx].sum(axis=0) sums in another order
+    n_tokens=st.integers(0, 80),
+    n_inner=st.integers(0, 4),
+    eta=st.floats(1e-3, 0.5),
+)
+@example(seed=0, n_entries=3, n_cues=20, dim=4, n_tokens=0, n_inner=2, eta=0.1)
+@settings(max_examples=80, deadline=None)
+def test_run_stream_is_bit_identical_to_gather_scatter(
+    seed, n_entries, n_cues, dim, n_tokens, n_inner, eta
+):
+    rng = np.random.default_rng(seed)
+    C = np.zeros((n_entries, n_cues))
+    for row in C:
+        row[rng.choice(n_cues, size=rng.integers(1, 21), replace=False)] = 1.0
+    S = rng.normal(size=(n_entries, dim))
+    stream = rng.integers(0, n_entries, size=n_tokens)  # few entries, so ids repeat
+    # 0, repeats and the stream's end among the checkpoints
+    inner = rng.integers(0, n_tokens + 1, size=n_inner)
+    checkpoints = np.sort(np.concatenate([[0, 0], inner, inner, [n_tokens]])).astype(np.int64)
+
+    indptr, indices = csr_arrays(C)
+    assert indptr.flags.c_contiguous and indices.flags.c_contiguous  # as the compiled kernel takes them
+    np.testing.assert_array_equal(indices, np.concatenate([np.flatnonzero(r) for r in C]))
+    np.testing.assert_array_equal(indptr[1:], np.cumsum(C.sum(axis=1)))
+
+    out = []
+    for loop in (_wh_numpy.run_stream, gather_scatter_stream):
+        W = np.zeros((n_cues, dim))
+        snaps = np.zeros((checkpoints.size, n_cues, dim))
+        loop(W, indptr, indices, S, stream, eta, checkpoints, snaps)
+        out.append((W, snaps))
+    np.testing.assert_array_equal(out[0][0], out[1][0])
+    np.testing.assert_array_equal(out[0][1], out[1][1])
 
 
 class TestPrune:
