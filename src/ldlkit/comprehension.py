@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,25 +38,75 @@ def predict_semantics(c: np.ndarray, F: Mapping) -> np.ndarray:
     return c @ F.W
 
 
-def pearson_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pearson correlations between all row pairs; NaN for zero-variance rows."""
+class Centred(NamedTuple):
+    """Rows minus their means, with each centred row's sum of squares."""
+
+    rows: np.ndarray
+    sq: np.ndarray
+
+    def take(self, ids) -> "Centred":
+        return Centred(self.rows[ids], self.sq[ids])
+
+
+def centre(A: np.ndarray | Centred) -> Centred:
+    """Centred rows of A (A itself when it is already centred).  A constant
+    row centres to exact zeros, so it has zero variance even when its mean
+    rounds."""
+    if isinstance(A, Centred):
+        return A
+    A = np.asarray(A, dtype=np.float64)
     Ac = A - A.mean(axis=1, keepdims=True)
-    Bc = B - B.mean(axis=1, keepdims=True)
-    an = np.sqrt((Ac**2).sum(axis=1))
-    bn = np.sqrt((Bc**2).sum(axis=1))
+    Ac[(A == A[:, :1]).all(axis=1)] = 0.0
+    return Centred(Ac, (Ac**2).sum(axis=1))
+
+
+def pearson_matrix(A: np.ndarray | Centred, B: np.ndarray | Centred) -> np.ndarray:
+    """Pearson correlations between all row pairs; NaN for zero-variance rows.
+
+    Either side may be passed already centred, so that rows scored many
+    times are centred once; every statistic is per row, so the result is
+    the same to the bit.
+    """
+    a, b = centre(A), centre(B)
+    an = np.sqrt(a.sq)
+    bn = np.sqrt(b.sq)
     with np.errstate(invalid="ignore", divide="ignore"):
-        R = (Ac @ Bc.T) / np.outer(an, bn)
+        R = (a.rows @ b.rows.T) / np.outer(an, bn)
     R[an == 0, :] = np.nan
     R[:, bn == 0] = np.nan
     return R
 
 
-def rowwise_pearson(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    Ac = A - A.mean(axis=1, keepdims=True)
-    Bc = B - B.mean(axis=1, keepdims=True)
-    den = np.sqrt((Ac**2).sum(axis=1) * (Bc**2).sum(axis=1))
+def rowwise_pearson(A: np.ndarray | Centred, B: np.ndarray | Centred) -> np.ndarray:
+    """Pearson correlation of each row of A with the same row of B; NaN
+    where either row has zero variance."""
+    a, b = centre(A), centre(B)
+    den = np.sqrt(a.sq * b.sq)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, (Ac * Bc).sum(axis=1) / den, np.nan)
+        return np.where(den > 0, (a.rows * b.rows).sum(axis=1) / den, np.nan)
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector; tied values share the mean of their
+    positions in sorted order."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    v = x[order]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two vectors; NaN when either is constant."""
+    return float(rowwise_pearson(np.atleast_2d(x), np.atleast_2d(y))[0])
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation: the Pearson correlation of average ranks."""
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 def nearest_gold(s_hat: np.ndarray, gold: SemanticSpace) -> tuple[int, float]:
@@ -80,7 +130,10 @@ class GoldPool:
     """Deduplicated gold rows with the entries collapsed into each row.
 
     Strict credit requires the winning row to carry the item's own key;
-    lenient credit requires it to carry the item's cue string.
+    lenient credit requires it to carry the item's cue string.  The
+    centred rows, and those of the gold matrix last scored against
+    (gold_centred), are kept for the Pearson helpers, since a run scores
+    against the same pool many times.
     """
 
     rows: np.ndarray
@@ -88,6 +141,17 @@ class GoldPool:
     cue_strings: list[set]
     first_key: list[tuple]
     entry_ids: list[list[int]]
+    centred: Centred = field(init=False, repr=False, compare=False)
+    _gold: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.centred = centre(self.rows)
+
+    def gold_centred(self, S: np.ndarray) -> Centred:
+        """centre(S), computed once while S is the same array object."""
+        if self._gold[0] is not S:
+            self._gold = (S, centre(S))
+        return self._gold[1]
 
     @classmethod
     def build(
@@ -146,9 +210,9 @@ def score_items(
     if S_hat.shape[0] != len(space.S):
         raise ComprehensionError("S_hat must have one row per dataset entry")
     ids = list(range(S_hat.shape[0])) if ids is None else list(ids)
-    preds = S_hat[ids]
-    R = pearson_matrix(preds, pool.rows)
-    r_own = rowwise_pearson(preds, space.S[ids])
+    preds = centre(S_hat[ids])
+    R = pearson_matrix(preds, pool.centred)
+    r_own = rowwise_pearson(preds, pool.gold_centred(space.S).take(ids))
     # Row-wise nanargmax in two array calls: NaN never wins, and argmax
     # keeps the first of tied maxima.
     undefined = np.isnan(R)

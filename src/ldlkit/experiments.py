@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Collection, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import comprehension as comp
 from . import lexicon, semantics
@@ -507,10 +506,10 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
         logf = np.log1p(freq)
         ok = ~(np.isnan(r_inc) | np.isnan(r_end))
         report["frequency_effect"] = {
-            "spearman_incremental": float(stats.spearmanr(logf[ok], r_inc[ok]).statistic),
-            "spearman_endstate": float(stats.spearmanr(logf[ok], r_end[ok]).statistic),
-            "pearson_incremental": float(stats.pearsonr(logf[ok], r_inc[ok]).statistic),
-            "pearson_endstate": float(stats.pearsonr(logf[ok], r_end[ok]).statistic),
+            "spearman_incremental": comp.spearman(logf[ok], r_inc[ok]),
+            "spearman_endstate": comp.spearman(logf[ok], r_end[ok]),
+            "pearson_incremental": comp.pearson(logf[ok], r_inc[ok]),
+            "pearson_endstate": comp.pearson(logf[ok], r_end[ok]),
         }
         with open(os.path.join(cfg.output, "items.csv"), "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")

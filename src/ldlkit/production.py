@@ -183,15 +183,38 @@ def _input_order_product(XT: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PositionalTargets:
+    """Which gram fills which slot, as attested (item, flat column) pairs.
+
+    Item items[t] has cue j at position p, where columns[t] == p * n_cues + j;
+    every other slot is empty.  No dense (n_items, max_len, n_cues) tensor
+    is built: training fills one position at a time.
+    """
+
+    items: np.ndarray
+    columns: np.ndarray
+    n_items: int
+    max_len: int
+    n_cues: int
+
+    def position(self, p: int) -> np.ndarray:
+        """Dense binary (n_items, n_cues) targets of position p."""
+        at = self.columns // self.n_cues == p
+        out = np.zeros((self.n_items, self.n_cues))
+        out[self.items[at], self.columns[at] - p * self.n_cues] = 1.0
+        return out
+
+
 def positional_targets(
     forms: Sequence[str], inv: CueInventory, cfg: CueConfig, max_len: int
-) -> np.ndarray:
-    """Binary (n_items, max_len, n_cues) tensor: which gram fills which slot.
+) -> PositionalTargets:
+    """Which gram fills which slot of each form.
 
     Grams outside the inventory leave their slot empty (novel grams have
     no support to learn).
     """
-    T = np.zeros((len(forms), max_len, len(inv)), dtype=np.float64)
+    items, columns = [], []
     for i, s in enumerate(forms):
         grams = extract_grams(s, cfg)
         if len(grams) > max_len:
@@ -201,13 +224,15 @@ def positional_targets(
         for p, g in enumerate(grams):
             j = inv.index.get(g)
             if j is not None:
-                T[i, p, j] = 1.0
-    return T
+                items.append(i)
+                columns.append(p * len(inv) + j)
+    return PositionalTargets(np.array(items, dtype=np.int64), np.array(columns, dtype=np.int64),
+                             len(forms), max_len, len(inv))
 
 
 def train_positional(
     inputs: np.ndarray,
-    targets: np.ndarray,
+    targets: PositionalTargets,
     inv: CueInventory,
     cfg: CueConfig,
     input_space: str = "predicted_cues",
@@ -220,12 +245,12 @@ def train_positional(
     columns that some training form fills are solved for: the
     minimum-norm weights of an all-zero target column are zero.
     """
-    if targets.shape[0] == 0:
+    if targets.n_items == 0:
         raise ProductionError("empty training set")
-    if inputs.shape[0] != targets.shape[0]:
+    if inputs.shape[0] != targets.n_items:
         raise ProductionError("inputs and targets must have one row per item")
-    n_items, max_len, n_cues = targets.shape
-    columns = np.flatnonzero(np.any(targets.reshape(n_items, -1) != 0.0, axis=0))
+    max_len, n_cues = targets.max_len, targets.n_cues
+    columns = np.unique(targets.columns)
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
     # Each position's product runs over all its cues, so every stored column
     # has the bits of the dense per-position solve: from_dense of that solve
@@ -234,7 +259,7 @@ def train_positional(
     weights = np.empty((pinv.shape[0], columns.size))
     for p in range(max_len):
         a, b = ends[p], ends[p + 1]
-        weights[:, a:b] = (pinv @ targets[:, p, :])[:, columns[a:b] - p * n_cues]
+        weights[:, a:b] = (pinv @ targets.position(p))[:, columns[a:b] - p * n_cues]
     return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
                                   inventory=inv, cfg=cfg, input_space=input_space)
 

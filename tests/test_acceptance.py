@@ -298,13 +298,13 @@ WUG_NONCES = ["Bral", "Kach", "Klot", "Mur", "Nuhl", "Pind",
               "Pisch", "Pund", "Raun", "Spand", "Spert", "Vag"]
 
 
-def _wug_corpus(n_lemmas=150, seed=51):
-    """One singular and one suffixed plural per lemma: 300 distinct forms."""
+def _wug_corpus(n_lemmas=150, seed=51, suffixes=("en", "e", "er", "n", "s")):
+    """One singular and one suffixed plural per lemma (300 distinct forms by
+    default); lemma i takes suffixes[i % len(suffixes)]."""
     from corpora import _random_form
     from ldlkit.lexicon import WordEntry
 
     rng = np.random.default_rng(seed)
-    suffixes = ["en", "e", "er", "n", "s"]
     stems: dict[str, None] = {}
     while len(stems) < n_lemmas:
         stems.setdefault(_random_form(rng).replace("@", "e"))

@@ -1,9 +1,12 @@
 """Nearest-gold scoring and the evaluation schemes."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ldlkit import (
     CueConfig,
@@ -19,7 +22,15 @@ from ldlkit import (
     solve_endstate,
     split_random,
 )
-from ldlkit.comprehension import ComprehensionError, pearson_matrix, scheme_ids
+from ldlkit.comprehension import (
+    ComprehensionError,
+    average_ranks,
+    pearson,
+    pearson_matrix,
+    rowwise_pearson,
+    scheme_ids,
+    spearman,
+)
 from ldlkit.lexicon import WordEntry
 from ldlkit.semantics import SemanticSpace
 
@@ -225,3 +236,60 @@ def test_pearson_matrix_matches_numpy_corrcoef():
     for i in range(5):
         for j in range(7):
             assert R[i, j] == pytest.approx(np.corrcoef(A[i], B[j])[0, 1], abs=1e-12)
+
+
+def _assert_matches_oracle(ours, oracle):
+    if np.isnan(oracle):
+        assert np.isnan(ours)
+    else:
+        assert abs(ours - oracle) <= 1e-12
+
+
+def pairs(sizes, xs, ys):
+    """Two vectors of one drawn length."""
+    return sizes.flatmap(lambda n: st.tuples(st.lists(xs, min_size=n, max_size=n),
+                                             st.lists(ys, min_size=n, max_size=n)))
+
+
+ties = st.integers(-3, 3)  # few values, so many ties
+
+
+@given(
+    xy=pairs(st.integers(4, 40), ties, ties | st.floats(-1e3, 1e3, allow_subnormal=False))
+    | pairs(st.integers(2, 3), ties, ties)
+    | pairs(st.integers(2, 12), st.just(7), ties),  # a constant vector
+    swap=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+@example(xy=([1, 2], [3, 3]), swap=False)
+@example(xy=([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]), swap=True)
+def test_spearman_and_pearson_match_scipy(xy, swap):
+    """Tied integer vectors, n = 2 and 3, and constant vectors (NaN)."""
+    x, y = (np.asarray(v, dtype=np.float64) for v in (xy[::-1] if swap else xy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho = stats.spearmanr(x, y).statistic
+        r = stats.pearsonr(x, y).statistic
+    _assert_matches_oracle(spearman(x, y), rho)
+    _assert_matches_oracle(pearson(x, y), r)
+    assert np.array_equal(average_ranks(x), stats.rankdata(x))
+
+
+def test_score_items_cached_statistics_match_direct_pearson():
+    """The pool's cached centred rows give the bits of the direct helpers,
+    and a new gold matrix is centred afresh."""
+    d = paradigm_lexicon(12, seed=5)
+    cfg = CueConfig(unit="phone", n=3)
+    inv = build_inventory([cfg.cue_string(e) for e in d], cfg)
+    C = build_cue_matrix([cfg.cue_string(e) for e in d], inv, cfg)
+    space = simulate_vectors(d, dim=30, seed=4)
+    pool = GoldPool.build(space, d, cfg)
+    S_hat = C.rows @ solve_endstate(C.rows, space.S).W
+    ids = list(range(0, len(d), 3))
+    for gold in (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)):
+        for _ in range(2):
+            results = score_items(S_hat, gold, pool, d, cfg, ids)
+            r_own = [r.r_target for r in results]
+            assert r_own == rowwise_pearson(S_hat[ids], gold.S[ids]).tolist()
+            best = pearson_matrix(S_hat[ids], pool.rows).argmax(axis=1).tolist()
+            assert [r.best_index for r in results] == best

@@ -3,6 +3,11 @@
 import csv
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +410,35 @@ class TestRunWug:
             )
 
 
+def test_wug_marker_counts_on_held_out_nonces(tmp_path):
+    """Current behaviour, not a quality bar: on a corpus whose plurals are
+    all stem + "en", letter bigrams rebuild few held-out one-syllable
+    nonces, so most top-5 candidates classify as "other".  A change to
+    production that moves these counts should say why."""
+    from test_acceptance import WUG_NONCES, _wug_corpus
+
+    d = _wug_corpus(138, seed=11, suffixes=("en",))
+    forms = {e.wordform for e in d}
+    assert not forms & set(WUG_NONCES)
+    assert all(len(re.findall("[aeiou]+", w)) == 1 for w in WUG_NONCES)  # one syllable
+    data = tmp_path / "corpus.tsv"
+    save_dataset(d, data)
+    cfg = base_config(
+        data, tmp_path,
+        **{"cues.unit": "letter", "cues.n": "2",
+           "semantics.dim": "",  # empty: one dimension per cue
+           "semantics.feature_scale": "0.1",
+           "production.tolerance": "true", "production.k": "10", "production.top_n": "5",
+           "production.max_paths": "20000"},
+    )
+    report = run_wug(cfg, WUG_NONCES)
+    assert report["skipped_nonces"] == []
+    assert report["truncated_items"] == report["zero_candidate_items"] == 0
+    assert report["marker_summary"] == {
+        "-(e)n": 1, "-e": 0, "-er": 1, "-0": 2, "-s": 0, "other": 56,
+    }
+
+
 class TestMarkerClassification:
     @pytest.mark.parametrize(
         "cand,sg,marker",
@@ -485,3 +519,39 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "marker_summary" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs the CLI with scipy unimportable: a None entry in sys.modules makes
+# every `import scipy...` raise ImportError.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from ldlkit import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_python(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("verb", ["endstate", "incremental"])
+    def test_demo_runs_without_scipy(self, verb, tmp_path):
+        proc = run_python(WITHOUT_SCIPY, verb, "--config", "data/demo.config",
+                          "--set", f"output={tmp_path}")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.json").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_python(
+            "import sys, ldlkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

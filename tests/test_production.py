@@ -55,10 +55,12 @@ class TestPositionalTargets:
     def test_slots_follow_gram_order(self):
         inv = build_inventory(["al@"], PHONE3)
         T = positional_targets(["al@"], inv, PHONE3, max_len=5)
-        assert T[0, 0, inv.index["#al"]] == 1.0
-        assert T[0, 1, inv.index["al@"]] == 1.0
-        assert T[0, 2, inv.index["l@#"]] == 1.0
-        assert T[0, 3].sum() == 0
+        assert T.position(0)[0, inv.index["#al"]] == 1.0
+        assert T.position(1)[0, inv.index["al@"]] == 1.0
+        assert T.position(2)[0, inv.index["l@#"]] == 1.0
+        assert T.position(3).sum() == T.position(4).sum() == 0
+        assert sorted(T.columns) == [inv.index["#al"], len(inv) + inv.index["al@"],
+                                     2 * len(inv) + inv.index["l@#"]]
 
     def test_full_rank_inputs_interpolate_supports(self):
         d, cfg = toy_lexicon(30, seed=5)

@@ -43,7 +43,10 @@ def dense_solve(state):
     """Reference: the dense tensor, one solve per position over every cue."""
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
-    targets = positional_targets(forms, state.C.inventory, cfg, state.positional.max_len)
+    t = positional_targets(forms, state.C.inventory, cfg, state.positional.max_len)
+    targets = np.zeros((t.n_items, t.max_len * t.n_cues))
+    targets[t.items, t.columns] = 1.0
+    targets = targets.reshape(t.n_items, t.max_len, t.n_cues)
     pinv = np.linalg.pinv(state.space.S[list(state.split.train_ids)] @ state.G.W)
     return np.stack([pinv @ targets[:, p, :] for p in range(targets.shape[1])])
 
