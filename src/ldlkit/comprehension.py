@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cues import CueConfig
 from .lexicon import Dataset, SplitResult
 from .mappings import Mapping
-from .semantics import SemanticSpace
+
+if TYPE_CHECKING:
+    from .semantics import SemanticSpace
 
 SCHEMES = ("train", "val_all", "val_strict", "val_lenient", "val_newform")
 

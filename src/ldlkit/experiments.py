@@ -44,8 +44,9 @@ DEFAULT_THETA = {
 
 
 # Support scores held at once while producing many items: items are
-# produced in chunks whose (chunk, max_len, n_cues) support block fits
-# this budget, so memory does not grow with the number of items.
+# produced in chunks whose compact (chunk, n_attested) supports, with the
+# search's working arrays, fit this budget, so memory does not grow with
+# the number of items.
 SUPPORT_CHUNK_BYTES = 32 * 2**20
 
 
@@ -346,8 +347,13 @@ def comprehension_accuracies(
 
 
 def _support_blocks(m: PositionalSupportModel, X: np.ndarray, params: ProductionParams):
-    """Each row's (max_len, n_cues) search support, one GEMM per chunk of rows."""
-    per_row = 8 * (m.max_len * len(m.inventory) + m.columns.size)
+    """Each row's (n_attested,) search support, one GEMM per chunk of rows.
+
+    Per row, search_supports holds two float64 copies of the input (its
+    absolute values and its transpose), the float64 supports and a bool
+    redo flag per attested column."""
+    input_dim, n_attested = m.weights.shape
+    per_row = 8 * (2 * input_dim + n_attested) + n_attested
     step = max(1, SUPPORT_CHUNK_BYTES // per_row)
     for start in range(0, X.shape[0], step):
         yield from m.search_supports(X[start : start + step], params)

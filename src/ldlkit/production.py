@@ -15,19 +15,20 @@ no token-by-token training path for them.  A model stores only the
 (position, cue) columns attested in training: a cue that never fills a
 position has support exactly 0 there, so the model keeps one
 (input_dim, n_attested) weight matrix and the flat position-cue index of
-each column.  Supports are computed for a batch of inputs with one
-matrix product and scattered into a zero (batch, max_len, n_cues)
-block, so the path search sees every cue in index order, unattested
-ones at 0.  The few supports that can decide the search's top-k choice
-are then summed again in input order (search_supports), so an item's
-candidates do not depend on the batch it is computed in.
+each column.  Supports stay in that compact form all the way through
+the path search: they are computed for a batch of inputs with one
+matrix product, and the search places one position's attested values
+at a time in a row of zeros, one per cue, to pick that position's top
+k.  The few supports that can decide the search's top-k choice are
+summed again in input order (search_supports), so an item's candidates
+do not depend on the batch it is computed in.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,8 +79,9 @@ class PositionalSupportModel:
     (input_dim, n_attested) maps the configured input space (predicted
     cue vector or semantic vector) to the support of cue j at position p,
     where columns[c] == p * n_cues + j; every other cue has support 0.
-    The inventory's token lists and (n-1)-unit overlap keys are computed
-    once here for the path search.
+    Position p's columns are ends[p]:ends[p + 1], and cue_ids holds each
+    column's j.  The inventory's token lists and (n-1)-unit overlap keys
+    are computed once here for the path search.
     """
 
     weights: np.ndarray  # (input_dim, n_attested)
@@ -88,6 +90,8 @@ class PositionalSupportModel:
     inventory: CueInventory
     cfg: CueConfig
     input_space: str = "predicted_cues"  # predicted_cues | semantics
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    cue_ids: np.ndarray = field(init=False, repr=False, compare=False)
     tokens: list[list[str]] = field(init=False, repr=False, compare=False)
     prefixes: list[tuple] = field(init=False, repr=False, compare=False)
     suffixes: list[tuple] = field(init=False, repr=False, compare=False)
@@ -95,6 +99,9 @@ class PositionalSupportModel:
     def __post_init__(self):
         if self.weights.shape[1] != self.columns.size:
             raise ProductionError("weights need one column per attested (position, cue) pair")
+        n_cues = len(self.inventory)
+        self.ends = _position_ends(self.columns, self.max_len, n_cues)
+        self.cue_ids = self.columns % n_cues
         self.tokens = [self.cfg.tokens(g) for g in self.inventory.cues]
         k = self.cfg.n - 1
         self.prefixes = [tuple(t[:k]) for t in self.tokens]
@@ -119,11 +126,9 @@ class PositionalSupportModel:
                    inventory=inventory, cfg=cfg, input_space=input_space)
 
     def supports(self, X: np.ndarray) -> np.ndarray:
-        """(n, max_len, n_cues) support scores for a batch of inputs (n, input_dim)."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros((X.shape[0], self.max_len * len(self.inventory)))
-        out[:, self.columns] = X @ self.weights
-        return out.reshape(X.shape[0], self.max_len, len(self.inventory))
+        """(n, n_attested) supports of the attested columns for a batch of
+        inputs (n, input_dim)."""
+        return np.asarray(X, dtype=np.float64) @ self.weights
 
     def search_supports(self, X: np.ndarray, params: ProductionParams) -> np.ndarray:
         """supports(X), with every value that can change the path search's
@@ -139,33 +144,48 @@ class PositionalSupportModel:
         value whose bound reaches the k-th largest lower bound at its
         position (and theta, unless weak cues are admitted) is summed again
         in input order; no other value can be chosen under either rounding.
+        An unattested cue's support is exactly 0 under any order, so the
+        k-th largest lower bound is taken over the position's attested
+        lower bounds and as many zeros as can reach the k-th place.
         """
         X = np.asarray(X, dtype=np.float64)
-        block = self.supports(X)
-        n, _, n_cues = block.shape
-        flat = block.reshape(n, -1)
-        bound = 2 * X.shape[1] * _EPS * (np.abs(X) @ np.abs(self.weights))
-        neg_lower = -flat
-        neg_lower[:, self.columns] += bound
+        vals = self.supports(X)
+        n, n_cues = vals.shape[0], len(self.inventory)
         k = min(params.k, n_cues)
-        neg_lower = neg_lower.reshape(block.shape)
-        neg_lower.partition(k - 1, axis=2)
-        cutoff = -neg_lower[:, :, k - 1][:, self.columns // n_cues]
-        if not params.tolerance:
-            cutoff = np.maximum(cutoff, params.theta)
-        redo = (flat[:, self.columns] + bound >= cutoff) & (bound > 0)
+        scale = 2 * X.shape[1] * _EPS
+        abs_X = np.abs(X)
+        redo = np.zeros(vals.shape, dtype=bool)
+        for p in range(self.max_len):
+            a, b = self.ends[p], self.ends[p + 1]
+            if a == b:
+                continue
+            v = vals[:, a:b]
+            bound = scale * (abs_X @ np.abs(self.weights[:, a:b]))
+            # Negated lower bounds, then implicit zeros for the unattested cues.
+            neg_lower = np.zeros((n, b - a + min(k, n_cues - (b - a))))
+            np.subtract(bound, v, out=neg_lower[:, : b - a])
+            neg_lower.partition(k - 1, axis=1)
+            cutoff = -neg_lower[:, k - 1 : k]
+            if not params.tolerance:
+                cutoff = np.maximum(cutoff, params.theta)
+            redo[:, a:b] = (v + bound >= cutoff) & (bound > 0)
         # Columns with huge weights must be summed again for most rows: do
         # those for all rows as one product, and the other values one by one.
         wide = redo.sum(axis=0) * 2 >= n
         rows, cols = np.nonzero(redo & ~wide)
         wide = np.flatnonzero(wide)
         XT = np.ascontiguousarray(X.T)
-        flat[:, self.columns[wide]] = _input_order_product(XT, self.weights[:, wide])
+        vals[:, wide] = _input_order_product(XT, self.weights[:, wide])
         acc = np.zeros(rows.size)
         for x_i, w_i in zip(XT, self.weights):
             acc += x_i[rows] * w_i[cols]
-        flat[rows, self.columns[cols]] = acc
-        return block
+        vals[rows, cols] = acc
+        return vals
+
+
+def _position_ends(columns: np.ndarray, max_len: int, n_cues: int) -> np.ndarray:
+    """Offsets into ascending flat columns: position p's are ends[p]:ends[p + 1]."""
+    return np.searchsorted(columns, np.arange(max_len + 1) * n_cues)
 
 
 def _input_order_product(XT: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -255,7 +275,7 @@ def train_positional(
     # Each position's product runs over all its cues, so every stored column
     # has the bits of the dense per-position solve: from_dense of that solve
     # gives the same model.
-    ends = np.searchsorted(columns, np.arange(max_len + 1) * n_cues)
+    ends = _position_ends(columns, max_len, n_cues)
     weights = np.empty((pinv.shape[0], columns.size))
     for p in range(max_len):
         a, b = ends[p], ends[p + 1]
@@ -302,6 +322,20 @@ def _position_candidates(
     return out
 
 
+def _candidates_by_position(
+    m: PositionalSupportModel, support: np.ndarray, k: int, theta: float, tolerance: bool
+) -> list[list[tuple[int, bool]]]:
+    """_position_candidates of each position, from one item's compact
+    support row: the position's attested values are placed in a row of
+    zeros, one per cue."""
+    per_pos = []
+    for a, b in zip(m.ends, m.ends[1:]):
+        row = np.zeros(len(m.inventory))
+        row[m.cue_ids[a:b]] = support[a:b]
+        per_pos.append(_position_candidates(row, k, theta, tolerance))
+    return per_pos
+
+
 def enumerate_paths(
     m: PositionalSupportModel,
     support: np.ndarray,
@@ -313,7 +347,9 @@ def enumerate_paths(
 ) -> CandidatePaths:
     """All overlap-valid boundary-to-boundary paths over supported cues.
 
-    support is one item's (max_len, n_cues) block from m.search_supports.
+    support is one item's (n_attested,) row from m.search_supports; each
+    position's top-k cues are chosen from its attested values and 0 for
+    every other cue (_candidates_by_position).
     Depth-first expansion over the per-position top-k candidate cues;
     a path may use at most max_tolerated sub-threshold cues when
     tolerance is on.  Results are deduplicated by surface string.  An
@@ -326,9 +362,12 @@ def enumerate_paths(
         raise ProductionError(f"k must be >= 1, got {k}")
     if theta < 0:
         raise ProductionError(f"theta must be >= 0, got {theta}")
-    per_pos = [
-        _position_candidates(support[p], k, theta, tolerance) for p in range(m.max_len)
-    ]
+    if np.shape(support) != m.columns.shape:
+        raise ProductionError(
+            f"support must be one item's ({m.columns.size},) row of attested columns, "
+            f"got shape {np.shape(support)}"
+        )
+    per_pos = _candidates_by_position(m, support, k, theta, tolerance)
 
     cfg = m.cfg
     boundary = cfg.boundary
@@ -460,9 +499,11 @@ def produce(
     The target meaning is mapped to a predicted cue vector through the
     production matrix; paths are enumerated from the positional support
     of either that vector or the raw meaning, and reranked by synthesis
-    score.  support is the item's (max_len, n_cues) block when the
-    caller has already computed supports for a batch of items.  An
-    empty candidate set is a production failure.
+    score.  support is the item's (n_attested,) row of
+    m.search_supports when the caller has already computed supports for
+    a batch of items.  An empty candidate set is a production failure.
+    The kept candidates own copies of their projected meanings, so a
+    result does not hold on to the projections of every candidate.
     """
     s_target = np.asarray(s_target, dtype=np.float64)
     if support is None:
@@ -474,9 +515,13 @@ def produce(
         max_paths=params.max_paths,
     )
     ranked = synthesize_by_analysis(candidates, F, s_target, m.inventory)
+    kept = [
+        replace(c, projected_semantics=c.projected_semantics.copy())
+        for c in ranked[: max(params.top_n, 1)]
+    ]
     return ProductionResult(
-        best=ranked[0] if ranked else None,
-        top_n=ranked[: params.top_n],
+        best=kept[0] if kept else None,
+        top_n=kept[: params.top_n],
         n_candidates=len(ranked),
         truncated=candidates.truncated,
     )

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .comprehension import rowwise_pearson
 from .lexicon import CASES, ROLES, Dataset, WordEntry
 
 SINGULAR = "singular"
@@ -268,18 +269,8 @@ def reconstruct_analytical(
         keys.append((e.lemma, e.number, e.case))
     analytical = SemanticSpace(S=rows, gold_keys=keys, registry=registry)
 
-    corr = _rowwise_pearson(rows, space.S)
+    corr = rowwise_pearson(rows, space.S)
     return registry, analytical, corr
-
-
-def _rowwise_pearson(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pearson r between paired rows; NaN where a row has zero variance."""
-    Ac = A - A.mean(axis=1, keepdims=True)
-    Bc = B - B.mean(axis=1, keepdims=True)
-    num = (Ac * Bc).sum(axis=1)
-    den = np.sqrt((Ac**2).sum(axis=1) * (Bc**2).sum(axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, num / den, np.nan)
 
 
 def save_space(space: SemanticSpace, matrix_path: str | os.PathLike, keys_path: str | os.PathLike) -> None:

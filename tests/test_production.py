@@ -18,6 +18,7 @@ from ldlkit import (
 from ldlkit.cues import extract_grams
 from ldlkit.production import (
     PositionalSupportModel,
+    ProductionError,
     ProductionParams,
     positional_targets,
 )
@@ -47,8 +48,15 @@ def support_model(rows_by_position, inv, cfg):
 
 
 def support_of(m, x):
-    """One input's (max_len, n_cues) support block."""
+    """One input's compact (n_attested,) support row."""
     return m.supports(np.atleast_2d(x))[0]
+
+
+def dense_support(m, x):
+    """One input's supports of every cue at every position, (max_len, n_cues)."""
+    out = np.zeros(m.max_len * len(m.inventory))
+    out[m.columns] = support_of(m, x)
+    return out.reshape(m.max_len, len(m.inventory))
 
 
 class TestPositionalTargets:
@@ -71,7 +79,7 @@ class TestPositionalTargets:
         targets = positional_targets(strings, inv, cfg, max_len)
         model = train_positional(space.S, targets, inv, cfg, input_space="semantics")
         for i, s in enumerate(strings):
-            sup = support_of(model, space.S[i])
+            sup = dense_support(model, space.S[i])
             for p, g in enumerate(extract_grams(s, cfg)):
                 assert np.argmax(sup[p]) == inv.index[g]
 
@@ -140,8 +148,8 @@ class TestEnumeratePaths:
         )
         alu = self.inv.index["alu"]
         assert len(self.inv) + alu not in m.columns, "alu is never attested at position 1"
+        assert dense_support(m, [1.0])[1, alu] == 0.0
         sup = support_of(m, [1.0])
-        assert sup[1, alu] == 0.0
         # The four unattested cues at position 1 (support exactly 0) fill the
         # top 4 ahead of al@ (-0.5); only alu continues #al.
         paths = enumerate_paths(m, sup, k=4, theta=0.5, tolerance=True, max_tolerated=1)
@@ -149,12 +157,17 @@ class TestEnumeratePaths:
         wider = enumerate_paths(m, sup, k=5, theta=0.5, tolerance=True, max_tolerated=1)
         assert [p.surface for p in wider] == ["alu", "al@"]
 
+    def test_dense_support_block_rejected(self):
+        m = support_model([{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3)
+        with pytest.raises(ProductionError, match="attested columns"):
+            enumerate_paths(m, dense_support(m, [1.0]), k=5, theta=0.5)
+
     def test_tolerance_off_all_grams_meet_theta(self):
         rng = np.random.default_rng(1)
         W = rng.random((4, 1, len(self.inv)))
         m = PositionalSupportModel.from_dense(W, self.inv, PHONE3)
         theta = 0.4
-        sup = support_of(m, [1.0])
+        sup = dense_support(m, [1.0])
         for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta):
             for pos, g in enumerate(p.grams):
                 assert sup[pos, self.inv.index[g]] >= theta
@@ -287,3 +300,15 @@ class TestProduce:
         own = produce(space.S[0], G, model, F, params)
         given = produce(space.S[0], G, model, F, params, support=support)
         assert [(c.surface, c.score) for c in own.top_n] == [(c.surface, c.score) for c in given.top_n]
+
+    def test_kept_candidates_own_their_projections(self):
+        # A kept row that were a view would pin the projections of every
+        # candidate of the item.
+        d, cfg, strings, space, F, G, model = self.build(n_forms=20, seed=14)
+        params = ProductionParams(k=10, theta=0.1, top_n=1)
+        res = produce((space.S[0] + space.S[1]) / 2, G, model, F, params)
+        assert res.n_candidates > len(res.top_n) == 1
+        assert res.best is res.top_n[0]
+        for cand in res.top_n:
+            assert cand.projected_semantics.base is None
+            assert cand.projected_semantics.shape == (F.W.shape[1],)

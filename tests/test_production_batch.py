@@ -1,11 +1,12 @@
 """Batched, compact positional support against the per-item dense path."""
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldlkit import experiments as ex
@@ -15,7 +16,7 @@ from ldlkit.production import (
     CandidatePath,
     PositionalSupportModel,
     ProductionParams,
-    _position_candidates,
+    _candidates_by_position,
     positional_targets,
     produce,
     synthesize_by_analysis,
@@ -39,6 +40,39 @@ def input_order_supports(W, x):
     return acc
 
 
+def dense_block(m, row):
+    """One compact support row scattered into (max_len, n_cues), unattested cues at 0."""
+    out = np.zeros(m.max_len * len(m.inventory))
+    out[m.columns] = row
+    return out.reshape(m.max_len, len(m.inventory))
+
+
+def dense_candidates(support, k, theta, tolerance):
+    """Reference: the selection over one position's dense row, as the path
+    search made it over (items, max_len, n_cues) support blocks: the top k
+    by argpartition, ordered by (-support, cue index)."""
+    k = min(k, support.size)
+    top = np.argpartition(-support, k - 1)[:k] if k < support.size else np.arange(support.size)
+    order = top[np.lexsort((top, -support[top]))]
+    return [(int(j), bool(support[j] < theta)) for j in order if tolerance or support[j] >= theta]
+
+
+def check_dense_top_k(got, support, k, theta, tolerance):
+    """got is one position's top k over the dense row support: in stable
+    order by (-support, cue index), the first k, below-theta cues weak
+    and kept only in tolerance mode.  Among cues tied at the k-th value,
+    which ones are taken is left to the selection."""
+    order = sorted(range(support.size), key=lambda j: (-support[j], j))[:k]
+    kth = support[order[-1]]
+    expected = [(j, bool(support[j] < theta)) for j in order if tolerance or support[j] >= theta]
+    above = [c for c in expected if support[c[0]] > kth]
+    assert got[: len(above)] == above
+    tied = got[len(above) :]
+    assert len(tied) == len(expected) - len(above)
+    assert [j for j, _ in tied] == sorted({j for j, _ in tied})
+    assert all(support[j] == kth and weak == bool(kth < theta) for j, weak in tied)
+
+
 def dense_solve(state):
     """Reference: the dense tensor, one solve per position over every cue."""
     cfg = state.cue_cfg
@@ -52,7 +86,63 @@ def dense_solve(state):
 
 
 def chunk_budget(m, rows):
-    return rows * 8 * (m.max_len * len(m.inventory) + m.columns.size)
+    input_dim, n_attested = m.weights.shape
+    return rows * (8 * (2 * input_dim + n_attested) + n_attested)
+
+
+def letter_inventory(n_cues):
+    return CueInventory([f"#{chr(97 + j)}#" for j in range(n_cues)])
+
+
+def check_candidates_against_dense(n_cues, positions, k, theta, tolerance):
+    """positions[p] maps the cue ids attested at p to their supports."""
+    columns = [p * n_cues + j for p, row in enumerate(positions) for j in sorted(row)]
+    values = [row[j] for row in positions for j in sorted(row)]
+    m = PositionalSupportModel(weights=np.array([values], dtype=np.float64).reshape(1, -1),
+                               columns=np.array(columns, dtype=np.int64), max_len=len(positions),
+                               inventory=letter_inventory(n_cues), cfg=CueConfig(unit="letter", n=3))
+    row = m.supports(np.ones((1, 1)))[0]
+    dense = dense_block(m, row)
+    got = _candidates_by_position(m, row, k, theta, tolerance)
+    assert len(got) == m.max_len
+    for p in range(m.max_len):
+        assert got[p] == dense_candidates(dense[p], k, theta, tolerance)
+        check_dense_top_k(got[p], dense[p], k, theta, tolerance)
+
+
+support_value = st.one_of(st.sampled_from([0.0, -0.0, 0.005, 0.5, -0.5, 1.0]),
+                          st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@given(
+    n_cues=st.integers(1, 10),
+    k=st.integers(1, 13),
+    theta=st.sampled_from([0.0, 0.005, 0.5]),
+    tolerance=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_compact_candidates_are_the_dense_top_k(n_cues, k, theta, tolerance, data):
+    cue = st.integers(0, n_cues - 1)
+    positions = data.draw(st.lists(st.dictionaries(cue, support_value), min_size=1, max_size=4))
+    check_candidates_against_dense(n_cues, positions, k, theta, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [False, True])
+@pytest.mark.parametrize("n_cues, positions, k, theta", [
+    # exact zeros among the attested values tie with the unattested cues
+    (6, [{1: 0.0, 4: 0.3, 5: -0.0}], 4, 0.005),
+    # ties at the k-th place
+    (8, [{2: 0.5, 5: 0.5, 6: 0.5, 7: 0.9}], 3, 0.005),
+    (8, [{0: -0.5, 3: 0.5}], 3, 0.005),
+    # a position with no attested column
+    (5, [{0: 1.0}, {}, {4: 0.2}], 2, 0.005),
+    # an inventory smaller than k plus the attested count, and than k
+    (4, [{0: -1.0, 2: 0.7, 3: -0.2}], 3, 0.005),
+    (3, [{1: -1.0, 2: 0.7}], 5, 0.0),
+])
+def test_compact_candidates_named_cases(n_cues, positions, k, theta, tolerance):
+    check_candidates_against_dense(n_cues, positions, k, theta, tolerance)
 
 
 @given(
@@ -65,6 +155,9 @@ def chunk_budget(m, rows):
     k=st.integers(1, 8),
     tolerance=st.booleans(),
 )
+# Every cue attested at every position: no implicit zero may enter a cutoff.
+@example(seed=1, max_len=2, input_dim=2, n_cues=5, zero_share=0.0, batch="one chunk", k=2,
+         tolerance=True)
 @settings(max_examples=60, deadline=None)
 def test_search_supports_choose_as_input_order_sums(
     seed, max_len, input_dim, n_cues, zero_share, batch, k, tolerance
@@ -76,8 +169,7 @@ def test_search_supports_choose_as_input_order_sums(
     u = rng.normal(size=input_dim)
     W += 1e14 * u[None, :, None] * (rng.random((max_len, 1, n_cues)) < 0.5)
     W *= rng.random((max_len, 1, n_cues)) >= zero_share  # all-zero (position, cue) columns
-    inv = CueInventory([f"#{chr(97 + j)}#" for j in range(n_cues)])
-    m = PositionalSupportModel.from_dense(W, inv, CueConfig(unit="letter", n=3))
+    m = PositionalSupportModel.from_dense(W, letter_inventory(n_cues), CueConfig(unit="letter", n=3))
     assert m.weights.shape == (input_dim, int(np.any(W != 0.0, axis=1).sum()))
 
     rows_per_chunk = 3
@@ -86,7 +178,9 @@ def test_search_supports_choose_as_input_order_sums(
     X -= np.outer(X @ u / (u @ u), u)
     params = ProductionParams(k=k, theta=0.005, tolerance=tolerance)
 
-    for x, block in zip(X, m.supports(X)):
+    for x, row in zip(X, m.supports(X)):
+        assert row.shape == m.columns.shape
+        block = dense_block(m, row)
         bound = 2 * (input_dim + 1) * EPS * dense_supports(np.abs(W), np.abs(x))
         assert np.all(np.abs(block - dense_supports(W, x)) <= bound)
         assert np.all(block[~np.any(W != 0.0, axis=1)] == 0.0), "unattested cues are exactly 0"
@@ -95,14 +189,15 @@ def test_search_supports_choose_as_input_order_sums(
     supports = m.supports
     m.supports = lambda X: calls.append(len(X)) or supports(X)
     with mock.patch.object(ex, "SUPPORT_CHUNK_BYTES", chunk_budget(m, rows_per_chunk)):
-        blocks = list(ex._support_blocks(m, X, params))
+        rows = list(ex._support_blocks(m, X, params))
     assert calls == [min(rows_per_chunk, n - s) for s in range(0, n, rows_per_chunk)]
-    assert len(blocks) == n
-    for x, block in zip(X, blocks):
+    assert len(rows) == n
+    for x, row in zip(X, rows):
         ref = input_order_supports(W, x)
+        got = _candidates_by_position(m, row, k, params.theta, tolerance)
         for p in range(max_len):
-            assert _position_candidates(block[p], k, params.theta, tolerance) == \
-                _position_candidates(ref[p], k, params.theta, tolerance)
+            assert got[p] == dense_candidates(ref[p], k, params.theta, tolerance)
+            check_dense_top_k(got[p], ref[p], k, params.theta, tolerance)
 
 
 def test_from_dense_keeps_attested_columns_in_flat_order():
@@ -112,7 +207,10 @@ def test_from_dense_keeps_attested_columns_in_flat_order():
     m = PositionalSupportModel.from_dense(W, inv, CueConfig(unit="letter", n=2))
     assert m.columns.tolist() == [2, 3]
     assert m.weights.tolist() == [[5.0, -1.0]]
-    assert m.supports(np.array([[2.0]])).tolist() == [[[0.0, 0.0, 10.0], [-2.0, 0.0, 0.0]]]
+    assert m.ends.tolist() == [0, 1, 2] and m.cue_ids.tolist() == [2, 0]
+    row = m.supports(np.array([[2.0]]))
+    assert row.tolist() == [[10.0, -2.0]]
+    assert dense_block(m, row[0]).tolist() == [[0.0, 0.0, 10.0], [-2.0, 0.0, 0.0]]
 
 
 @pytest.fixture(scope="module", params=["demo", "paradigm250"])
@@ -150,10 +248,31 @@ def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
     with mock.patch.object(ex, "SUPPORT_CHUNK_BYTES", chunk_budget(m, 50)):
         batched = ex.produce_items(state.space.S[ids], G, m, F, params)
     assert sum(r.n_candidates for r in batched) > len(ids) // 2
+    unattested = np.ones(W.shape[0] * W.shape[2], dtype=bool)
+    unattested[m.columns] = False
     for i, got in zip(ids, batched):
         s = state.space.S[i]
-        ref = produce(s, G, m, F, params, support=dense_supports(W, s @ G.W))
+        dense = dense_supports(W, s @ G.W).reshape(-1)
+        assert not dense[unattested].any()
+        ref = produce(s, G, m, F, params, support=dense[m.columns])
         assert summary(got) == summary(ref)
+
+
+def test_production_allocates_no_dense_support_block(tmp_path):
+    data = tmp_path / "paradigm40.tsv"
+    save_dataset(paradigm_lexicon(40), data)
+    cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
+    state = ex.build_pipeline(cfg)
+    m, S = state.positional, state.space.S
+    dense_bytes = S.shape[0] * m.max_len * len(m.inventory) * 8
+    tracemalloc.start()
+    try:
+        results = ex.produce_items(S, state.G, m, state.F, cfg.production_params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.best is not None for r in results) == len(results)
+    assert peak < dense_bytes
 
 
 def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):

@@ -249,6 +249,31 @@ class TestReconstructAnalytical:
         assert np.all(corr[~np.isnan(corr)] <= 1.0 + 1e-12)
         assert np.all(corr[~np.isnan(corr)] >= -1.0 - 1e-12)
 
+    def test_correlations_match_the_paired_row_formula(self):
+        from ldlkit.semantics import SemanticSpace
+
+        d = paradigm_lexicon(8)
+        S = simulate_vectors(d, dim=20, seed=15).S.copy()
+        constant = [0, 5]
+        S[constant] = 0.1  # zero variance, though the mean of the row rounds
+        space = SemanticSpace(S=S, gold_keys=[(e.wordform,) for e in d])
+        _, analytical, corr = reconstruct_analytical(space, d)
+
+        # The formula reconstruct_analytical used before it shared the
+        # comprehension helper: centred rows, NaN only at an exact zero norm.
+        A, B = analytical.S, S
+        Ac = A - A.mean(axis=1, keepdims=True)
+        Bc = B - B.mean(axis=1, keepdims=True)
+        den = np.sqrt((Ac**2).sum(axis=1) * (Bc**2).sum(axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            old = np.where(den > 0, (Ac * Bc).sum(axis=1) / den, np.nan)
+
+        varied = np.ones(len(d), dtype=bool)
+        varied[constant] = False
+        assert np.array_equal(corr[varied], old[varied])
+        assert np.all(np.isnan(corr[constant]))
+        assert not np.any(np.isnan(old[constant])), "the old formula scored round-off"
+
 
 def test_save_space_round_trip(tmp_path):
     from ldlkit.semantics import save_space
