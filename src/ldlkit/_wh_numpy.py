@@ -1,8 +1,10 @@
-"""Pure-numpy token loop for incremental delta-rule training.
+"""The Widrow-Hoff token loop of incremental delta-rule training.
 
-Same contract as the compiled kernel in _wh_kernel.pyx: rows of W touched
-by a token are exactly the active cue columns of the token's entry, cue
-values are assumed binary, and W is updated in place.
+run_stream applies one update per token of a stream segment to W, in
+place.  The rows of W a token touches are exactly the active cue columns
+of its entry, given as CSR arrays (indptr, indices); cue values are
+assumed binary.  Checkpoints are not handled here: train_incremental
+runs the stream in segments between them.
 
 Each token works on row views of W rather than on fancy-indexed copies:
 the active rows are summed one by one in index order, which is the order
@@ -24,17 +26,10 @@ def run_stream(
     S: np.ndarray,
     stream: np.ndarray,
     eta: float,
-    checkpoints: np.ndarray,
-    snapshots: np.ndarray,
 ) -> None:
-    ck = 0
-    n_ck = checkpoints.shape[0]
-    while ck < n_ck and checkpoints[ck] == 0:
-        snapshots[ck] = W
-        ck += 1
     views = list(W)
     entry_rows: dict[int, list[np.ndarray]] = {}
-    for t, eid in enumerate(stream.tolist(), start=1):
+    for eid in stream.tolist():
         rows = entry_rows.get(eid)
         if rows is None:
             rows = [views[j] for j in indices[indptr[eid] : indptr[eid + 1]].tolist()]
@@ -47,6 +42,3 @@ def run_stream(
             acc *= eta
             for r in rows:
                 r += acc
-        while ck < n_ck and checkpoints[ck] == t:
-            snapshots[ck] = W
-            ck += 1

@@ -126,8 +126,8 @@ def csr_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row_of, indices = np.nonzero(rows)
     indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_of, minlength=rows.shape[0]), out=indptr[1:])
-    # nonzero returns strided views of one (nnz, 2) array; the compiled kernel
-    # takes contiguous arrays
+    # nonzero returns strided views of one (nnz, 2) array; a contiguous copy
+    # does not keep the row numbers alive beside the column indices
     return indptr, np.ascontiguousarray(indices, dtype=np.int64)
 
 

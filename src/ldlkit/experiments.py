@@ -22,7 +22,14 @@ import numpy as np
 
 from . import comprehension as comp
 from . import lexicon, semantics
-from .cues import CueConfig, CueMatrix, build_cue_matrix, build_inventory, extract_grams
+from .cues import (
+    CueConfig,
+    CueInventory,
+    CueMatrix,
+    build_cue_matrix,
+    build_inventory,
+    extract_grams,
+)
 from .mappings import Mapping, prune, solve_endstate, train_incremental
 from .production import (
     PositionalSupportModel,
@@ -277,6 +284,32 @@ def _split(cfg: ExperimentConfig, d: lexicon.Dataset, cue_cfg: CueConfig) -> lex
     raise ConfigError(f"unknown split mode: {cfg.split_mode!r}")
 
 
+def _simulated_space(
+    cfg: ExperimentConfig, d: lexicon.Dataset, inv: CueInventory
+) -> semantics.SemanticSpace:
+    """Simulated semantic vectors, one dimension per cue unless semantics.dim is set."""
+    dim = cfg.semantics_dim if cfg.semantics_dim else len(inv)
+    return semantics.simulate_vectors(
+        d, dim=dim, seed=cfg.seed_semantics,
+        sd_lexeme=cfg.sd_lexeme, sd_feature=cfg.sd_feature, sd_noise=cfg.sd_noise,
+        feature_scale=cfg.feature_scale, scheme=cfg.feature_scheme,
+        number_opposition=cfg.number_opposition,
+    )
+
+
+def _production_model(
+    cfg: ExperimentConfig, S: np.ndarray, cue_rows: np.ndarray, forms: Sequence[str],
+    inv: CueInventory, cue_cfg: CueConfig,
+) -> tuple[Mapping, PositionalSupportModel]:
+    """The production mapping G (S to cue_rows) and the positional model
+    trained on forms, the cue strings of the rows of S."""
+    G = solve_endstate(S, cue_rows, kind="production")
+    max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
+    targets = positional_targets(forms, inv, cue_cfg, max_len)
+    inputs = S @ G.W if cfg.production_input == "predicted_cues" else S
+    return G, train_positional(inputs, targets, inv, cue_cfg, cfg.production_input)
+
+
 def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
     """Assemble split, cue matrix, semantic space, and trained mappings."""
     d = _prepare_dataset(cfg)
@@ -301,13 +334,7 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
     C = build_cue_matrix(all_strings, inv, cue_cfg)
 
     if cfg.semantics_mode == "simulate":
-        dim = cfg.semantics_dim if cfg.semantics_dim else len(inv)
-        space = semantics.simulate_vectors(
-            d, dim=dim, seed=cfg.seed_semantics,
-            sd_lexeme=cfg.sd_lexeme, sd_feature=cfg.sd_feature, sd_noise=cfg.sd_noise,
-            feature_scale=cfg.feature_scale, scheme=cfg.feature_scheme,
-            number_opposition=cfg.number_opposition,
-        )
+        space = _simulated_space(cfg, d, inv)
     elif cfg.semantics_mode not in ("embeddings", "analytical"):
         raise ConfigError(f"unknown semantics mode: {cfg.semantics_mode!r}")
 
@@ -322,15 +349,9 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
     state.pool = comp.GoldPool.build(space, d, cue_cfg, restrict_ids=pool_ids)
 
     if with_production if with_production is not None else cfg.production_enabled:
-        G = solve_endstate(space.S[train_ids], C.rows[train_ids], kind="production")
-        max_len = max(len(extract_grams(s, cue_cfg)) for s in train_strings) + cfg.max_len_margin
-        targets = positional_targets(train_strings, inv, cue_cfg, max_len)
-        if cfg.production_input == "predicted_cues":
-            inputs = space.S[train_ids] @ G.W
-        else:
-            inputs = space.S[train_ids]
-        state.G = G
-        state.positional = train_positional(inputs, targets, inv, cue_cfg, cfg.production_input)
+        state.G, state.positional = _production_model(
+            cfg, space.S[train_ids], C.rows[train_ids], train_strings, inv, cue_cfg
+        )
     return state
 
 
@@ -606,18 +627,15 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     if cfg.number_opposition != "equipollent":
         raise ConfigError("the plural shift needs both number vectors; "
                           "semantics.number must be equipollent")
+    if cfg.semantics_mode != "simulate":
+        raise ConfigError("the wug experiment simulates its meanings; "
+                          f"semantics.mode must be simulate, got {cfg.semantics_mode!r}")
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     strings = [cue_cfg.cue_string(e) for e in d]
     inv = build_inventory(strings, cue_cfg)
     C = build_cue_matrix(strings, inv, cue_cfg)
-    dim = cfg.semantics_dim if cfg.semantics_dim else len(inv)
-    space = semantics.simulate_vectors(
-        d, dim=dim, seed=cfg.seed_semantics,
-        sd_lexeme=cfg.sd_lexeme, sd_feature=cfg.sd_feature, sd_noise=cfg.sd_noise,
-        feature_scale=cfg.feature_scale, scheme=cfg.feature_scheme,
-        number_opposition=cfg.number_opposition,
-    )
+    space = _simulated_space(cfg, d, inv)
     F = solve_endstate(C.rows, space.S, kind="comprehension")
 
     usable, skipped = [], []
@@ -639,17 +657,10 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     C_nonce = np.vstack(nonce_rows)
     S_nonce_sg = C_nonce @ F.W
 
-    G = solve_endstate(
-        np.vstack([space.S, S_nonce_sg]), np.vstack([C.rows, C_nonce]), kind="production"
+    G, posmodel = _production_model(
+        cfg, np.vstack([space.S, S_nonce_sg]), np.vstack([C.rows, C_nonce]),
+        strings + usable, inv, cue_cfg,
     )
-    all_forms = strings + usable
-    max_len = max(len(extract_grams(s, cue_cfg)) for s in all_forms) + cfg.max_len_margin
-    targets = positional_targets(all_forms, inv, cue_cfg, max_len)
-    if cfg.production_input == "predicted_cues":
-        inputs = np.vstack([space.S, S_nonce_sg]) @ G.W
-    else:
-        inputs = np.vstack([space.S, S_nonce_sg])
-    posmodel = train_positional(inputs, targets, inv, cue_cfg, cfg.production_input)
 
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
     results = produce_items(S_pl, G, posmodel, F, cfg.production_params())

@@ -3,8 +3,7 @@
 Two estimation routes: the closed-form least-squares end state (exact
 multivariate multiple regression, minimum-norm for rank-deficient
 designs) and incremental delta-rule learning applied once per token.
-The token loop is the hot path; a compiled kernel is used when the
-extension built, with a numpy fallback selected at import time.
+The token loop is the hot path; it lives in _wh_numpy.run_stream.
 """
 
 from __future__ import annotations
@@ -16,16 +15,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _wh_numpy
 from .cues import csr_arrays
 
-try:
-    from . import _wh_kernel as _wh_backend
-
-    WH_BACKEND = "cython"
-except ImportError:  # extension not built
-    from . import _wh_numpy as _wh_backend
-
-    WH_BACKEND = "python"
+# There is one token loop; the name stays because perfbench/run.py prints it.
+WH_BACKEND = "python"
 
 
 class MappingError(ValueError):
@@ -159,19 +153,13 @@ def train_incremental(
 
     indptr, indices = csr_arrays(C)
     W = np.zeros((C.shape[1], S.shape[1]), dtype=np.float64)
-    # Checkpoints are handled here, between segments of the stream, so the
-    # backend never holds snapshots.
-    no_checkpoints = np.zeros(0, dtype=np.int64)
-    no_snapshots = np.zeros((0,) + W.shape, dtype=np.float64)
     done = 0
     for t in ck.tolist():
-        _wh_backend.run_stream(W, indptr, indices, S, stream[done:t], float(eta),
-                               no_checkpoints, no_snapshots)
+        _wh_numpy.run_stream(W, indptr, indices, S, stream[done:t], float(eta))
         done = t
         on_checkpoint(Mapping(W=W, kind=kind, provenance="incremental",
                               trained_tokens=t, eta=eta))
-    _wh_backend.run_stream(W, indptr, indices, S, stream[done:], float(eta),
-                           no_checkpoints, no_snapshots)
+    _wh_numpy.run_stream(W, indptr, indices, S, stream[done:], float(eta))
     final = Mapping(W=W, kind=kind, provenance="incremental",
                     trained_tokens=int(stream.size), eta=eta)
     return final, snaps

@@ -520,6 +520,28 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert "marker_summary" in out
 
+    @pytest.mark.parametrize("mode", ["embeddings", "analytical", "bogus"])
+    def test_wug_rejects_semantics_it_cannot_use(self, tmp_path, capsys, mode):
+        # wug simulates its meanings; any other semantics.mode must fail, not
+        # run on simulated vectors
+        d = paradigm_lexicon(5, seed=34)
+        data = tmp_path / "corpus.tsv"
+        save_dataset(d, data)
+        vecs = tmp_path / "vectors.txt"
+        write_embedding_table(vecs, d)
+        nonce = tmp_path / "nonce.txt"
+        nonce.write_text("Bral\n", encoding="utf-8")
+        p = tmp_path / "exp.config"
+        p.write_text(
+            f"data={data}\noutput={tmp_path / 'out'}\ncues.unit=letter\ncues.n=2\n"
+            f"semantics.mode={mode}\nsemantics.embeddings={vecs}\n",
+            encoding="utf-8",
+        )
+        rc = cli.main(["wug", "--config", str(p), "--nonce", str(nonce)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "semantics.mode" in err["error"]
+
 
 ROOT = Path(__file__).resolve().parents[1]
 

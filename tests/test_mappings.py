@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
 from ldlkit.cues import csr_arrays
-from ldlkit.mappings import MappingError, WH_BACKEND, load_mapping, save_mapping
-from ldlkit import _wh_numpy
+from ldlkit.mappings import MappingError, load_mapping, save_mapping
 
 
 def normal_equations_oracle(X, Y):
@@ -16,20 +15,12 @@ def normal_equations_oracle(X, Y):
     return np.linalg.solve(X.T @ X, X.T @ Y)
 
 
-def gather_scatter_stream(W, indptr, indices, S, stream, eta, checkpoints, snapshots):
+def gather_scatter_stream(W, indptr, indices, S, stream, eta):
     """The fancy-index token loop that _wh_numpy.run_stream must reproduce bit for bit."""
-    ck = 0
-    n_ck = checkpoints.shape[0]
-    while ck < n_ck and checkpoints[ck] == 0:
-        snapshots[ck] = W
-        ck += 1
-    for t, eid in enumerate(stream, start=1):
+    for eid in stream:
         idx = indices[indptr[eid] : indptr[eid + 1]]
         delta = eta * (S[eid] - W[idx].sum(axis=0))
         W[idx] += delta
-        while ck < n_ck and checkpoints[ck] == t:
-            snapshots[ck] = W
-            ck += 1
 
 
 class TestSolveEndstate:
@@ -203,24 +194,6 @@ class TestTrainIncremental:
             dists.append(np.linalg.norm(final.W - W_end))
         assert dists[0] > dists[1] > dists[2]
 
-    def test_backends_agree(self):
-        C, S = self._toy(seed=8)
-        stream = np.tile(np.arange(len(C)), 4).astype(np.int64)
-        final, snaps = train_incremental(stream, C, S, eta=0.03, checkpoints=[7, 20])
-
-        # drive the pure-python loop directly on the same inputs
-        indptr = np.zeros(len(C) + 1, dtype=np.int64)
-        active = [np.flatnonzero(C[i]) for i in range(len(C))]
-        indptr[1:] = np.cumsum([a.size for a in active])
-        indices = np.concatenate(active).astype(np.int64)
-        W = np.zeros((C.shape[1], S.shape[1]))
-        snaps2 = np.zeros((2, C.shape[1], S.shape[1]))
-        _wh_numpy.run_stream(W, indptr, indices, S.astype(float), stream, 0.03,
-                             np.array([7, 20], dtype=np.int64), snaps2)
-        np.testing.assert_allclose(final.W, W, atol=1e-12)
-        np.testing.assert_allclose(snaps[0].W, snaps2[0], atol=1e-12)
-        np.testing.assert_allclose(snaps[1].W, snaps2[1], atol=1e-12)
-
     def test_on_checkpoint_sees_live_weights_in_order(self):
         C, S = self._toy(seed=3)
         stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
@@ -249,35 +222,6 @@ class TestTrainIncremental:
         with pytest.raises(MappingError, match="binary"):
             train_incremental(np.zeros(1, dtype=np.int64), C, S)
 
-    def test_backend_module_resolved(self):
-        assert WH_BACKEND in ("cython", "python")
-
-    def test_fallback_selected_when_extension_missing(self):
-        # block the compiled module in a clean interpreter; the import
-        # must fall back to the numpy loop and still train correctly
-        import subprocess
-        import sys
-
-        code = (
-            "import sys\n"
-            "sys.modules['ldlkit._wh_kernel'] = None\n"
-            "import numpy as np\n"
-            "from ldlkit import mappings\n"
-            "assert mappings.WH_BACKEND == 'python', mappings.WH_BACKEND\n"
-            "W1 = mappings.wh_update(np.zeros((2, 1)), np.array([1.0, 0.0]),"
-            " np.array([1.0]), eta=0.1)\n"
-            "assert W1.tolist() == [[0.1], [0.0]]\n"
-            "C = np.eye(3); S = np.arange(6.0).reshape(3, 2)\n"
-            "final, snaps = mappings.train_incremental("
-            "np.array([0, 1, 2], dtype=np.int64), C, S, eta=0.5, checkpoints=[3])\n"
-            "assert snaps[0].trained_tokens == 3\n"
-            "print('fallback-ok')\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "fallback-ok" in proc.stdout
-
 
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -304,18 +248,26 @@ def test_run_stream_is_bit_identical_to_gather_scatter(
     checkpoints = np.sort(np.concatenate([[0, 0], inner, inner, [n_tokens]])).astype(np.int64)
 
     indptr, indices = csr_arrays(C)
-    assert indptr.flags.c_contiguous and indices.flags.c_contiguous  # as the compiled kernel takes them
+    assert indices.flags.c_contiguous  # a copy, not a view of nonzero's (nnz, 2) array
     np.testing.assert_array_equal(indices, np.concatenate([np.flatnonzero(r) for r in C]))
     np.testing.assert_array_equal(indptr[1:], np.cumsum(C.sum(axis=1)))
 
-    out = []
-    for loop in (_wh_numpy.run_stream, gather_scatter_stream):
-        W = np.zeros((n_cues, dim))
-        snaps = np.zeros((checkpoints.size, n_cues, dim))
-        loop(W, indptr, indices, S, stream, eta, checkpoints, snaps)
-        out.append((W, snaps))
-    np.testing.assert_array_equal(out[0][0], out[1][0])
-    np.testing.assert_array_equal(out[0][1], out[1][1])
+    seen = []
+    final, _ = train_incremental(
+        stream, C, S, eta=eta, checkpoints=checkpoints,
+        on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W.copy())),
+    )
+    assert [t for t, _ in seen] == checkpoints.tolist()
+
+    # the oracle over the same segments of the stream
+    W = np.zeros((n_cues, dim))
+    done = 0
+    for t, W_at in seen:
+        gather_scatter_stream(W, indptr, indices, S, stream[done:t], eta)
+        done = t
+        np.testing.assert_array_equal(W_at, W)
+    gather_scatter_stream(W, indptr, indices, S, stream[done:], eta)
+    np.testing.assert_array_equal(final.W, W)
 
 
 class TestPrune:
