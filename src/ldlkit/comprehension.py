@@ -50,16 +50,35 @@ class Centred(NamedTuple):
         return Centred(self.rows[ids], self.sq[ids])
 
 
-def centre(A: np.ndarray | Centred) -> Centred:
+# Row-local work (centring, norms, the division of R, own-row products)
+# runs in blocks of about this many bytes, so its temporaries stay small.
+# Every statistic is per row, so the blocks do not change a bit.
+CHUNK_BYTES = 1 << 18
+
+
+def _row_chunks(n_rows: int, n_cols: int):
+    step = max(1, CHUNK_BYTES // (8 * max(n_cols, 1)))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def centre(A: np.ndarray | Centred, out: Optional[np.ndarray] = None) -> Centred:
     """Centred rows of A (A itself when it is already centred).  A constant
     row centres to exact zeros, so it has zero variance even when its mean
-    rounds."""
+    rounds.  The centred rows are written to out, which may be A itself;
+    by default to a new array."""
     if isinstance(A, Centred):
         return A
     A = np.asarray(A, dtype=np.float64)
-    Ac = A - A.mean(axis=1, keepdims=True)
-    Ac[(A == A[:, :1]).all(axis=1)] = 0.0
-    return Centred(Ac, (Ac**2).sum(axis=1))
+    out = np.empty_like(A) if out is None else out
+    sq = np.empty(A.shape[0])
+    for rows in _row_chunks(*A.shape):
+        a, c = A[rows], out[rows]
+        constant = (a == a[:, :1]).all(axis=1)
+        np.subtract(a, a.mean(axis=1, keepdims=True), out=c)
+        c[constant] = 0.0
+        sq[rows] = (c**2).sum(axis=1)
+    return Centred(out, sq)
 
 
 def pearson_matrix(A: np.ndarray | Centred, B: np.ndarray | Centred) -> np.ndarray:
@@ -67,13 +86,15 @@ def pearson_matrix(A: np.ndarray | Centred, B: np.ndarray | Centred) -> np.ndarr
 
     Either side may be passed already centred, so that rows scored many
     times are centred once; every statistic is per row, so the result is
-    the same to the bit.
+    the same to the bit.  Besides R, only row blocks are allocated.
     """
     a, b = centre(A), centre(B)
     an = np.sqrt(a.sq)
     bn = np.sqrt(b.sq)
+    R = a.rows @ b.rows.T
     with np.errstate(invalid="ignore", divide="ignore"):
-        R = (a.rows @ b.rows.T) / np.outer(an, bn)
+        for rows in _row_chunks(*R.shape):
+            R[rows] /= np.outer(an[rows], bn)
     R[an == 0, :] = np.nan
     R[:, bn == 0] = np.nan
     return R
@@ -83,9 +104,12 @@ def rowwise_pearson(A: np.ndarray | Centred, B: np.ndarray | Centred) -> np.ndar
     """Pearson correlation of each row of A with the same row of B; NaN
     where either row has zero variance."""
     a, b = centre(A), centre(B)
+    num = np.empty(a.rows.shape[0])
+    for rows in _row_chunks(*a.rows.shape):
+        num[rows] = (a.rows[rows] * b.rows[rows]).sum(axis=1)
     den = np.sqrt(a.sq * b.sq)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, (a.rows * b.rows).sum(axis=1) / den, np.nan)
+        return np.where(den > 0, num / den, np.nan)
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -132,10 +156,10 @@ class GoldPool:
     """Deduplicated gold rows with the entries collapsed into each row.
 
     Strict credit requires the winning row to carry the item's own key;
-    lenient credit requires it to carry the item's cue string.  The
-    centred rows, and those of the gold matrix last scored against
-    (gold_centred), are kept for the Pearson helpers, since a run scores
-    against the same pool many times.
+    lenient credit requires it to carry the item's cue string.  Besides
+    its rows, the pool keeps only their centred form (centred), since a
+    run scores against the same pool many times; no centred copy of the
+    gold matrix is kept.
     """
 
     rows: np.ndarray
@@ -144,16 +168,9 @@ class GoldPool:
     first_key: list[tuple]
     entry_ids: list[list[int]]
     centred: Centred = field(init=False, repr=False, compare=False)
-    _gold: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.centred = centre(self.rows)
-
-    def gold_centred(self, S: np.ndarray) -> Centred:
-        """centre(S), computed once while S is the same array object."""
-        if self._gold[0] is not S:
-            self._gold = (S, centre(S))
-        return self._gold[1]
 
     @classmethod
     def build(
@@ -195,7 +212,7 @@ class ItemScore:
 
 
 def score_items(
-    S_hat: np.ndarray,
+    S_hat: np.ndarray | Centred,
     space: SemanticSpace,
     pool: GoldPool,
     d: Dataset,
@@ -204,22 +221,49 @@ def score_items(
 ) -> list[ItemScore]:
     """Grade predicted rows against the pool.
 
-    S_hat has one row per dataset entry; ids selects which to score.
+    S_hat has one row per dataset entry, as an array, which is left
+    unchanged, or already centred (e.g. centre(P, out=P) of a fresh
+    product P, which is then not copied); ids selects which to score.
     r_target is each item's correlation with its own gold row; the
     strict/lenient flags compare the best pool row's keys and cue
     strings with the item's own.
+
+    One scoring allocates two large arrays: the centred predictions of
+    the scored items (none when S_hat is centred and ids is None) and
+    their (items, pool rows) correlations R.  Everything else is a row
+    block of about CHUNK_BYTES or one value per item; the items' gold rows
+    are copied from space.S and centred one block at a time.
     """
-    if S_hat.shape[0] != len(space.S):
+    n = (S_hat.rows if isinstance(S_hat, Centred) else S_hat).shape[0]
+    if n != len(space.S):
         raise ComprehensionError("S_hat must have one row per dataset entry")
-    ids = list(range(S_hat.shape[0])) if ids is None else list(ids)
-    preds = centre(S_hat[ids])
+    if ids is None:
+        ids = list(range(n))
+        preds = centre(S_hat)
+    else:
+        ids = list(ids)
+        if isinstance(S_hat, Centred):
+            preds = S_hat.take(ids)
+        else:
+            picked = np.asarray(S_hat, dtype=np.float64)[ids]
+            preds = centre(picked, out=picked)
+    item_ids = np.asarray(ids, dtype=np.intp)
+    r_own = np.empty(len(ids))
+    for rows in _row_chunks(len(ids), space.S.shape[1]):
+        gold = np.asarray(space.S[item_ids[rows]], dtype=np.float64)
+        r_own[rows] = rowwise_pearson(preds.take(rows), centre(gold, out=gold))
     R = pearson_matrix(preds, pool.centred)
-    r_own = rowwise_pearson(preds, pool.gold_centred(space.S).take(ids))
-    # Row-wise nanargmax in two array calls: NaN never wins, and argmax
-    # keeps the first of tied maxima.
-    undefined = np.isnan(R)
-    degenerate = undefined.all(axis=1).tolist()
-    bests = np.where(undefined, -np.inf, R).argmax(axis=1).tolist()
+    # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
+    # wins, and argmax keeps the first of tied maxima.
+    degenerate = np.empty(len(ids), dtype=bool)
+    bests = np.empty(len(ids), dtype=np.intp)
+    for rows in _row_chunks(*R.shape):
+        block = R[rows]
+        undefined = np.isnan(block)
+        degenerate[rows] = undefined.all(axis=1)
+        block[undefined] = -np.inf
+        bests[rows] = block.argmax(axis=1)
+    degenerate, bests = degenerate.tolist(), bests.tolist()
 
     out = []
     for k, i in enumerate(ids):

@@ -356,9 +356,13 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
 
 
 def comprehension_scores(state: PipelineState, F: Optional[Mapping] = None) -> list[comp.ItemScore]:
+    """Score every entry's prediction under F (state.F by default); the
+    fresh product is centred in place, so it is the scoring's only copy of
+    the predictions."""
     F = F or state.F
     S_hat = state.C.rows @ F.W
-    return comp.score_items(S_hat, state.space, state.pool, state.dataset, state.cue_cfg)
+    preds = comp.centre(S_hat, out=S_hat)
+    return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg)
 
 
 def comprehension_accuracies(
@@ -494,16 +498,22 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     checkpoints = _default_checkpoints(stream.size, cfg.n_checkpoints)
 
     curve_rows = []
+    latest: dict[int, list[comp.ItemScore]] = {}  # the last checkpoint's scores, by tokens
 
     def score_checkpoint(m: Mapping) -> None:
-        acc = comprehension_accuracies(state, comprehension_scores(state, m))
-        curve_rows.append((m.trained_tokens, acc))
+        results = comprehension_scores(state, m)
+        latest.clear()
+        latest[m.trained_tokens] = results
+        curve_rows.append((m.trained_tokens, comprehension_accuracies(state, results)))
 
     final, _ = train_incremental(
         stream, state.C.rows, state.space.S, eta=cfg.eta, checkpoints=checkpoints,
         on_checkpoint=score_checkpoint,
     )
-    inc_results = comprehension_scores(state, final)
+    # A checkpoint at the stream's end has already scored the final weights.
+    inc_results = latest.get(final.trained_tokens)
+    if inc_results is None:
+        inc_results = comprehension_scores(state, final)
     inc_acc = comprehension_accuracies(state, inc_results)
     end_results = comprehension_scores(state)  # end-state baseline on the same split
     end_acc = comprehension_accuracies(state, end_results)

@@ -307,8 +307,11 @@ def _position_candidates(
     """Top-k cues at one position: (cue index, is_weak) pairs.
 
     Cues at or above theta are free; below-theta cues appear only in
-    tolerance mode and draw on the path's tolerated budget.  Order is by
-    descending support, ties by cue index, so expansion is deterministic.
+    tolerance mode and draw on the path's tolerated budget.  The chosen k
+    are ordered by (-support, cue index), so expansion is deterministic.
+    Which of the cues tied at the k-th place enter the top k is left to
+    argpartition, not to the cue index; ROADMAP item 3 plans to break
+    those ties by the lowest cue index.
     """
     k = min(k, support.size)
     top = np.argpartition(-support, k - 1)[:k] if k < support.size else np.arange(support.size)

@@ -1,6 +1,8 @@
 """Nearest-gold scoring and the evaluation schemes."""
 
+import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +24,11 @@ from ldlkit import (
     solve_endstate,
     split_random,
 )
+from ldlkit import comprehension
 from ldlkit.comprehension import (
     ComprehensionError,
     average_ranks,
+    centre,
     pearson,
     pearson_matrix,
     rowwise_pearson,
@@ -276,20 +280,141 @@ def test_spearman_and_pearson_match_scipy(xy, swap):
 
 
 def test_score_items_cached_statistics_match_direct_pearson():
-    """The pool's cached centred rows give the bits of the direct helpers,
-    and a new gold matrix is centred afresh."""
+    """The pool's centred rows, and the gold rows centred block by block,
+    give the bits of the direct helpers, for a pool of every entry or of
+    some and for the pool's own gold matrix or another."""
     d = paradigm_lexicon(12, seed=5)
     cfg = CueConfig(unit="phone", n=3)
     inv = build_inventory([cfg.cue_string(e) for e in d], cfg)
     C = build_cue_matrix([cfg.cue_string(e) for e in d], inv, cfg)
     space = simulate_vectors(d, dim=30, seed=4)
-    pool = GoldPool.build(space, d, cfg)
     S_hat = C.rows @ solve_endstate(C.rows, space.S).W
     ids = list(range(0, len(d), 3))
-    for gold in (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)):
+    for pool, gold in itertools.product(
+        (GoldPool.build(space, d, cfg), GoldPool.build(space, d, cfg, restrict_ids=range(0, len(d), 2))),
+        (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)),
+    ):
         for _ in range(2):
             results = score_items(S_hat, gold, pool, d, cfg, ids)
             r_own = [r.r_target for r in results]
             assert r_own == rowwise_pearson(S_hat[ids], gold.S[ids]).tolist()
             best = pearson_matrix(S_hat[ids], pool.rows).argmax(axis=1).tolist()
             assert [r.best_index for r in results] == best
+
+
+@st.composite
+def scoring_cases(draw):
+    """Gold rows with duplicates, predictions with constant rows, homophone
+    forms, and every way of choosing the pool, the gold space and the ids."""
+    n = draw(st.integers(2, 9))
+    dims = draw(st.integers(2, 40))  # past numpy's pairwise-summation block of 8
+    value = st.integers(-2, 2) | st.floats(-8, 8, allow_subnormal=False)
+    row = st.lists(value, min_size=dims, max_size=dims)
+    distinct = draw(st.lists(row, min_size=1, max_size=n))
+    gold = np.array([distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(n)], dtype=float)
+    S_hat = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        S_hat[i] = S_hat[i, 0]  # zero variance
+    forms = [f"W{draw(st.integers(0, n // 2))}" for _ in range(n)]
+    everyone = st.lists(st.integers(0, n - 1))
+    return dict(
+        gold=gold, S_hat=S_hat, forms=forms,
+        pool_ids=draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted)),
+        other_gold=draw(st.none() | st.just(np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float))),
+        ids=draw(st.none() | everyone),
+        centred_input=draw(st.booleans()),
+        chunk_bytes=draw(st.integers(8, 160)),
+    )
+
+
+def _one_block_centre(X):
+    """centre's arithmetic on the whole matrix at once."""
+    Xc = X - X.mean(axis=1, keepdims=True)
+    constant = (X == X[:, :1]).all(axis=1)
+    Xc[constant] = 0.0
+    return Xc, (Xc**2).sum(axis=1)
+
+
+def _one_block_pearson(A, B, rowwise=False):
+    """pearson_matrix's, or rowwise_pearson's, arithmetic without row blocks."""
+    (a, sa), (b, sb) = _one_block_centre(A), _one_block_centre(B)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if rowwise:
+            den = np.sqrt(sa * sb)
+            return np.where(den > 0, (a * b).sum(axis=1) / den, np.nan)
+        an, bn = np.sqrt(sa), np.sqrt(sb)
+        R = (a @ b.T) / np.outer(an, bn)
+    R[an == 0, :] = np.nan
+    R[:, bn == 0] = np.nan
+    return R
+
+
+_WIDE = np.random.default_rng(8).normal(size=(4, 37))
+
+
+@given(case=scoring_cases())
+@settings(max_examples=300, deadline=None)
+@example(case=dict(  # one-row blocks of 37 dims: several pairwise-summation blocks per row
+    gold=_WIDE[[0, 1, 1, 2]], S_hat=_WIDE[[1, 2, 3, 0]] * 3.7 + 0.1, forms=["W0", "W1", "W0", "W2"],
+    pool_ids=[0, 1, 3], other_gold=None, ids=[3, 0, 2, 2], centred_input=False, chunk_bytes=8,
+))
+def test_score_items_is_the_direct_pearson_on_copies(case):
+    """Bit for bit, in row blocks of one to a few rows: a pool of every
+    entry or of some, the pool's own gold matrix or another, duplicate gold
+    rows, and NaN for zero-variance rows.  The blocked helpers give the
+    bits of one block."""
+    n = len(case["gold"])
+    d = Dataset([entry(f, f, "nominative", "singular") for f in case["forms"]])
+    keys = [(f"K{i}",) for i in range(n)]
+    space = SemanticSpace(S=case["gold"], gold_keys=keys)
+    cfg = CueConfig(unit="letter", n=2)
+    pool = GoldPool.build(space, d, cfg, restrict_ids=case["pool_ids"])
+    gold = space if case["other_gold"] is None else SemanticSpace(S=case["other_gold"], gold_keys=keys)
+    ids = list(range(n)) if case["ids"] is None else case["ids"]
+    S_hat = case["S_hat"].copy()
+    given_rows = centre(S_hat) if case["centred_input"] else S_hat
+    with mock.patch.object(comprehension, "CHUNK_BYTES", case["chunk_bytes"]):
+        results = score_items(given_rows, gold, pool, d, cfg, case["ids"])
+        R = pearson_matrix(case["S_hat"][ids], pool.rows.copy())
+        r_own = rowwise_pearson(case["S_hat"][ids], gold.S[ids].copy())
+
+    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"][ids], pool.rows))
+    np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"][ids], gold.S[ids], True))
+    assert np.array_equal(S_hat, case["S_hat"])
+    assert [r.item_id for r in results] == ids
+    np.testing.assert_array_equal([r.r_target for r in results], r_own)
+    for res, i, r in zip(results, ids, R):
+        if np.isnan(r).all():
+            assert (res.best_index, res.best_key, res.reason) == (-1, None, "zero-variance prediction")
+            assert not (res.correct_strict or res.correct_lenient)
+            continue
+        best = int(np.nanargmax(r))
+        assert (res.best_index, res.best_key) == (best, pool.first_key[best])
+        assert res.correct_strict == (keys[i] in pool.keys[best])
+        assert res.correct_lenient == (cfg.cue_string(d[i]) in pool.cue_strings[best])
+
+
+@pytest.mark.parametrize("ids", [None, [3, 0, 3]])
+def test_score_items_leaves_its_input_unchanged(ids):
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(4, 6))
+    d = Dataset([entry(f"W{i}", f"W{i}", "nominative", "singular") for i in range(4)])
+    space = SemanticSpace(S=S, gold_keys=[(i,) for i in range(4)])
+    cfg = CueConfig(unit="letter", n=2)
+    pool = GoldPool.build(space, d, cfg)
+    S_hat = S + rng.normal(scale=0.1, size=S.shape)
+    before = S_hat.copy()
+    score_items(S_hat, space, pool, d, cfg, ids)
+    assert np.array_equal(S_hat, before)
+    assert np.array_equal(space.S, S)
+
+
+def test_gold_pool_keeps_no_copy_of_the_gold_matrix():
+    d = paradigm_lexicon(6, seed=5)
+    cfg = CueConfig(unit="phone", n=3)
+    space = simulate_vectors(d, dim=12, seed=4)
+    pool = GoldPool.build(space, d, cfg, restrict_ids=range(0, len(d), 2))
+    assert not hasattr(pool, "gold_centred")
+    arrays = [v for v in vars(pool).values() if isinstance(v, np.ndarray)]
+    arrays += list(pool.centred)
+    assert all(a.size < space.S.size for a in arrays)

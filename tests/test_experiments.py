@@ -7,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ldlkit import cli
+from ldlkit import cli, comprehension
+from ldlkit import experiments as ex
 from ldlkit.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -197,6 +200,22 @@ class TestRunIncremental:
         # rises substantially, then plateaus (token noise allows small dips)
         assert train_accs[-1] > train_accs[0]
         assert train_accs[-1] >= max(train_accs) - 0.05
+
+    def test_final_weights_are_scored_once(self, data_path, tmp_path):
+        """The checkpoint at the stream's end gives the incremental scores;
+        without checkpoints the final weights are scored after training."""
+        items = {}
+        # five checkpoints and the end state; or the final weights and the end state
+        for n, calls in ((5, 6), (0, 2)):
+            cfg = base_config(data_path, tmp_path / str(n), **{"learning.eta": "0.01",
+                                                              "learning.checkpoints": n})
+            with mock.patch.object(comprehension, "score_items",
+                                   wraps=comprehension.score_items) as spy:
+                report = run_incremental(cfg)
+            assert report["checkpoints"][-1:] == ([report["n_tokens"]] if n else [])
+            assert spy.call_count == calls
+            items[n] = (tmp_path / str(n) / "out" / "items.csv").read_bytes()
+        assert items[5] == items[0]
 
     def test_role_pipeline_with_error_analysis(self, data_path, tmp_path):
         cfg = base_config(
@@ -577,3 +596,26 @@ class TestNumpyOnlyRuntime:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
+    """Traced bytes of one comprehension_scores call: the (items, dims)
+    predictions and the (items, pool rows) correlations, plus a slack of two
+    row blocks and 1 KiB per item (the ItemScore list and per-item vectors).
+    A further copy of the predictions or of the gold matrix exceeds it."""
+    data = tmp_path / "paradigm100.tsv"
+    save_dataset(paradigm_lexicon(100), data)
+    cfg = load_config("data/demo.config", [f"data={data}", "output=unused",
+                                           "production.enabled=false"])
+    state = ex.build_pipeline(cfg)
+    n, dims = state.space.S.shape
+    n_pool = len(state.pool.rows)
+    bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
+    tracemalloc.start()
+    try:
+        results = ex.comprehension_scores(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == n and dims > 500
+    assert peak < bound
