@@ -9,9 +9,7 @@ homophones are credited.
 
 from __future__ import annotations
 
-import csv
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -62,11 +60,19 @@ def _row_chunks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
+# Sums of squares kept as they are: the product of two of them (the
+# denominator of rowwise_pearson) stays a normal float.
+_SQ_RANGE = (2.0**-500, 2.0**500)
+
+
 def centre(A: np.ndarray | Centred, out: Optional[np.ndarray] = None) -> Centred:
     """Centred rows of A (A itself when it is already centred).  A constant
     row centres to exact zeros, so it has zero variance even when its mean
-    rounds.  The centred rows are written to out, which may be A itself;
-    by default to a new array."""
+    rounds.  A non-constant row whose sum of squares falls outside
+    _SQ_RANGE (so that it, or a product of two, would under- or overflow)
+    is divided by its largest magnitude; correlations do not depend on a
+    row's scale, and every other row keeps its bits.  The centred rows are
+    written to out, which may be A itself; by default to a new array."""
     if isinstance(A, Centred):
         return A
     A = np.asarray(A, dtype=np.float64)
@@ -77,7 +83,13 @@ def centre(A: np.ndarray | Centred, out: Optional[np.ndarray] = None) -> Centred
         constant = (a == a[:, :1]).all(axis=1)
         np.subtract(a, a.mean(axis=1, keepdims=True), out=c)
         c[constant] = 0.0
-        sq[rows] = (c**2).sum(axis=1)
+        with np.errstate(over="ignore"):
+            s = (c**2).sum(axis=1)
+        scale = ~constant & ((s < _SQ_RANGE[0]) | (s > _SQ_RANGE[1]))
+        if scale.any():
+            c[scale] /= np.abs(c[scale]).max(axis=1, keepdims=True)
+            s[scale] = (c[scale] ** 2).sum(axis=1)
+        sq[rows] = s
     return Centred(out, sq)
 
 
@@ -156,21 +168,16 @@ class GoldPool:
     """Deduplicated gold rows with the entries collapsed into each row.
 
     Strict credit requires the winning row to carry the item's own key;
-    lenient credit requires it to carry the item's cue string.  Besides
-    its rows, the pool keeps only their centred form (centred), since a
-    run scores against the same pool many times; no centred copy of the
-    gold matrix is kept.
+    lenient credit requires it to carry the item's cue string.  The rows
+    are kept only in centred form, since a run scores against the same
+    pool many times; the raw row of pool row r is space.S[entry_ids[r][0]].
     """
 
-    rows: np.ndarray
+    centred: Centred
     keys: list[set]
     cue_strings: list[set]
     first_key: list[tuple]
     entry_ids: list[list[int]]
-    centred: Centred = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.centred = centre(self.rows)
 
     @classmethod
     def build(
@@ -197,7 +204,8 @@ class GoldPool:
                 keys[at].add(space.gold_keys[i])
                 strings[at].add(cfg.cue_string(d[i]))
                 entry_ids[at].append(i)
-        return cls(np.vstack(rows), keys, strings, first_key, entry_ids)
+        stacked = np.vstack(rows)
+        return cls(centre(stacked, out=stacked), keys, strings, first_key, entry_ids)
 
 
 @dataclass(frozen=True)
@@ -324,29 +332,22 @@ def evaluate(results: Sequence[ItemScore], split: SplitResult, scheme: str) -> f
     return sum(flags) / len(flags)
 
 
-def save_item_scores(
-    results: Sequence[ItemScore], split: SplitResult, path: str | os.PathLike
-) -> None:
-    """Per-item CSV: id, correlation with own target, best key, flags."""
+def item_score_rows(results: Sequence[ItemScore], split: SplitResult):
+    """Per-item CSV rows, header first: id, correlation with own target,
+    best key, flags."""
     train = set(split.train_ids)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["id", "r_target", "best_key", "strict", "lenient",
-             "in_train", "is_homophone_val", "is_newform_val", "is_novel_lemma", "reason"]
-        )
-        for r in sorted(results, key=lambda x: x.item_id):
-            w.writerow(
-                [
-                    r.item_id,
-                    "" if np.isnan(r.r_target) else repr(r.r_target),
-                    "" if r.best_key is None else "+".join(str(k) for k in r.best_key),
-                    int(r.correct_strict),
-                    int(r.correct_lenient),
-                    int(r.item_id in train),
-                    int(r.item_id in split.homophone_val_ids),
-                    int(r.item_id in split.newform_val_ids),
-                    int(r.item_id in split.novel_lemma_ids),
-                    r.reason,
-                ]
-            )
+    yield ["id", "r_target", "best_key", "strict", "lenient",
+           "in_train", "is_homophone_val", "is_newform_val", "is_novel_lemma", "reason"]
+    for r in sorted(results, key=lambda x: x.item_id):
+        yield [
+            r.item_id,
+            "" if np.isnan(r.r_target) else repr(r.r_target),
+            "" if r.best_key is None else "+".join(str(k) for k in r.best_key),
+            int(r.correct_strict),
+            int(r.correct_lenient),
+            int(r.item_id in train),
+            int(r.item_id in split.homophone_val_ids),
+            int(r.item_id in split.newform_val_ids),
+            int(r.item_id in split.novel_lemma_ids),
+            r.reason,
+        ]

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .production import (
     ProductionResult,
     positional_targets,
     produce,
-    save_production_report,
+    production_rows,
     train_positional,
 )
 
@@ -100,6 +100,12 @@ class ExperimentConfig:
     seed_semantics: int = 2
     seed_stream: int = 3
 
+    def __post_init__(self):
+        for key, allowed in _CHOICES.items():
+            value = getattr(self, _KEYMAP[key][0])
+            if value not in allowed:
+                raise ConfigError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+
     def theta(self) -> float:
         if self.production_theta is not None:
             return self.production_theta
@@ -159,6 +165,11 @@ _KEYMAP = {
     "seeds.stream": ("seed_stream", int),
 }
 _FIELD_TO_KEY = {f: k for k, (f, _) in _KEYMAP.items()}
+# Keys whose value names a code path: any other value is an error, not the default path.
+_CHOICES = {
+    "semantics.pool": ("all", "train"),
+    "production.input": ("predicted_cues", "semantics"),
+}
 
 
 def _coerce(key: str, raw: str):
@@ -228,16 +239,26 @@ def resolved_pairs(cfg: ExperimentConfig) -> dict[str, str]:
     return out
 
 
-def write_resolved(cfg: ExperimentConfig, path: str | os.PathLike) -> None:
+def write_outputs(
+    cfg: ExperimentConfig,
+    report: Optional[dict] = None,
+    tables: Optional[dict[str, Iterable[Sequence]]] = None,
+) -> None:
+    """Write a run's files into cfg.output: each CSV table (header row
+    first), config.resolved and, given a report, report.json with the
+    config and seeds added to the report."""
+    for name, rows in (tables or {}).items():
+        with open(os.path.join(cfg.output, name), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     pairs = resolved_pairs(cfg)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(pairs):
-            fh.write(f"{key}={pairs[key]}\n")
-
-
-def _write_json(obj, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    with open(os.path.join(cfg.output, "config.resolved"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={pairs[key]}\n" for key in sorted(pairs))
+    if report is None:
+        return
+    report["config"] = pairs
+    report["seeds"] = {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream}
+    with open(os.path.join(cfg.output, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -297,25 +318,43 @@ def _simulated_space(
     )
 
 
+def _comprehension_stage(
+    cfg: ExperimentConfig,
+    split: lexicon.SplitResult,
+    cue_cfg: CueConfig,
+    space: Optional[semantics.SemanticSpace] = None,
+) -> PipelineState:
+    """The stage every verb shares: the inventory of the training forms,
+    the cue matrix of every form, the simulated space (unless space is
+    given) and F solved on the train rows."""
+    d = split.dataset
+    inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
+    C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
+    if space is None:
+        space = _simulated_space(cfg, d, inv)
+    train_ids = list(split.train_ids)
+    F = solve_endstate(C.rows[train_ids], space.S[train_ids], kind="comprehension")
+    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F)
+
+
 def _production_model(
-    cfg: ExperimentConfig, S: np.ndarray, cue_rows: np.ndarray, forms: Sequence[str],
-    inv: CueInventory, cue_cfg: CueConfig,
+    state: PipelineState, S: np.ndarray, cue_rows: np.ndarray, forms: Sequence[str]
 ) -> tuple[Mapping, PositionalSupportModel]:
     """The production mapping G (S to cue_rows) and the positional model
     trained on forms, the cue strings of the rows of S."""
+    cfg, cue_cfg = state.cfg, state.cue_cfg
     G = solve_endstate(S, cue_rows, kind="production")
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-    targets = positional_targets(forms, inv, cue_cfg, max_len)
+    targets = positional_targets(forms, state.C.inventory, cue_cfg, max_len)
     inputs = S @ G.W if cfg.production_input == "predicted_cues" else S
-    return G, train_positional(inputs, targets, inv, cue_cfg, cfg.production_input)
+    return G, train_positional(inputs, targets, state.C.inventory, cue_cfg)
 
 
 def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
     """Assemble split, cue matrix, semantic space, and trained mappings."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
-    dropped = 0
-    corr_mean = None
+    space, dropped, corr_mean = None, 0, None
     if cfg.semantics_mode in ("embeddings", "analytical"):
         if not cfg.embeddings_path:
             raise ConfigError("semantics.embeddings path is required in embeddings mode")
@@ -326,31 +365,19 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
         if cfg.semantics_mode == "analytical":
             _, space, corr = semantics.reconstruct_analytical(space, d)
             corr_mean = float(np.nanmean(corr))
-    split = _split(cfg, d, cue_cfg)
-
-    train_strings = [cue_cfg.cue_string(e) for e in split.train]
-    all_strings = [cue_cfg.cue_string(e) for e in d]
-    inv = build_inventory(train_strings, cue_cfg)
-    C = build_cue_matrix(all_strings, inv, cue_cfg)
-
-    if cfg.semantics_mode == "simulate":
-        space = _simulated_space(cfg, d, inv)
-    elif cfg.semantics_mode not in ("embeddings", "analytical"):
+    elif cfg.semantics_mode != "simulate":
         raise ConfigError(f"unknown semantics mode: {cfg.semantics_mode!r}")
 
-    train_ids = list(split.train_ids)
-    F = solve_endstate(C.rows[train_ids], space.S[train_ids], kind="comprehension")
-
-    state = PipelineState(
-        cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F,
-        dropped_entries=dropped, analytical_corr_mean=corr_mean,
-    )
+    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
+    state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
+    train_ids = list(state.split.train_ids)
     pool_ids = None if cfg.gold_pool == "all" else train_ids
-    state.pool = comp.GoldPool.build(space, d, cue_cfg, restrict_ids=pool_ids)
+    state.pool = comp.GoldPool.build(state.space, d, cue_cfg, restrict_ids=pool_ids)
 
     if with_production if with_production is not None else cfg.production_enabled:
         state.G, state.positional = _production_model(
-            cfg, space.S[train_ids], C.rows[train_ids], train_strings, inv, cue_cfg
+            state, state.space.S[train_ids], state.C.rows[train_ids],
+            [cue_cfg.cue_string(e) for e in state.split.train],
         )
     return state
 
@@ -438,8 +465,6 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
     results = comprehension_scores(state)
     comp_acc = comprehension_accuracies(state, results)
     report = {
-        "config": resolved_pairs(cfg),
-        "seeds": {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream},
         "n_entries": len(state.dataset),
         "n_train": len(state.split.train_ids),
         "n_validation": len(state.split.validation_ids),
@@ -456,29 +481,27 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
     }
     if state.analytical_corr_mean is not None:
         report["analytical_reconstruction_mean_r"] = state.analytical_corr_mean
-    comp.save_item_scores(results, state.split, os.path.join(cfg.output, "items.csv"))
+    tables = {"items.csv": comp.item_score_rows(results, state.split)}
     if cfg.production_enabled:
         all_ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))
         prod = production_results(state, all_ids)
         report["production"] = production_accuracies(state, prod)
         report.update(production_counts(prod.values()))
-        rows = [(state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in all_ids]
-        save_production_report(rows, os.path.join(cfg.output, "production.csv"))
-        _write_summary_table(report, os.path.join(cfg.output, "summary.csv"))
-    write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
-    _write_json(report, os.path.join(cfg.output, "report.json"))
+        tables["production.csv"] = production_rows(
+            (state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in all_ids
+        )
+        tables["summary.csv"] = _summary_rows(report)
+    write_outputs(cfg, report, tables)
     return report
 
 
-def _write_summary_table(report: dict, path: str | os.PathLike) -> None:
+def _summary_rows(report: dict):
     """One row of train/val accuracy cells per direction."""
     cols = ["train", "val_all", "val_lenient", "val_newform"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["direction"] + cols)
-        for direction in ("comprehension", "production"):
-            if direction in report:
-                w.writerow([direction] + [repr(report[direction][c]) for c in cols])
+    yield ["direction"] + cols
+    for direction in ("comprehension", "production"):
+        if direction in report:
+            yield [direction] + [repr(report[direction][c]) for c in cols]
 
 
 def _default_checkpoints(total: int, n: int) -> list[int]:
@@ -506,7 +529,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
         latest[m.trained_tokens] = results
         curve_rows.append((m.trained_tokens, comprehension_accuracies(state, results)))
 
-    final, _ = train_incremental(
+    final = train_incremental(
         stream, state.C.rows, state.space.S, eta=cfg.eta, checkpoints=checkpoints,
         on_checkpoint=score_checkpoint,
     )
@@ -519,8 +542,6 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     end_acc = comprehension_accuracies(state, end_results)
 
     report = {
-        "config": resolved_pairs(cfg),
-        "seeds": {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream},
         "n_entries": len(d),
         "n_train": len(split.train_ids),
         "n_tokens": int(stream.size),
@@ -528,6 +549,12 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
         "incremental": inc_acc,
         "endstate": end_acc,
         "val_newform_scoring": "lenient_within_form",
+    }
+    tables = {
+        "curve.csv": [["tokens", "train", "val_lenient", "val_newform"]] + [
+            [tokens, repr(acc["train"]), repr(acc["val_lenient"]), repr(acc["val_newform"])]
+            for tokens, acc in curve_rows
+        ]
     }
 
     if cfg.frequency_effect:
@@ -548,11 +575,10 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
             "pearson_incremental": comp.pearson(logf[ok], r_inc[ok]),
             "pearson_endstate": comp.pearson(logf[ok], r_end[ok]),
         }
-        with open(os.path.join(cfg.output, "items.csv"), "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["id", "frequency", "r_target_incremental", "r_target_endstate"])
-            for i, f0, ri, re_ in zip(split.train_ids, freq, r_inc, r_end):
-                w.writerow([i, int(f0), repr(float(ri)), repr(float(re_))])
+        tables["items.csv"] = [["id", "frequency", "r_target_incremental", "r_target_endstate"]] + [
+            [i, int(f0), repr(float(ri)), repr(float(re_))]
+            for i, f0, ri, re_ in zip(split.train_ids, freq, r_inc, r_end)
+        ]
 
     if cfg.error_analysis and cfg.feature_scheme == "role":
         report["role_errors"] = {
@@ -560,14 +586,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
             "endstate": _role_misidentifications(state, end_results),
         }
 
-    with open(os.path.join(cfg.output, "curve.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tokens", "train", "val_lenient", "val_newform"])
-        for tokens, acc in curve_rows:
-            w.writerow([tokens, repr(acc["train"]), repr(acc["val_lenient"]), repr(acc["val_newform"])])
-
-    write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
-    _write_json(report, os.path.join(cfg.output, "report.json"))
+    write_outputs(cfg, report, tables)
     return report
 
 
@@ -642,11 +661,10 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
                           f"semantics.mode must be simulate, got {cfg.semantics_mode!r}")
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
-    strings = [cue_cfg.cue_string(e) for e in d]
-    inv = build_inventory(strings, cue_cfg)
-    C = build_cue_matrix(strings, inv, cue_cfg)
-    space = _simulated_space(cfg, d, inv)
-    F = solve_endstate(C.rows, space.S, kind="comprehension")
+    state = _comprehension_stage(
+        cfg, lexicon._split_ids(d, cue_cfg.cue_string, range(len(d)), ()), cue_cfg
+    )
+    inv, space, F = state.C.inventory, state.space, state.F
 
     usable, skipped = [], []
     nonce_rows, novel_counts = [], {}
@@ -668,15 +686,15 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     S_nonce_sg = C_nonce @ F.W
 
     G, posmodel = _production_model(
-        cfg, np.vstack([space.S, S_nonce_sg]), np.vstack([C.rows, C_nonce]),
-        strings + usable, inv, cue_cfg,
+        state, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
+        [cue_cfg.cue_string(e) for e in d] + usable,
     )
 
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
     results = produce_items(S_pl, G, posmodel, F, cfg.production_params())
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
-    candidate_rows = []
+    candidate_rows = [["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"]]
     for w, res in zip(usable, results):
         ranked = res.top_n
         per_nonce[w] = [c.surface for c in ranked]
@@ -689,8 +707,6 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
             )
 
     report = {
-        "config": resolved_pairs(cfg),
-        "seeds": {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream},
         "n_real_words": len(d),
         "nonce_words": list(nonce_words),
         "skipped_nonces": skipped,
@@ -700,12 +716,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         "total_candidates": sum(marker_counts.values()),
         **production_counts(results),
     }
-    with open(os.path.join(cfg.output, "candidates.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"])
-        w.writerows(candidate_rows)
-    write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
-    _write_json(report, os.path.join(cfg.output, "report.json"))
+    write_outputs(cfg, report, {"candidates.csv": candidate_rows})
     return report
 
 
@@ -727,17 +738,12 @@ def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = N
         rows.append((float(theta_p), fraction, acc))
 
     report = {
-        "config": resolved_pairs(cfg),
-        "seeds": {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream},
         "curve": [{"threshold": t, "pruned_fraction": f, "train_accuracy": a} for t, f, a in rows],
     }
-    with open(os.path.join(cfg.output, "curve.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold", "pruned_fraction", "train_accuracy"])
-        for t, f, a in rows:
-            w.writerow([repr(t), repr(f), repr(a)])
-    write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
-    _write_json(report, os.path.join(cfg.output, "report.json"))
+    curve = [["threshold", "pruned_fraction", "train_accuracy"]] + [
+        [repr(t), repr(f), repr(a)] for t, f, a in rows
+    ]
+    write_outputs(cfg, report, {"curve.csv": curve})
     return report
 
 
@@ -747,7 +753,7 @@ def run_split(cfg: ExperimentConfig) -> dict:
     d = _prepare_dataset(cfg)
     split = _split(cfg, d, cfg.cue_config())
     lexicon.save_split(split, cfg.output)
-    write_resolved(cfg, os.path.join(cfg.output, "config.resolved"))
+    write_outputs(cfg)
     return {
         "n_train": len(split.train_ids),
         "n_validation": len(split.validation_ids),

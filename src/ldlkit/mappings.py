@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -122,7 +122,7 @@ def train_incremental(
     checkpoints: Sequence[int] = (),
     kind: str = "comprehension",
     on_checkpoint: Optional[Callable[[Mapping], None]] = None,
-) -> tuple[Mapping, list[Mapping]]:
+) -> Mapping:
     """Single sequential pass of delta-rule updates over a token stream.
 
     stream holds entry ids; each token applies one update with the
@@ -130,8 +130,8 @@ def train_incremental(
     checkpoint's token count (0 = before any token) on_checkpoint is
     called with a Mapping whose W is the live weight matrix: it must be
     read, or copied, before the callback returns, since training goes on
-    in place.  No snapshot is stored and the returned list is empty.
-    Without a callback, a copy is kept at every checkpoint and returned.
+    in place; a caller that needs a snapshot copies it there.  The final
+    Mapping shares that live matrix.
     """
     if eta <= 0:
         raise MappingError(f"eta must be positive, got {eta}")
@@ -146,23 +146,18 @@ def train_incremental(
         raise MappingError("stream contains out-of-range entry ids")
     ck = _as_checkpoint_array(checkpoints, stream.size)
 
-    snaps: list[Mapping] = []
-    if on_checkpoint is None:
-        def on_checkpoint(m: Mapping) -> None:
-            snaps.append(replace(m, W=m.W.copy()))
-
     indptr, indices = csr_arrays(C)
     W = np.zeros((C.shape[1], S.shape[1]), dtype=np.float64)
     done = 0
     for t in ck.tolist():
         _wh_numpy.run_stream(W, indptr, indices, S, stream[done:t], float(eta))
         done = t
-        on_checkpoint(Mapping(W=W, kind=kind, provenance="incremental",
-                              trained_tokens=t, eta=eta))
+        if on_checkpoint is not None:
+            on_checkpoint(Mapping(W=W, kind=kind, provenance="incremental",
+                                  trained_tokens=t, eta=eta))
     _wh_numpy.run_stream(W, indptr, indices, S, stream[done:], float(eta))
-    final = Mapping(W=W, kind=kind, provenance="incremental",
-                    trained_tokens=int(stream.size), eta=eta)
-    return final, snaps
+    return Mapping(W=W, kind=kind, provenance="incremental",
+                   trained_tokens=int(stream.size), eta=eta)
 
 
 def prune(m: Mapping, theta_p: float) -> tuple[Mapping, float]:

@@ -26,10 +26,8 @@ do not depend on the batch it is computed in.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +87,6 @@ class PositionalSupportModel:
     max_len: int
     inventory: CueInventory
     cfg: CueConfig
-    input_space: str = "predicted_cues"  # predicted_cues | semantics
     ends: np.ndarray = field(init=False, repr=False, compare=False)
     cue_ids: np.ndarray = field(init=False, repr=False, compare=False)
     tokens: list[list[str]] = field(init=False, repr=False, compare=False)
@@ -113,7 +110,6 @@ class PositionalSupportModel:
         weights: np.ndarray,
         inventory: CueInventory,
         cfg: CueConfig,
-        input_space: str = "predicted_cues",
     ) -> "PositionalSupportModel":
         """Compact model from a dense (max_len, input_dim, n_cues) tensor;
         all-zero (position, cue) columns are dropped."""
@@ -123,7 +119,7 @@ class PositionalSupportModel:
         flat = np.moveaxis(np.asarray(weights, dtype=np.float64), 1, 0).reshape(input_dim, -1)
         columns = np.flatnonzero(np.any(flat != 0.0, axis=0))
         return cls(weights=flat[:, columns], columns=columns, max_len=max_len,
-                   inventory=inventory, cfg=cfg, input_space=input_space)
+                   inventory=inventory, cfg=cfg)
 
     def supports(self, X: np.ndarray) -> np.ndarray:
         """(n, n_attested) supports of the attested columns for a batch of
@@ -255,7 +251,6 @@ def train_positional(
     targets: PositionalTargets,
     inv: CueInventory,
     cfg: CueConfig,
-    input_space: str = "predicted_cues",
 ) -> PositionalSupportModel:
     """Least-squares positional support model.
 
@@ -281,7 +276,7 @@ def train_positional(
         a, b = ends[p], ends[p + 1]
         weights[:, a:b] = (pinv @ targets.position(p))[:, columns[a:b] - p * n_cues]
     return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
-                                  inventory=inv, cfg=cfg, input_space=input_space)
+                                  inventory=inv, cfg=cfg)
 
 
 @dataclass
@@ -530,23 +525,16 @@ def produce(
     )
 
 
-def save_production_report(
-    rows: Sequence[tuple[str, ProductionResult]], path: str | os.PathLike
-) -> None:
-    """Per-item CSV: target, best candidate, match flag, ranked top-n, and
-    whether max_paths cut the item's path search short."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["target", "best", "match", "rank", "candidate", "score", "tolerated",
-                    "truncated"])
-        for target, res in rows:
-            best = res.best.surface if res.best else ""
-            match = int(res.best is not None and res.best.surface == target)
-            truncated = int(res.truncated)
-            if not res.top_n:
-                w.writerow([target, best, match, "", "", "", "", truncated])
-            for rank, cand in enumerate(res.top_n, start=1):
-                w.writerow(
-                    [target, best, match, rank, cand.surface,
-                     repr(cand.score), cand.tolerated_count, truncated]
-                )
+def production_rows(rows: Iterable[tuple[str, ProductionResult]]):
+    """Per-item CSV rows, header first: target, best candidate, match flag,
+    ranked top-n, and whether max_paths cut the item's path search short."""
+    yield ["target", "best", "match", "rank", "candidate", "score", "tolerated", "truncated"]
+    for target, res in rows:
+        best = res.best.surface if res.best else ""
+        match = int(res.best is not None and res.best.surface == target)
+        truncated = int(res.truncated)
+        if not res.top_n:
+            yield [target, best, match, "", "", "", "", truncated]
+        for rank, cand in enumerate(res.top_n, start=1):
+            yield [target, best, match, rank, cand.surface, repr(cand.score),
+                   cand.tolerated_count, truncated]

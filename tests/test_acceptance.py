@@ -130,10 +130,11 @@ def test_criterion_04_widrow_hoff_convergence():
         epochs, eta = 500, 0.01
         stream = np.tile(np.arange(len(d)), epochs).astype(np.int64)
         checkpoints = [len(d) * (epochs // 10) * i for i in range(1, 11)]
-        _, snaps = train_incremental(stream, C, S, eta=eta, checkpoints=checkpoints)
+        dists = []
+        train_incremental(stream, C, S, eta=eta, checkpoints=checkpoints,
+                          on_checkpoint=lambda m: dists.append(np.linalg.norm(m.W - W_end)))
 
         initial = np.linalg.norm(W_end)  # distance of the zero start
-        dists = [np.linalg.norm(s.W - W_end) for s in snaps]
         assert dists[-1] < 0.01 * initial
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-9
@@ -185,7 +186,7 @@ def test_criterion_07_frequency_effect():
         space = simulate_vectors(d, dim=len(inv), seed=5)
 
         stream = sample_token_stream(d, seed=7)
-        final, _ = train_incremental(stream, C.rows, space.S, eta=0.01)
+        final = train_incremental(stream, C.rows, space.S, eta=0.01)
         r_inc = rowwise_pearson(C.rows @ final.W, space.S)
         rho_inc = stats.spearmanr(np.log1p(freqs), r_inc).statistic
 

@@ -185,6 +185,11 @@ class TestEvaluate:
         assert strict <= lenient + 1e-12
 
 
+def pool_rows(pool, space):
+    """The raw gold rows of a pool, one per pool row, taken from space.S."""
+    return space.S[[ids[0] for ids in pool.entry_ids]]
+
+
 class TestGoldPool:
     def test_identical_rows_collapse(self):
         # embedding-style space: homophones share one vector
@@ -196,7 +201,7 @@ class TestGoldPool:
                               gold_keys=[("Aal",), ("Aal",), ("Buch",)])
         cfg = CueConfig(unit="letter", n=2)
         pool = GoldPool.build(space, d, cfg)
-        assert pool.rows.shape[0] == 2
+        assert pool.centred.rows.shape[0] == 2
         assert pool.entry_ids[0] == [0, 1]
 
     def test_shared_vector_scores_all_readings_strict(self):
@@ -222,7 +227,7 @@ def test_score_items_best_rows_match_per_row_nanargmax():
     pool = GoldPool.build(space, d, cfg)
     S_hat = np.vstack([base[1], rng.normal(size=(n - 2, 6)), np.full(6, 1.0)])
     results = score_items(S_hat, space, pool, d, cfg)
-    R = pearson_matrix(S_hat, pool.rows)
+    R = pearson_matrix(S_hat, pool_rows(pool, space))
     assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
     assert R[0, 1] == R[0, 4]
     for res, r in zip(results, R):
@@ -267,6 +272,8 @@ ties = st.integers(-3, 3)  # few values, so many ties
 @settings(max_examples=300, deadline=None)
 @example(xy=([1, 2], [3, 3]), swap=False)
 @example(xy=([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]), swap=True)
+@example(xy=([0, 0, 0, 1], [0, 0, 0, 1.6201615829272901e-193]), swap=False)  # squares underflow
+@example(xy=([0, 0, 0, 1], [0, 0, 0, 1e300]), swap=True)  # squares overflow
 def test_spearman_and_pearson_match_scipy(xy, swap):
     """Tied integer vectors, n = 2 and 3, and constant vectors (NaN)."""
     x, y = (np.asarray(v, dtype=np.float64) for v in (xy[::-1] if swap else xy))
@@ -298,7 +305,7 @@ def test_score_items_cached_statistics_match_direct_pearson():
             results = score_items(S_hat, gold, pool, d, cfg, ids)
             r_own = [r.r_target for r in results]
             assert r_own == rowwise_pearson(S_hat[ids], gold.S[ids]).tolist()
-            best = pearson_matrix(S_hat[ids], pool.rows).argmax(axis=1).tolist()
+            best = pearson_matrix(S_hat[ids], pool_rows(pool, space)).argmax(axis=1).tolist()
             assert [r.best_index for r in results] == best
 
 
@@ -332,7 +339,11 @@ def _one_block_centre(X):
     Xc = X - X.mean(axis=1, keepdims=True)
     constant = (X == X[:, :1]).all(axis=1)
     Xc[constant] = 0.0
-    return Xc, (Xc**2).sum(axis=1)
+    sq = (Xc**2).sum(axis=1)
+    scale = ~constant & ((sq < 2.0**-500) | (sq > 2.0**500))
+    Xc[scale] /= np.abs(Xc[scale]).max(axis=1, keepdims=True)
+    sq[scale] = (Xc[scale] ** 2).sum(axis=1)
+    return Xc, sq
 
 
 def _one_block_pearson(A, B, rowwise=False):
@@ -375,10 +386,10 @@ def test_score_items_is_the_direct_pearson_on_copies(case):
     given_rows = centre(S_hat) if case["centred_input"] else S_hat
     with mock.patch.object(comprehension, "CHUNK_BYTES", case["chunk_bytes"]):
         results = score_items(given_rows, gold, pool, d, cfg, case["ids"])
-        R = pearson_matrix(case["S_hat"][ids], pool.rows.copy())
+        R = pearson_matrix(case["S_hat"][ids], pool_rows(pool, space))
         r_own = rowwise_pearson(case["S_hat"][ids], gold.S[ids].copy())
 
-    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"][ids], pool.rows))
+    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"][ids], pool_rows(pool, space)))
     np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"][ids], gold.S[ids], True))
     assert np.array_equal(S_hat, case["S_hat"])
     assert [r.item_id for r in results] == ids

@@ -105,6 +105,14 @@ class TestConfig:
         back = resolve_config(resolved_pairs(cfg))
         assert back == cfg
 
+    @pytest.mark.parametrize("key,good", [("semantics.pool", ("all", "train")),
+                                          ("production.input", ("predicted_cues", "semantics"))])
+    def test_unknown_choice_rejected(self, key, good):
+        for value in good:
+            resolve_config({"data": "x", key: value})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            resolve_config({"data": "x", key: "bogus"})
+
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "exp.config"
         p.write_text("data=corpus.tsv\ncues.n=2\n", encoding="utf-8")
@@ -522,6 +530,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
 
+    @pytest.mark.parametrize("override", ["production.input=bogus", "semantics.pool=bogus"])
+    def test_unknown_choice_exits_2_before_any_output(self, data_path, tmp_path, capsys, override):
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["endstate", "--config", str(p), "--set", override])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConfigError" and override.split("=")[0] in err["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_wug_cli(self, tmp_path, capsys):
         data = tmp_path / "corpus.tsv"
         save_dataset(paradigm_lexicon(30, seed=33), data)
@@ -609,7 +627,7 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
                                            "production.enabled=false"])
     state = ex.build_pipeline(cfg)
     n, dims = state.space.S.shape
-    n_pool = len(state.pool.rows)
+    n_pool = len(state.pool.entry_ids)
     bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
     tracemalloc.start()
     try:

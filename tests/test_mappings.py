@@ -155,14 +155,14 @@ class TestTrainIncremental:
 
     def test_empty_stream_gives_zero_mapping(self):
         C, S = self._toy()
-        final, snaps = train_incremental(np.zeros(0, dtype=np.int64), C, S, eta=0.1)
+        final = train_incremental(np.zeros(0, dtype=np.int64), C, S, eta=0.1)
         assert not final.W.any()
-        assert snaps == []
+        assert final.trained_tokens == 0
 
     def test_matches_sequential_wh_update(self):
         C, S = self._toy()
         stream = np.array([0, 3, 1, 3, 2, 0, 5], dtype=np.int64)
-        final, _ = train_incremental(stream, C, S, eta=0.07)
+        final = train_incremental(stream, C, S, eta=0.07)
         W = np.zeros((C.shape[1], S.shape[1]))
         for t in stream:
             W = wh_update(W, C[t], S[t], eta=0.07)
@@ -171,17 +171,21 @@ class TestTrainIncremental:
     def test_checkpoints(self):
         C, S = self._toy()
         stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
-        final, snaps = train_incremental(stream, C, S, eta=0.05, checkpoints=[0, 10, len(stream)])
-        assert [s.trained_tokens for s in snaps] == [0, 10, len(stream)]
-        assert not snaps[0].W.any()
-        np.testing.assert_array_equal(snaps[-1].W, final.W)
+        snaps = []
+        final = train_incremental(
+            stream, C, S, eta=0.05, checkpoints=[0, 10, len(stream)],
+            on_checkpoint=lambda m: snaps.append((m.trained_tokens, m.W.copy())),
+        )
+        assert [t for t, _ in snaps] == [0, 10, len(stream)]
+        assert not snaps[0][1].any()
+        np.testing.assert_array_equal(snaps[-1][1], final.W)
 
     def test_order_sensitivity(self):
         C, S = self._toy()
         s1 = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
         s2 = s1[::-1].copy()
-        w1, _ = train_incremental(s1, C, S, eta=0.2)
-        w2, _ = train_incremental(s2, C, S, eta=0.2)
+        w1 = train_incremental(s1, C, S, eta=0.2)
+        w2 = train_incremental(s2, C, S, eta=0.2)
         assert np.abs(w1.W - w2.W).max() > 1e-9
 
     def test_epochs_approach_endstate(self):
@@ -190,7 +194,7 @@ class TestTrainIncremental:
         dists = []
         for epochs in (5, 50, 500):
             stream = np.tile(np.arange(len(C)), epochs).astype(np.int64)
-            final, _ = train_incremental(stream, C, S, eta=0.02)
+            final = train_incremental(stream, C, S, eta=0.02)
             dists.append(np.linalg.norm(final.W - W_end))
         assert dists[0] > dists[1] > dists[2]
 
@@ -199,22 +203,19 @@ class TestTrainIncremental:
         stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
         checkpoints = [0, 10, 10, 33, len(stream)]
         seen = []
-        final, snaps = train_incremental(
+        final = train_incremental(
             stream, C, S, eta=0.05, checkpoints=checkpoints,
             on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W, m.W.copy())),
         )
-        assert snaps == []
         assert [t for t, _, _ in seen] == checkpoints
         assert all(np.shares_memory(W, final.W) for _, W, _ in seen), "no snapshot copy"
 
-        default_final, default_snaps = train_incremental(
-            stream, C, S, eta=0.05, checkpoints=checkpoints
-        )
-        np.testing.assert_array_equal(default_final.W, final.W)
-        assert [s.trained_tokens for s in default_snaps] == checkpoints
-        for snap, (_, _, W_at) in zip(default_snaps, seen):
-            np.testing.assert_array_equal(snap.W, W_at)
-            assert not np.shares_memory(snap.W, default_final.W)
+        # the copies taken at each checkpoint are the weights of a run that stops there
+        for t, _, W_at in seen:
+            stopped = train_incremental(stream[:t], C, S, eta=0.05)
+            np.testing.assert_array_equal(stopped.W, W_at)
+        without_callback = train_incremental(stream, C, S, eta=0.05, checkpoints=checkpoints)
+        np.testing.assert_array_equal(without_callback.W, final.W)
 
     def test_nonbinary_cues_rejected(self):
         C, S = self._toy()
@@ -253,7 +254,7 @@ def test_run_stream_is_bit_identical_to_gather_scatter(
     np.testing.assert_array_equal(indptr[1:], np.cumsum(C.sum(axis=1)))
 
     seen = []
-    final, _ = train_incremental(
+    final = train_incremental(
         stream, C, S, eta=eta, checkpoints=checkpoints,
         on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W.copy())),
     )

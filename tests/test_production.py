@@ -77,7 +77,7 @@ class TestPositionalTargets:
         space = simulate_vectors(d, dim=50, seed=2)
         max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
         targets = positional_targets(strings, inv, cfg, max_len)
-        model = train_positional(space.S, targets, inv, cfg, input_space="semantics")
+        model = train_positional(space.S, targets, inv, cfg)
         for i, s in enumerate(strings):
             sup = dense_support(model, space.S[i])
             for p, g in enumerate(extract_grams(s, cfg)):
