@@ -16,18 +16,22 @@ import numpy as np
 from .lexicon import WordEntry
 
 
+# The units a cue can be made of (config key cues.unit).
+CUE_UNITS = ("phone", "syllable", "letter")
+
+
 class CueError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class CueConfig:
-    unit: str = "phone"  # phone | syllable | letter
+    unit: str = "phone"  # one of CUE_UNITS
     n: int = 3
     boundary: str = "#"
 
     def __post_init__(self):
-        if self.unit not in ("phone", "syllable", "letter"):
+        if self.unit not in CUE_UNITS:
             raise CueError(f"unknown cue unit: {self.unit!r}")
         if self.n < 1:
             raise CueError(f"cue size must be >= 1, got {self.n}")

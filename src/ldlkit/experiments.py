@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from . import comprehension as comp
 from . import lexicon, semantics
 from .cues import (
+    CUE_UNITS,
     CueConfig,
     CueInventory,
     CueMatrix,
@@ -32,6 +33,7 @@ from .cues import (
 )
 from .mappings import Mapping, prune, solve_endstate, train_incremental
 from .production import (
+    INPUT_SPACES,
     PositionalSupportModel,
     ProductionParams,
     ProductionResult,
@@ -57,54 +59,72 @@ DEFAULT_THETA = {
 SUPPORT_CHUNK_BYTES = 32 * 2**20
 
 
+# Code paths picked by config keys that experiments branches on itself.
+SEMANTICS_MODES = ("simulate", "embeddings", "analytical")
+GOLD_POOLS = ("all", "train")
+SPLIT_MODES = ("random", "no_novel_cues")
+
+
 class ConfigError(ValueError):
     pass
 
 
+def _key(key: str, default, parse: Optional[type] = None, choices: Optional[Sequence[str]] = None):
+    """Declare a config field: its dotted key, the type a raw value is
+    parsed as (that of the default unless the default is None) and, for a
+    key that picks a code path, its allowed values."""
+    meta = {"key": key, "parse": parse or type(default), "choices": choices}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: str = ""
-    output: str = "out"
-    cue_unit: str = "phone"
-    cue_n: int = 3
-    cue_boundary: str = "#"
-    article_mode: str = "none"
-    semantics_mode: str = "simulate"  # simulate | embeddings | analytical
-    semantics_dim: Optional[int] = None  # default: cue inventory size
-    sd_lexeme: float = 4.0
-    sd_feature: float = 4.0
-    sd_noise: float = 1.0
-    feature_scale: float = 1.0
-    feature_scheme: str = "case"  # case | role
-    number_opposition: str = "equipollent"
-    embeddings_path: Optional[str] = None
-    gold_pool: str = "all"  # all | train
-    split_mode: str = "random"  # random | no_novel_cues
-    train_fraction: float = 0.8
-    eta: float = 0.001
-    n_checkpoints: int = 10
-    simulate_roles: bool = False
-    subsample_lemmas: Optional[int] = None
-    production_enabled: bool = True
-    production_k: int = 10
-    production_theta: Optional[float] = None
-    production_tolerance: bool = False
-    production_max_tolerated: int = 2
-    production_input: str = "predicted_cues"
-    production_top_n: int = 5
-    production_max_paths: Optional[int] = None
-    max_len_margin: int = 2
-    frequency_effect: bool = True
-    error_analysis: bool = False
-    seed_split: int = 1
-    seed_semantics: int = 2
-    seed_stream: int = 3
+    data: str = _key("data", "")
+    output: str = _key("output", "out")
+    cue_unit: str = _key("cues.unit", "phone", choices=CUE_UNITS)
+    cue_n: int = _key("cues.n", 3)
+    cue_boundary: str = _key("cues.boundary", "#")
+    article_mode: str = _key("articles.mode", "none", choices=lexicon.ARTICLE_MODES)
+    semantics_mode: str = _key("semantics.mode", "simulate", choices=SEMANTICS_MODES)
+    semantics_dim: Optional[int] = _key("semantics.dim", None, int)  # default: cue inventory size
+    sd_lexeme: float = _key("semantics.sd_lexeme", 4.0)
+    sd_feature: float = _key("semantics.sd_feature", 4.0)
+    sd_noise: float = _key("semantics.sd_noise", 1.0)
+    feature_scale: float = _key("semantics.feature_scale", 1.0)
+    feature_scheme: str = _key("semantics.scheme", "case", choices=semantics.FEATURE_SCHEMES)
+    number_opposition: str = _key("semantics.number", "equipollent",
+                                  choices=semantics.NUMBER_OPPOSITIONS)
+    embeddings_path: Optional[str] = _key("semantics.embeddings", None, str)
+    gold_pool: str = _key("semantics.pool", "all", choices=GOLD_POOLS)
+    split_mode: str = _key("split.mode", "random", choices=SPLIT_MODES)
+    train_fraction: float = _key("split.fraction", 0.8)
+    eta: float = _key("learning.eta", 0.001)
+    n_checkpoints: int = _key("learning.checkpoints", 10)
+    simulate_roles: bool = _key("roles.simulate", False)
+    subsample_lemmas: Optional[int] = _key("roles.subsample_lemmas", None, int)
+    production_enabled: bool = _key("production.enabled", True)
+    production_k: int = _key("production.k", 10)
+    production_theta: Optional[float] = _key("production.theta", None, float)
+    production_tolerance: bool = _key("production.tolerance", False)
+    production_max_tolerated: int = _key("production.max_tolerated", 2)
+    production_input: str = _key("production.input", "predicted_cues", choices=INPUT_SPACES)
+    production_top_n: int = _key("production.top_n", 5)
+    production_max_paths: Optional[int] = _key("production.max_paths", None, int)
+    max_len_margin: int = _key("production.max_len_margin", 2)
+    frequency_effect: bool = _key("analyses.frequency_effect", True)
+    error_analysis: bool = _key("analyses.error_analysis", False)
+    seed_split: int = _key("seeds.split", 1)
+    seed_semantics: int = _key("seeds.semantics", 2)
+    seed_stream: int = _key("seeds.stream", 3)
 
     def __post_init__(self):
-        for key, allowed in _CHOICES.items():
-            value = getattr(self, _KEYMAP[key][0])
-            if value not in allowed:
-                raise ConfigError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+        for f in fields(self):
+            allowed, value = f.metadata["choices"], getattr(self, f.name)
+            if allowed is not None and value not in allowed:
+                raise ConfigError(
+                    f"{f.metadata['key']}: expected one of {', '.join(allowed)}, got {value!r}"
+                )
+        self.production_params()  # rejects k < 1 and theta < 0 before any run starts
 
     def theta(self) -> float:
         if self.production_theta is not None:
@@ -126,63 +146,22 @@ class ExperimentConfig:
         )
 
 
-_KEYMAP = {
-    "data": ("data", str),
-    "output": ("output", str),
-    "cues.unit": ("cue_unit", str),
-    "cues.n": ("cue_n", int),
-    "cues.boundary": ("cue_boundary", str),
-    "articles.mode": ("article_mode", str),
-    "semantics.mode": ("semantics_mode", str),
-    "semantics.dim": ("semantics_dim", int),
-    "semantics.sd_lexeme": ("sd_lexeme", float),
-    "semantics.sd_feature": ("sd_feature", float),
-    "semantics.sd_noise": ("sd_noise", float),
-    "semantics.feature_scale": ("feature_scale", float),
-    "semantics.scheme": ("feature_scheme", str),
-    "semantics.number": ("number_opposition", str),
-    "semantics.embeddings": ("embeddings_path", str),
-    "semantics.pool": ("gold_pool", str),
-    "split.mode": ("split_mode", str),
-    "split.fraction": ("train_fraction", float),
-    "learning.eta": ("eta", float),
-    "learning.checkpoints": ("n_checkpoints", int),
-    "roles.simulate": ("simulate_roles", bool),
-    "roles.subsample_lemmas": ("subsample_lemmas", int),
-    "production.enabled": ("production_enabled", bool),
-    "production.k": ("production_k", int),
-    "production.theta": ("production_theta", float),
-    "production.tolerance": ("production_tolerance", bool),
-    "production.max_tolerated": ("production_max_tolerated", int),
-    "production.input": ("production_input", str),
-    "production.top_n": ("production_top_n", int),
-    "production.max_paths": ("production_max_paths", int),
-    "production.max_len_margin": ("max_len_margin", int),
-    "analyses.frequency_effect": ("frequency_effect", bool),
-    "analyses.error_analysis": ("error_analysis", bool),
-    "seeds.split": ("seed_split", int),
-    "seeds.semantics": ("seed_semantics", int),
-    "seeds.stream": ("seed_stream", int),
-}
-_FIELD_TO_KEY = {f: k for k, (f, _) in _KEYMAP.items()}
-# Keys whose value names a code path: any other value is an error, not the default path.
-_CHOICES = {
-    "semantics.pool": ("all", "train"),
-    "production.input": ("predicted_cues", "semantics"),
-}
+def _key_of(name: str) -> str:
+    """The dotted key of ExperimentConfig field name, for messages."""
+    return ExperimentConfig.__dataclass_fields__[name].metadata["key"]
 
 
-def _coerce(key: str, raw: str):
-    field_name, typ = _KEYMAP[key]
+def _coerce(f: Field, raw: str):
+    key, typ = f.metadata["key"], f.metadata["parse"]
     raw = raw.strip()
     if typ is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
-            return field_name, True
+            return True
         if raw.lower() in ("false", "0", "no", "off"):
-            return field_name, False
+            return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        return field_name, typ(raw)
+        return typ(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}")
 
@@ -210,14 +189,14 @@ def resolve_config(
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         merged[key.strip()] = value.strip()
+    by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, raw in merged.items():
-        if key not in _KEYMAP:
+        if key not in by_key:
             raise ConfigError(f"unknown config key: {key!r}")
         if raw.strip() == "":  # empty value means "use the default"
             continue
-        field_name, value = _coerce(key, raw)
-        kwargs[field_name] = value
+        kwargs[by_key[key].name] = _coerce(by_key[key], raw)
     cfg = ExperimentConfig(**kwargs)
     if not cfg.data:
         raise ConfigError("config is missing the data path")
@@ -233,9 +212,8 @@ def resolved_pairs(cfg: ExperimentConfig) -> dict[str, str]:
     """The full config as flat key/value strings, defaults included."""
     out = {}
     for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
         value = getattr(cfg, f.name)
-        out[key] = "" if value is None else str(value)
+        out[f.metadata["key"]] = "" if value is None else str(value)
     return out
 
 
@@ -246,7 +224,9 @@ def write_outputs(
 ) -> None:
     """Write a run's files into cfg.output: each CSV table (header row
     first), config.resolved and, given a report, report.json with the
-    config and seeds added to the report."""
+    config and seeds added to the report.  The directory is made here,
+    so a run that fails makes none."""
+    os.makedirs(cfg.output, exist_ok=True)
     for name, rows in (tables or {}).items():
         with open(os.path.join(cfg.output, name), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -285,7 +265,7 @@ def _prepare_dataset(cfg: ExperimentConfig) -> lexicon.Dataset:
     d = lexicon.attach_articles(d, cfg.article_mode)
     if cfg.simulate_roles:
         d = lexicon.simulate_role_frequencies(d, seed=cfg.seed_stream)
-    if cfg.subsample_lemmas:
+    if cfg.subsample_lemmas is not None:
         lemmas = sorted({e.lemma for e in d})
         rng = np.random.default_rng(cfg.seed_split)
         chosen = set(rng.choice(lemmas, size=min(cfg.subsample_lemmas, len(lemmas)), replace=False))
@@ -296,20 +276,18 @@ def _prepare_dataset(cfg: ExperimentConfig) -> lexicon.Dataset:
 def _split(cfg: ExperimentConfig, d: lexicon.Dataset, cue_cfg: CueConfig) -> lexicon.SplitResult:
     if cfg.split_mode == "random":
         return lexicon.split_random(d, cfg.train_fraction, cfg.seed_split, cue_cfg.cue_string)
-    if cfg.split_mode == "no_novel_cues":
-        return lexicon.split_no_novel_cues(
-            d, cfg.train_fraction, cfg.seed_split,
-            grams_of=lambda e: extract_grams(cue_cfg.cue_string(e), cue_cfg),
-            cue_string_of=cue_cfg.cue_string,
-        )
-    raise ConfigError(f"unknown split mode: {cfg.split_mode!r}")
+    return lexicon.split_no_novel_cues(
+        d, cfg.train_fraction, cfg.seed_split,
+        grams_of=lambda e: extract_grams(cue_cfg.cue_string(e), cue_cfg),
+        cue_string_of=cue_cfg.cue_string,
+    )
 
 
 def _simulated_space(
     cfg: ExperimentConfig, d: lexicon.Dataset, inv: CueInventory
 ) -> semantics.SemanticSpace:
-    """Simulated semantic vectors, one dimension per cue unless semantics.dim is set."""
-    dim = cfg.semantics_dim if cfg.semantics_dim else len(inv)
+    """Simulated semantic vectors, one dimension per cue unless a dimension is set."""
+    dim = cfg.semantics_dim if cfg.semantics_dim is not None else len(inv)
     return semantics.simulate_vectors(
         d, dim=dim, seed=cfg.seed_semantics,
         sd_lexeme=cfg.sd_lexeme, sd_feature=cfg.sd_feature, sd_noise=cfg.sd_noise,
@@ -355,9 +333,9 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
-    if cfg.semantics_mode in ("embeddings", "analytical"):
+    if cfg.semantics_mode != "simulate":  # embeddings or analytical
         if not cfg.embeddings_path:
-            raise ConfigError("semantics.embeddings path is required in embeddings mode")
+            raise ConfigError(f"{_key_of('embeddings_path')} path is required in embeddings mode")
         loaded = semantics.load_embeddings(cfg.embeddings_path, d)
         d = loaded.dataset
         space = loaded.space
@@ -365,8 +343,6 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
         if cfg.semantics_mode == "analytical":
             _, space, corr = semantics.reconstruct_analytical(space, d)
             corr_mean = float(np.nanmean(corr))
-    elif cfg.semantics_mode != "simulate":
-        raise ConfigError(f"unknown semantics mode: {cfg.semantics_mode!r}")
 
     state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
     state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
@@ -460,7 +436,6 @@ def production_accuracies(
 
 def run_endstate(cfg: ExperimentConfig) -> dict:
     """Closed-form training plus the full evaluation grid."""
-    os.makedirs(cfg.output, exist_ok=True)
     state = build_pipeline(cfg)
     results = comprehension_scores(state)
     comp_acc = comprehension_accuracies(state, results)
@@ -511,7 +486,6 @@ def _default_checkpoints(total: int, n: int) -> list[int]:
 
 def run_incremental(cfg: ExperimentConfig) -> dict:
     """Single-pass token learning with trajectory and frequency analyses."""
-    os.makedirs(cfg.output, exist_ok=True)
     state = build_pipeline(cfg, with_production=False)
     d, split = state.dataset, state.split
 
@@ -650,15 +624,15 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     mapped back to candidate forms.  The production mapping is re-solved
     with the nonces included (known only as singulars).
     """
-    os.makedirs(cfg.output, exist_ok=True)
     if not nonce_words:
         raise ConfigError("no nonce words supplied")
     if cfg.number_opposition != "equipollent":
         raise ConfigError("the plural shift needs both number vectors; "
-                          "semantics.number must be equipollent")
+                          f"{_key_of('number_opposition')} must be equipollent")
     if cfg.semantics_mode != "simulate":
         raise ConfigError("the wug experiment simulates its meanings; "
-                          f"semantics.mode must be simulate, got {cfg.semantics_mode!r}")
+                          f"{_key_of('semantics_mode')} must be simulate, "
+                          f"got {cfg.semantics_mode!r}")
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     state = _comprehension_stage(
@@ -722,7 +696,6 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
 
 def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = None) -> dict:
     """Sweep magnitude-pruning thresholds and track train comprehension."""
-    os.makedirs(cfg.output, exist_ok=True)
     state = build_pipeline(cfg, with_production=False)
     W = state.F.W
     if thresholds is None:
@@ -749,7 +722,6 @@ def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = N
 
 def run_split(cfg: ExperimentConfig) -> dict:
     """Materialize the configured split to train/validation files."""
-    os.makedirs(cfg.output, exist_ok=True)
     d = _prepare_dataset(cfg)
     split = _split(cfg, d, cfg.cue_config())
     lexicon.save_split(split, cfg.output)

@@ -62,6 +62,9 @@ _DEF_SG = {
 }
 _DEF_PL = {"nominative": "die", "genitive": "der", "dative": "den", "accusative": "die"}
 
+# How articles are attached (config key articles.mode; see attach_articles).
+ARTICLE_MODES = ("none", "definite", "definite_and_indefinite")
+
 # Indefinite articles exist for singulars only; plurals are bare.
 _INDEF_SG = {
     "masculine": {"nominative": "ein", "genitive": "eines", "dative": "einem", "accusative": "einen"},
@@ -316,10 +319,10 @@ def attach_articles(d: Dataset, mode: str = "definite") -> Dataset:
     doubles the dataset (second copy: indefinite articles on singulars,
     bare plurals) and flags each copy's definiteness.
     """
+    if mode not in ARTICLE_MODES:
+        raise LexiconError(f"unknown article mode: {mode!r}")
     if mode == "none":
         return d
-    if mode not in ("definite", "definite_and_indefinite"):
-        raise LexiconError(f"unknown article mode: {mode!r}")
     definite = [
         _with_article(e, definite_article(e.gender, e.case, e.number), "definite") for e in d
     ]

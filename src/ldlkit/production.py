@@ -286,7 +286,6 @@ class CandidatePath:
     grams: tuple[str, ...]
     surface: str
     tolerated_count: int = 0
-    projected_semantics: Optional[np.ndarray] = None
     score: float = float("nan")
 
 
@@ -451,18 +450,14 @@ def synthesize_by_analysis(
     C[rows, cols] = 1.0
     S_hat = C @ F.W
     r = pearson_matrix(S_hat, np.asarray(s_target, dtype=np.float64)[None, :])[:, 0]
-    scored = [
-        CandidatePath(
-            grams=c.grams,
-            surface=c.surface,
-            tolerated_count=c.tolerated_count,
-            projected_semantics=S_hat[i],
-            score=float(r[i]),
-        )
-        for i, c in enumerate(candidates)
-    ]
+    scored = [replace(c, score=float(r[i])) for i, c in enumerate(candidates)]
     scored.sort(key=lambda c: (-(c.score if not np.isnan(c.score) else -2.0), c.surface))
     return scored
+
+
+# The vector the positional model reads (config key production.input): the
+# meaning mapped through G, or the meaning itself.
+INPUT_SPACES = ("predicted_cues", "semantics")
 
 
 @dataclass(frozen=True)
@@ -471,9 +466,17 @@ class ProductionParams:
     theta: float = 0.008
     tolerance: bool = False
     max_tolerated: int = 2
-    input_space: str = "predicted_cues"  # which vector drives the path search
+    input_space: str = "predicted_cues"  # one of INPUT_SPACES
     top_n: int = 5
     max_paths: Optional[int] = None
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ProductionError(f"k must be >= 1, got {self.k}")
+        if self.theta < 0:
+            raise ProductionError(f"theta must be >= 0, got {self.theta}")
+        if self.input_space not in INPUT_SPACES:
+            raise ProductionError(f"unknown input space: {self.input_space!r}")
 
 
 @dataclass
@@ -500,8 +503,6 @@ def produce(
     score.  support is the item's (n_attested,) row of
     m.search_supports when the caller has already computed supports for
     a batch of items.  An empty candidate set is a production failure.
-    The kept candidates own copies of their projected meanings, so a
-    result does not hold on to the projections of every candidate.
     """
     s_target = np.asarray(s_target, dtype=np.float64)
     if support is None:
@@ -513,13 +514,9 @@ def produce(
         max_paths=params.max_paths,
     )
     ranked = synthesize_by_analysis(candidates, F, s_target, m.inventory)
-    kept = [
-        replace(c, projected_semantics=c.projected_semantics.copy())
-        for c in ranked[: max(params.top_n, 1)]
-    ]
     return ProductionResult(
-        best=kept[0] if kept else None,
-        top_n=kept[: params.top_n],
+        best=ranked[0] if ranked else None,
+        top_n=ranked[: params.top_n],
         n_candidates=len(ranked),
         truncated=candidates.truncated,
     )

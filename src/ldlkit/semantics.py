@@ -23,6 +23,13 @@ PLURAL = "plural"
 DEFINITE = "definite"
 INDEFINITE = "indefinite"
 
+# Inflectional features: grammatical cases or semantic roles (config key
+# semantics.scheme).
+FEATURE_SCHEMES = ("case", "role")
+# Number as singular and plural vectors, or a plural vector only (config
+# key semantics.number).
+NUMBER_OPPOSITIONS = ("equipollent", "privative")
+
 
 class SemanticsError(ValueError):
     pass
@@ -65,22 +72,21 @@ def entry_features(
     use_definiteness: bool = False,
 ) -> tuple[str, ...]:
     """Inflectional feature names composed into an entry's vector."""
+    if number_opposition not in NUMBER_OPPOSITIONS:
+        raise SemanticsError(f"unknown number opposition: {number_opposition!r}")
+    if scheme not in FEATURE_SCHEMES:
+        raise SemanticsError(f"unknown feature scheme: {scheme!r}")
     feats: list[str] = []
     if number_opposition == "equipollent":
         feats.append(SINGULAR if e.number == "singular" else PLURAL)
-    elif number_opposition == "privative":
-        if e.number == "plural":
-            feats.append(PLURAL)
-    else:
-        raise SemanticsError(f"unknown number opposition: {number_opposition!r}")
+    elif e.number == "plural":
+        feats.append(PLURAL)
     if scheme == "case":
         feats.append(e.case)
-    elif scheme == "role":
+    else:
         if e.semantic_role is None:
             raise SemanticsError(f"entry {e.wordform!r} has no semantic role")
         feats.append(e.semantic_role)
-    else:
-        raise SemanticsError(f"unknown feature scheme: {scheme!r}")
     if use_definiteness:
         if e.definiteness is None:
             raise SemanticsError(f"entry {e.wordform!r} has no definiteness flag")

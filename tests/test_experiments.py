@@ -105,13 +105,44 @@ class TestConfig:
         back = resolve_config(resolved_pairs(cfg))
         assert back == cfg
 
-    @pytest.mark.parametrize("key,good", [("semantics.pool", ("all", "train")),
-                                          ("production.input", ("predicted_cues", "semantics"))])
+    @pytest.mark.parametrize("key,good", [
+        ("semantics.pool", ("all", "train")),
+        ("production.input", ("predicted_cues", "semantics")),
+        ("cues.unit", ("phone", "syllable", "letter")),
+        ("articles.mode", ("none", "definite", "definite_and_indefinite")),
+        ("semantics.mode", ("simulate", "embeddings", "analytical")),
+        ("semantics.scheme", ("case", "role")),
+        ("semantics.number", ("equipollent", "privative")),
+        ("split.mode", ("random", "no_novel_cues")),
+    ])
     def test_unknown_choice_rejected(self, key, good):
         for value in good:
             resolve_config({"data": "x", key: value})
         with pytest.raises(ConfigError, match=re.escape(key)):
             resolve_config({"data": "x", key: "bogus"})
+
+    def test_readme_config_table_keys_and_defaults(self):
+        # Each row names its keys and defaults in the same order; a default
+        # that is not a `literal` (prose such as "per-unit default") stands
+        # for an unset key.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
+        default = ExperimentConfig(data="x")
+        checked = 0
+        for line in table.strip().splitlines()[1:]:
+            cells = line.strip("|").split("|")
+            key_cell, default_cell = cells[0], cells[-1]
+            keys = re.findall(r"`([^`]+)`", key_cell)
+            values = [v.strip() for v in default_cell.split(",")]
+            assert len(keys) == len(values), line
+            for key, value in zip(keys, values):
+                literal = re.fullmatch(r"`([^`]*)`", value)
+                cfg = resolve_config({"data": "x", key: literal.group(1) if literal else ""})
+                assert cfg == default, (key, value)
+                if not literal:
+                    assert resolved_pairs(cfg)[key] == "", (key, value)
+                checked += 1
+        assert checked >= 15
 
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "exp.config"
@@ -530,7 +561,11 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
 
-    @pytest.mark.parametrize("override", ["production.input=bogus", "semantics.pool=bogus"])
+    @pytest.mark.parametrize("override", [
+        f"{key}=bogus" for key in ("production.input", "semantics.pool", "cues.unit", "articles.mode",
+                                   "semantics.mode", "semantics.scheme", "semantics.number",
+                                   "split.mode")
+    ])
     def test_unknown_choice_exits_2_before_any_output(self, data_path, tmp_path, capsys, override):
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
@@ -538,6 +573,23 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ConfigError" and override.split("=")[0] in err["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        # checked when the config is read
+        ("production.k=0", "k must be >= 1"),
+        ("production.theta=-1", "theta must be >= 0"),
+        # an explicit 0 is a value, not "unset": it reaches the range checks
+        ("semantics.dim=0", "dimension must be >= 1"),
+        ("roles.subsample_lemmas=0", "empty dataset"),
+    ])
+    def test_out_of_range_value_exits_2_before_any_output(self, data_path, tmp_path, capsys,
+                                                          override, message):
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["endstate", "--config", str(p), "--set", override])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out").exists()
 
     def test_wug_cli(self, tmp_path, capsys):
@@ -578,6 +630,7 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "semantics.mode" in err["error"]
+        assert not (tmp_path / "out").exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]

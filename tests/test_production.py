@@ -222,7 +222,6 @@ class TestSynthesizeByAnalysis:
         scores = [c.score for c in ranked]
         assert scores == sorted(scores, reverse=True)
         assert ranked[0].score == pytest.approx(1.0, abs=1e-9)
-        assert ranked[0].projected_semantics is not None
 
     def test_ranking_invariant_under_positive_rescaling(self):
         d, cfg = toy_lexicon(15, seed=10)
@@ -282,6 +281,7 @@ class TestProduce:
             res = produce(space.S[i], G, model, F, params)
             assert res.best is not None
             assert res.best.surface == s
+            assert res.best is res.top_n[0] and len(res.top_n) <= params.top_n
             for cand in res.top_n:
                 validate_path(cand, cfg)
 
@@ -301,14 +301,16 @@ class TestProduce:
         given = produce(space.S[0], G, model, F, params, support=support)
         assert [(c.surface, c.score) for c in own.top_n] == [(c.surface, c.score) for c in given.top_n]
 
-    def test_kept_candidates_own_their_projections(self):
-        # A kept row that were a view would pin the projections of every
-        # candidate of the item.
-        d, cfg, strings, space, F, G, model = self.build(n_forms=20, seed=14)
-        params = ProductionParams(k=10, theta=0.1, top_n=1)
-        res = produce((space.S[0] + space.S[1]) / 2, G, model, F, params)
-        assert res.n_candidates > len(res.top_n) == 1
-        assert res.best is res.top_n[0]
-        for cand in res.top_n:
-            assert cand.projected_semantics.base is None
-            assert cand.projected_semantics.shape == (F.W.shape[1],)
+
+class TestProductionParams:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"k": 0}, "k must be >= 1"), ({"k": -3}, "k must be >= 1"),
+         ({"theta": -0.1}, "theta must be >= 0"), ({"input_space": "bogus"}, "input space")],
+    )
+    def test_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ProductionError, match=message):
+            ProductionParams(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        ProductionParams(k=1, theta=0.0, input_space="semantics")

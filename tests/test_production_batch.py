@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldlkit import experiments as ex
+from ldlkit.comprehension import pearson_matrix
 from ldlkit.cues import CueConfig, CueInventory, extract_grams
 from ldlkit.lexicon import save_dataset
 from ldlkit.production import (
@@ -284,8 +285,10 @@ def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):
     for i, c in enumerate(cands):
         for g in c.grams:
             rows[i, m.inventory.index[g]] = 1.0
-    projected = dict(zip((c.surface for c in cands), rows @ F.W))
-    ranked = synthesize_by_analysis(cands, F, state.space.S[state.split.train_ids[0]], m.inventory)
+    target = state.space.S[state.split.train_ids[0]]
+    r = pearson_matrix(rows @ F.W, target[None, :])[:, 0]
+    expected = dict(zip((c.surface for c in cands), r))
+    ranked = synthesize_by_analysis(cands, F, target, m.inventory)
     assert len(ranked) == len(cands) > 1
     for c in ranked:
-        assert np.array_equal(c.projected_semantics, projected[c.surface])
+        assert c.score == expected[c.surface]
