@@ -124,7 +124,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{f.metadata['key']}: expected one of {', '.join(allowed)}, got {value!r}"
                 )
-        self.production_params()  # rejects k < 1 and theta < 0 before any run starts
+        self.production_params()  # rejects out-of-range values before any run starts
 
     def theta(self) -> float:
         if self.production_theta is not None:
@@ -301,35 +301,68 @@ def _comprehension_stage(
     split: lexicon.SplitResult,
     cue_cfg: CueConfig,
     space: Optional[semantics.SemanticSpace] = None,
+    with_production: bool = False,
 ) -> PipelineState:
     """The stage every verb shares: the inventory of the training forms,
     the cue matrix of every form, the simulated space (unless space is
-    given) and F solved on the train rows."""
+    given) and F solved on the train rows.
+
+    With production, F is solved on one worker thread while this thread
+    fits G and the positional model to the same train rows.  Neither fit
+    writes what the other reads, and numpy's LAPACK and BLAS calls release
+    the GIL, so the two run on two CPUs and give the bits of a serial run.
+    The worker takes the smaller fit because glibc gives it its own malloc
+    arena, whose freed memory this thread does not reuse: with G and the
+    positional model there, endstate-1k's peak RSS rose from ~158 to
+    ~188 MB.  The worker is joined before the stage returns, also when
+    either side raises."""
     d = split.dataset
     inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
     C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
     if space is None:
         space = _simulated_space(cfg, d, inv)
     train_ids = list(split.train_ids)
-    F = solve_endstate(C.rows[train_ids], space.S[train_ids], kind="comprehension")
-    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F)
+    if not with_production:
+        F = solve_endstate(C.rows[train_ids], space.S[train_ids], kind="comprehension")
+        return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F)
+
+    # imported here, so that runs which start no thread (and the CLI's
+    # start-up) skip its ~4 ms import
+    from concurrent.futures import ThreadPoolExecutor
+
+    cue_rows, S = C.rows[train_ids], space.S[train_ids]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        comprehension = worker.submit(solve_endstate, cue_rows, S, kind="comprehension")
+        G, positional = _production_model(
+            cfg, inv, S, cue_rows, [cue_cfg.cue_string(e) for e in split.train]
+        )
+        F = comprehension.result()
+    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space,
+                         F=F, G=G, positional=positional)
 
 
 def _production_model(
-    state: PipelineState, S: np.ndarray, cue_rows: np.ndarray, forms: Sequence[str]
+    cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
+    forms: Sequence[str],
 ) -> tuple[Mapping, PositionalSupportModel]:
     """The production mapping G (S to cue_rows) and the positional model
     trained on forms, the cue strings of the rows of S."""
-    cfg, cue_cfg = state.cfg, state.cue_cfg
+    cue_cfg = cfg.cue_config()
     G = solve_endstate(S, cue_rows, kind="production")
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-    targets = positional_targets(forms, state.C.inventory, cue_cfg, max_len)
+    targets = positional_targets(forms, inv, cue_cfg, max_len)
     inputs = S @ G.W if cfg.production_input == "predicted_cues" else S
-    return G, train_positional(inputs, targets, state.C.inventory, cue_cfg)
+    return G, train_positional(inputs, targets, inv, cue_cfg)
 
 
 def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
-    """Assemble split, cue matrix, semantic space, and trained mappings."""
+    """Assemble split, cue matrix, semantic space, and trained mappings.
+
+    With production (cfg.production_enabled unless with_production says
+    otherwise), F is solved on one worker thread while G and the
+    positional model are fitted (see _comprehension_stage); the state
+    returned holds them as plain fields, and every bit is that of a serial
+    run."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -344,17 +377,12 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
             _, space, corr = semantics.reconstruct_analytical(space, d)
             corr_mean = float(np.nanmean(corr))
 
-    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
+    if with_production is None:
+        with_production = cfg.production_enabled
+    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space, with_production)
     state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
-    train_ids = list(state.split.train_ids)
-    pool_ids = None if cfg.gold_pool == "all" else train_ids
+    pool_ids = None if cfg.gold_pool == "all" else list(state.split.train_ids)
     state.pool = comp.GoldPool.build(state.space, d, cue_cfg, restrict_ids=pool_ids)
-
-    if with_production if with_production is not None else cfg.production_enabled:
-        state.G, state.positional = _production_model(
-            state, state.space.S[train_ids], state.C.rows[train_ids],
-            [cue_cfg.cue_string(e) for e in state.split.train],
-        )
     return state
 
 
@@ -660,7 +688,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     S_nonce_sg = C_nonce @ F.W
 
     G, posmodel = _production_model(
-        state, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
+        cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
         [cue_cfg.cue_string(e) for e in d] + usable,
     )
 

@@ -477,6 +477,12 @@ class ProductionParams:
             raise ProductionError(f"theta must be >= 0, got {self.theta}")
         if self.input_space not in INPUT_SPACES:
             raise ProductionError(f"unknown input space: {self.input_space!r}")
+        if self.top_n < 1:
+            raise ProductionError(f"top_n must be >= 1, got {self.top_n}")
+        if self.max_tolerated < 0:
+            raise ProductionError(f"max_tolerated must be >= 0, got {self.max_tolerated}")
+        if self.max_paths is not None and self.max_paths < 1:
+            raise ProductionError(f"max_paths must be >= 1, got {self.max_paths}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -32,6 +33,8 @@ from ldlkit.experiments import (
     run_wug,
 )
 from ldlkit.lexicon import Dataset, save_dataset
+from ldlkit.mappings import solve_endstate
+from ldlkit.production import ProductionError
 
 from corpora import paradigm_lexicon
 
@@ -579,6 +582,9 @@ class TestCli:
         # checked when the config is read
         ("production.k=0", "k must be >= 1"),
         ("production.theta=-1", "theta must be >= 0"),
+        ("production.top_n=-1", "top_n must be >= 1"),
+        ("production.max_tolerated=-1", "max_tolerated must be >= 0"),
+        ("production.max_paths=0", "max_paths must be >= 1"),
         # an explicit 0 is a value, not "unset": it reaches the range checks
         ("semantics.dim=0", "dimension must be >= 1"),
         ("roles.subsample_lemmas=0", "empty dataset"),
@@ -591,6 +597,35 @@ class TestCli:
         assert rc == 2
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_on_either_thread_exits_2_and_leaves_no_thread(self, data_path, tmp_path, capsys,
+                                                                 monkeypatch, where):
+        # The worker solves F while the calling thread runs train_positional.
+        raised_on = []
+
+        def fail(*args, **kwargs):
+            raised_on.append(threading.current_thread())
+            raise ProductionError("fit failed")
+
+        if where == "worker":
+            monkeypatch.setattr(ex, "solve_endstate", lambda X, Y, kind: (
+                fail() if kind == "comprehension" else solve_endstate(X, Y, kind=kind)))
+        else:
+            monkeypatch.setattr(ex, "train_positional", fail)
+        before = set(threading.enumerate())
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["endstate", "--config", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "fit failed", "type": "ProductionError"}
+        ]
+        assert len(raised_on) == 1
+        assert (raised_on[0] is threading.main_thread()) == (where == "caller")
+        assert not (tmp_path / "out").exists()
+        assert set(threading.enumerate()) == before
 
     def test_wug_cli(self, tmp_path, capsys):
         data = tmp_path / "corpus.tsv"
@@ -631,6 +666,39 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "semantics.mode" in err["error"]
         assert not (tmp_path / "out").exists()
+
+
+class TestOverlappedFits:
+    def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path):
+        cfg = base_config(data_path, tmp_path)
+        state = ex.build_pipeline(cfg)
+        train_ids = list(state.split.train_ids)
+        S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
+        forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
+        F = solve_endstate(cue_rows, S, kind="comprehension")
+        G, positional = ex._production_model(cfg, state.C.inventory, S, cue_rows, forms)
+        assert np.array_equal(state.F.W, F.W)
+        assert np.array_equal(state.G.W, G.W)
+        assert np.array_equal(state.positional.columns, positional.columns)
+        assert np.array_equal(state.positional.weights, positional.weights)
+
+    @pytest.mark.parametrize("with_production", [True, False])
+    def test_f_runs_on_a_worker_only_beside_production(self, data_path, tmp_path, monkeypatch,
+                                                        with_production):
+        threads = {}
+
+        def recording_solve(X, Y, kind="comprehension"):
+            threads[kind] = threading.current_thread()
+            return solve_endstate(X, Y, kind=kind)
+
+        monkeypatch.setattr(ex, "solve_endstate", recording_solve)
+        before = set(threading.enumerate())
+        ex.build_pipeline(base_config(data_path, tmp_path), with_production=with_production)
+        assert (threads.pop("comprehension") is threading.main_thread()) != with_production
+        if with_production:
+            assert threads.pop("production") is threading.main_thread()
+        assert not threads
+        assert set(threading.enumerate()) == before
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -306,11 +306,15 @@ class TestProductionParams:
     @pytest.mark.parametrize(
         "kwargs,message",
         [({"k": 0}, "k must be >= 1"), ({"k": -3}, "k must be >= 1"),
-         ({"theta": -0.1}, "theta must be >= 0"), ({"input_space": "bogus"}, "input space")],
+         ({"theta": -0.1}, "theta must be >= 0"), ({"input_space": "bogus"}, "input space"),
+         ({"top_n": 0}, "top_n must be >= 1"), ({"top_n": -1}, "top_n must be >= 1"),
+         ({"max_tolerated": -1}, "max_tolerated must be >= 0"),
+         ({"max_paths": 0}, "max_paths must be >= 1")],
     )
     def test_rejected_when_built(self, kwargs, message):
         with pytest.raises(ProductionError, match=message):
             ProductionParams(**kwargs)
 
     def test_boundary_values_accepted(self):
-        ProductionParams(k=1, theta=0.0, input_space="semantics")
+        ProductionParams(k=1, theta=0.0, input_space="semantics", top_n=1, max_tolerated=0,
+                         max_paths=1)
