@@ -20,8 +20,6 @@ from .comprehension import (
     GoldPool,
     ItemScore,
     evaluate,
-    nearest_gold,
-    predict_semantics,
     score_items,
 )
 from .lexicon import (
@@ -67,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CueConfig", "CueInventory", "CueMatrix", "build_cue_matrix", "build_inventory",
     "extract_grams", "novel_cues",
-    "GoldPool", "ItemScore", "evaluate", "nearest_gold", "predict_semantics", "score_items",
+    "GoldPool", "ItemScore", "evaluate", "score_items",
     "Dataset", "SplitResult", "WordEntry", "attach_articles", "load_dataset",
     "sample_token_stream", "simulate_role_frequencies", "split_no_novel_cues", "split_random",
     "Mapping", "WH_BACKEND", "prune", "solve_endstate", "train_incremental", "wh_update",

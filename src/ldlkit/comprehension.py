@@ -16,7 +16,6 @@ import numpy as np
 
 from .cues import CueConfig
 from .lexicon import Dataset, SplitResult
-from .mappings import Mapping
 
 if TYPE_CHECKING:
     from .semantics import SemanticSpace
@@ -26,16 +25,6 @@ SCHEMES = ("train", "val_all", "val_strict", "val_lenient", "val_newform")
 
 class ComprehensionError(ValueError):
     pass
-
-
-def predict_semantics(c: np.ndarray, F: Mapping) -> np.ndarray:
-    """Predicted semantic row(s): c @ F."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape[-1] != F.input_dim:
-        raise ComprehensionError(
-            f"cue dimension {c.shape[-1]} does not match mapping input {F.input_dim}"
-        )
-    return c @ F.W
 
 
 class Centred(NamedTuple):
@@ -147,22 +136,6 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return pearson(average_ranks(x), average_ranks(y))
 
 
-def nearest_gold(s_hat: np.ndarray, gold: SemanticSpace) -> tuple[int, float]:
-    """Index and correlation of the gold row most correlated with s_hat.
-
-    Exact ties resolve to the lowest row index.  A zero-variance
-    prediction has no defined correlation; (-1, nan) is returned and the
-    caller scores the item incorrect.
-    """
-    if len(gold) == 0:
-        raise ComprehensionError("empty gold space")
-    r = pearson_matrix(s_hat[None, :], gold.S)[0]
-    if np.all(np.isnan(r)):
-        return -1, float("nan")
-    best = int(np.nanargmax(r))
-    return best, float(r[best])
-
-
 @dataclass
 class GoldPool:
     """Deduplicated gold rows with the entries collapsed into each row.
@@ -225,46 +198,34 @@ def score_items(
     pool: GoldPool,
     d: Dataset,
     cfg: CueConfig,
-    ids: Optional[Sequence[int]] = None,
 ) -> list[ItemScore]:
-    """Grade predicted rows against the pool.
+    """Grade every predicted row against the pool.
 
     S_hat has one row per dataset entry, as an array, which is left
     unchanged, or already centred (e.g. centre(P, out=P) of a fresh
-    product P, which is then not copied); ids selects which to score.
-    r_target is each item's correlation with its own gold row; the
-    strict/lenient flags compare the best pool row's keys and cue
-    strings with the item's own.
+    product P, which is then not copied).  r_target is each item's
+    correlation with its own gold row; the strict/lenient flags compare
+    the best pool row's keys and cue strings with the item's own.
 
-    One scoring allocates two large arrays: the centred predictions of
-    the scored items (none when S_hat is centred and ids is None) and
-    their (items, pool rows) correlations R.  Everything else is a row
-    block of about CHUNK_BYTES or one value per item; the items' gold rows
-    are copied from space.S and centred one block at a time.
+    One scoring allocates two large arrays: the centred predictions (none
+    when S_hat is already centred) and their (items, pool rows)
+    correlations R.  Everything else is a row block of about CHUNK_BYTES
+    or one value per item; the items' gold rows are copied from space.S
+    and centred one block at a time.
     """
     n = (S_hat.rows if isinstance(S_hat, Centred) else S_hat).shape[0]
     if n != len(space.S):
         raise ComprehensionError("S_hat must have one row per dataset entry")
-    if ids is None:
-        ids = list(range(n))
-        preds = centre(S_hat)
-    else:
-        ids = list(ids)
-        if isinstance(S_hat, Centred):
-            preds = S_hat.take(ids)
-        else:
-            picked = np.asarray(S_hat, dtype=np.float64)[ids]
-            preds = centre(picked, out=picked)
-    item_ids = np.asarray(ids, dtype=np.intp)
-    r_own = np.empty(len(ids))
-    for rows in _row_chunks(len(ids), space.S.shape[1]):
-        gold = np.asarray(space.S[item_ids[rows]], dtype=np.float64)
+    preds = centre(S_hat)
+    r_own = np.empty(n)
+    for rows in _row_chunks(n, space.S.shape[1]):
+        gold = np.array(space.S[rows], dtype=np.float64)
         r_own[rows] = rowwise_pearson(preds.take(rows), centre(gold, out=gold))
     R = pearson_matrix(preds, pool.centred)
     # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
     # wins, and argmax keeps the first of tied maxima.
-    degenerate = np.empty(len(ids), dtype=bool)
-    bests = np.empty(len(ids), dtype=np.intp)
+    degenerate = np.empty(n, dtype=bool)
+    bests = np.empty(n, dtype=np.intp)
     for rows in _row_chunks(*R.shape):
         block = R[rows]
         undefined = np.isnan(block)
@@ -274,20 +235,20 @@ def score_items(
     degenerate, bests = degenerate.tolist(), bests.tolist()
 
     out = []
-    for k, i in enumerate(ids):
-        if degenerate[k]:
+    for i in range(n):
+        if degenerate[i]:
             out.append(
-                ItemScore(i, float(r_own[k]), -1, None, False, False,
+                ItemScore(i, float(r_own[i]), -1, None, False, False,
                           reason="zero-variance prediction")
             )
             continue
-        best = bests[k]
+        best = bests[i]
         key = space.gold_keys[i]
         cue_string = cfg.cue_string(d[i])
         out.append(
             ItemScore(
                 item_id=i,
-                r_target=float(r_own[k]),
+                r_target=float(r_own[i]),
                 best_index=best,
                 best_key=pool.first_key[best],
                 correct_strict=key in pool.keys[best],

@@ -7,7 +7,6 @@ the item contains the cue at least once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -167,12 +166,3 @@ def novel_cues(items: Iterable[str], inv: CueInventory, cfg: CueConfig) -> set[s
                 out.add(g)
     return out
 
-
-def save_cue_matrix(cm: CueMatrix, triplet_path: str | os.PathLike, inventory_path: str | os.PathLike) -> None:
-    """Sparse (row, col, 1) triplet dump plus the inventory listing."""
-    with open(triplet_path, "w", encoding="utf-8") as fh:
-        for i, j in zip(*np.nonzero(cm.rows)):
-            fh.write(f"{i}\t{j}\t1\n")
-    with open(inventory_path, "w", encoding="utf-8") as fh:
-        for g in cm.inventory.cues:
-            fh.write(g + "\n")

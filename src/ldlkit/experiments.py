@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import Field, dataclass, field, fields
 from typing import Collection, Iterable, Optional, Sequence
@@ -69,11 +70,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _key(key: str, default, parse: Optional[type] = None, choices: Optional[Sequence[str]] = None):
+# Lower bounds a config value is checked against when the config is read.
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+
+
+def _key(key: str, default, parse: Optional[type] = None, choices: Optional[Sequence[str]] = None,
+         low: Optional[tuple[str, float]] = None):
     """Declare a config field: its dotted key, the type a raw value is
     parsed as (that of the default unless the default is None) and, for a
-    key that picks a code path, its allowed values."""
-    meta = {"key": key, "parse": parse or type(default), "choices": choices}
+    key that picks a code path, its allowed values; low, e.g. (">", 0),
+    bounds a set value from below."""
+    meta = {"key": key, "parse": parse or type(default), "choices": choices, "low": low}
     return field(default=default, metadata=meta)
 
 
@@ -98,10 +105,11 @@ class ExperimentConfig:
     gold_pool: str = _key("semantics.pool", "all", choices=GOLD_POOLS)
     split_mode: str = _key("split.mode", "random", choices=SPLIT_MODES)
     train_fraction: float = _key("split.fraction", 0.8)
-    eta: float = _key("learning.eta", 0.001)
-    n_checkpoints: int = _key("learning.checkpoints", 10)
+    eta: float = _key("learning.eta", 0.001, low=(">", 0))
+    n_checkpoints: int = _key("learning.checkpoints", 10, low=(">=", 0))
     simulate_roles: bool = _key("roles.simulate", False)
-    subsample_lemmas: Optional[int] = _key("roles.subsample_lemmas", None, int)
+    # 0 passes here and fails later as an empty dataset
+    subsample_lemmas: Optional[int] = _key("roles.subsample_lemmas", None, int, low=(">=", 0))
     production_enabled: bool = _key("production.enabled", True)
     production_k: int = _key("production.k", 10)
     production_theta: Optional[float] = _key("production.theta", None, float)
@@ -110,7 +118,7 @@ class ExperimentConfig:
     production_input: str = _key("production.input", "predicted_cues", choices=INPUT_SPACES)
     production_top_n: int = _key("production.top_n", 5)
     production_max_paths: Optional[int] = _key("production.max_paths", None, int)
-    max_len_margin: int = _key("production.max_len_margin", 2)
+    max_len_margin: int = _key("production.max_len_margin", 2, low=(">=", 0))
     frequency_effect: bool = _key("analyses.frequency_effect", True)
     error_analysis: bool = _key("analyses.error_analysis", False)
     seed_split: int = _key("seeds.split", 1)
@@ -119,11 +127,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            allowed, value = f.metadata["choices"], getattr(self, f.name)
+            key, value = f.metadata["key"], getattr(self, f.name)
+            allowed, low = f.metadata["choices"], f.metadata["low"]
             if allowed is not None and value not in allowed:
-                raise ConfigError(
-                    f"{f.metadata['key']}: expected one of {', '.join(allowed)}, got {value!r}"
-                )
+                raise ConfigError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+            if low is not None and value is not None and not _BOUNDS[low[0]](value, low[1]):
+                raise ConfigError(f"{key} must be {low[0]} {low[1]}, got {value!r}")
         self.production_params()  # rejects out-of-range values before any run starts
 
     def theta(self) -> float:
@@ -323,7 +332,7 @@ def _comprehension_stage(
         space = _simulated_space(cfg, d, inv)
     train_ids = list(split.train_ids)
     if not with_production:
-        F = solve_endstate(C.rows[train_ids], space.S[train_ids], kind="comprehension")
+        F = solve_endstate(C.rows[train_ids], space.S[train_ids])
         return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F)
 
     # imported here, so that runs which start no thread (and the CLI's
@@ -332,7 +341,7 @@ def _comprehension_stage(
 
     cue_rows, S = C.rows[train_ids], space.S[train_ids]
     with ThreadPoolExecutor(max_workers=1) as worker:
-        comprehension = worker.submit(solve_endstate, cue_rows, S, kind="comprehension")
+        comprehension = worker.submit(solve_endstate, cue_rows, S)
         G, positional = _production_model(
             cfg, inv, S, cue_rows, [cue_cfg.cue_string(e) for e in split.train]
         )
@@ -348,7 +357,7 @@ def _production_model(
     """The production mapping G (S to cue_rows) and the positional model
     trained on forms, the cue strings of the rows of S."""
     cue_cfg = cfg.cue_config()
-    G = solve_endstate(S, cue_rows, kind="production")
+    G = solve_endstate(S, cue_rows)
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
     targets = positional_targets(forms, inv, cue_cfg, max_len)
     inputs = S @ G.W if cfg.production_input == "predicted_cues" else S
@@ -668,23 +677,15 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     )
     inv, space, F = state.C.inventory, state.space, state.F
 
-    usable, skipped = [], []
-    nonce_rows, novel_counts = [], {}
+    usable, skipped, novel_counts = [], [], {}
     for w in nonce_words:
         grams = extract_grams(w, cue_cfg)
-        known = [g for g in grams if g in inv]
-        novel_counts[w] = len(grams) - len(known)
-        if not known:
-            skipped.append(w)
-            continue
-        row = np.zeros(len(inv))
-        for g in known:
-            row[inv.index[g]] = 1.0
-        usable.append(w)
-        nonce_rows.append(row)
+        known = sum(g in inv for g in grams)
+        novel_counts[w] = len(grams) - known
+        (usable if known else skipped).append(w)
     if not usable:
         raise ConfigError("every nonce word consists of unseen cues only")
-    C_nonce = np.vstack(nonce_rows)
+    C_nonce = build_cue_matrix(usable, inv, cue_cfg).rows
     S_nonce_sg = C_nonce @ F.W
 
     G, posmodel = _production_model(

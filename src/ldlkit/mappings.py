@@ -4,12 +4,14 @@ Two estimation routes: the closed-form least-squares end state (exact
 multivariate multiple regression, minimum-norm for rank-deficient
 designs) and incremental delta-rule learning applied once per token.
 The token loop is the hot path; it lives in _wh_numpy.run_stream.
+Both return a Mapping: the weight matrix and, for the token loop, the
+number of tokens learned from.  Which direction a mapping goes
+(comprehension F or production G) is known from the rows it was solved
+on; the Mapping does not record it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,21 +30,13 @@ class MappingError(ValueError):
 
 @dataclass
 class Mapping:
-    """Dense weight matrix with training provenance."""
+    """Dense weight matrix W (inputs by outputs), so that a row x maps to
+    x @ W.  trained_tokens counts the delta-rule updates behind an
+    incremental mapping (0 for an end-state solve); the incremental
+    runner keys its checkpoint scores by it."""
 
-    W: np.ndarray  # (input_dim, output_dim)
-    kind: str = "comprehension"  # comprehension | production
-    provenance: str = "endstate"  # endstate | incremental
+    W: np.ndarray
     trained_tokens: int = 0
-    eta: Optional[float] = None
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.W.shape[1]
 
 
 def _dedup_pairs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +57,7 @@ def _dedup_pairs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[keep], Y[keep]
 
 
-def solve_endstate(X: np.ndarray, Y: np.ndarray, kind: str = "comprehension") -> Mapping:
+def solve_endstate(X: np.ndarray, Y: np.ndarray) -> Mapping:
     """Minimum-norm least-squares solution of X @ W = Y.
 
     Duplicate (x, y) row pairs carry no information and are removed
@@ -84,7 +78,7 @@ def solve_endstate(X: np.ndarray, Y: np.ndarray, kind: str = "comprehension") ->
         raise MappingError("empty input")
     X, Y = _dedup_pairs(X, Y)
     W, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    return Mapping(W=W, kind=kind, provenance="endstate")
+    return Mapping(W=W)
 
 
 def wh_update(W: np.ndarray, c: np.ndarray, o: np.ndarray, eta: float) -> np.ndarray:
@@ -124,7 +118,6 @@ def train_incremental(
     S: np.ndarray,
     eta: float = 0.001,
     checkpoints: Sequence[int] = (),
-    kind: str = "comprehension",
     on_checkpoint: Optional[Callable[[Mapping], None]] = None,
 ) -> Mapping:
     """Single sequential pass of delta-rule updates over a token stream.
@@ -157,11 +150,9 @@ def train_incremental(
         _wh_numpy.run_stream(W, indptr, indices, S, stream[done:t], float(eta))
         done = t
         if on_checkpoint is not None:
-            on_checkpoint(Mapping(W=W, kind=kind, provenance="incremental",
-                                  trained_tokens=t, eta=eta))
+            on_checkpoint(Mapping(W=W, trained_tokens=t))
     _wh_numpy.run_stream(W, indptr, indices, S, stream[done:], float(eta))
-    return Mapping(W=W, kind=kind, provenance="incremental",
-                   trained_tokens=int(stream.size), eta=eta)
+    return Mapping(W=W, trained_tokens=int(stream.size))
 
 
 def prune(m: Mapping, theta_p: float) -> tuple[Mapping, float]:
@@ -175,36 +166,5 @@ def prune(m: Mapping, theta_p: float) -> tuple[Mapping, float]:
     W = m.W.copy()
     W[np.abs(W) < theta_p] = 0.0
     fraction = float(np.count_nonzero(W == 0.0)) / W.size
-    return (
-        Mapping(W=W, kind=m.kind, provenance=m.provenance,
-                trained_tokens=m.trained_tokens, eta=m.eta),
-        fraction,
-    )
+    return Mapping(W=W, trained_tokens=m.trained_tokens), fraction
 
-
-def save_mapping(m: Mapping, path: str | os.PathLike) -> None:
-    """Binary matrix dump with a one-line JSON header."""
-    header = {
-        "kind": m.kind,
-        "provenance": m.provenance,
-        "shape": list(m.W.shape),
-        "dtype": "float64",
-        "eta": m.eta,
-        "trained_tokens": m.trained_tokens,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(m.W, dtype=np.float64).tobytes())
-
-
-def load_mapping(path: str | os.PathLike) -> Mapping:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        W = np.frombuffer(fh.read(), dtype=np.float64).reshape(header["shape"]).copy()
-    return Mapping(
-        W=W,
-        kind=header["kind"],
-        provenance=header["provenance"],
-        trained_tokens=header["trained_tokens"],
-        eta=header["eta"],
-    )

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cues import CueConfig, CueInventory, extract_grams
 from .comprehension import pearson_matrix
-from .mappings import Mapping, solve_endstate
+from .mappings import Mapping
 
 
 _EPS = np.finfo(np.float64).eps
@@ -103,23 +103,6 @@ class PositionalSupportModel:
         k = self.cfg.n - 1
         self.prefixes = [tuple(t[:k]) for t in self.tokens]
         self.suffixes = [tuple(t[-k:]) if k else () for t in self.tokens]
-
-    @classmethod
-    def from_dense(
-        cls,
-        weights: np.ndarray,
-        inventory: CueInventory,
-        cfg: CueConfig,
-    ) -> "PositionalSupportModel":
-        """Compact model from a dense (max_len, input_dim, n_cues) tensor;
-        all-zero (position, cue) columns are dropped."""
-        max_len, input_dim, n_cues = weights.shape
-        if n_cues != len(inventory):
-            raise ProductionError("dense weights need one column per inventory cue")
-        flat = np.moveaxis(np.asarray(weights, dtype=np.float64), 1, 0).reshape(input_dim, -1)
-        columns = np.flatnonzero(np.any(flat != 0.0, axis=0))
-        return cls(weights=flat[:, columns], columns=columns, max_len=max_len,
-                   inventory=inventory, cfg=cfg)
 
     def supports(self, X: np.ndarray) -> np.ndarray:
         """(n, n_attested) supports of the attested columns for a batch of
@@ -268,8 +251,7 @@ def train_positional(
     columns = np.unique(targets.columns)
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
     # Each position's product runs over all its cues, so every stored column
-    # has the bits of the dense per-position solve: from_dense of that solve
-    # gives the same model.
+    # has the bits of the dense per-position solve pinv @ targets.position(p).
     ends = _position_ends(columns, max_len, n_cues)
     weights = np.empty((pinv.shape[0], columns.size))
     for p in range(max_len):

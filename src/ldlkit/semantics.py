@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -162,13 +162,6 @@ def simulate_vectors(
     return SemanticSpace(S=S, gold_keys=keys, registry=registry)
 
 
-def compose_vector(reg: FeatureRegistry, lemma: str, features: Sequence[str]) -> np.ndarray:
-    row = reg.lexeme_vectors[lemma].copy()
-    for f in features:
-        row += reg.feature_vectors[f]
-    return row
-
-
 def wug_plural_vector(s_nom_sg: np.ndarray, reg: FeatureRegistry) -> np.ndarray:
     """Shift a nominative-singular meaning into its plural counterpart."""
     for f in (SINGULAR, PLURAL):
@@ -278,10 +271,3 @@ def reconstruct_analytical(
     corr = rowwise_pearson(rows, space.S)
     return registry, analytical, corr
 
-
-def save_space(space: SemanticSpace, matrix_path: str | os.PathLike, keys_path: str | os.PathLike) -> None:
-    """Dense binary matrix dump plus one key per line."""
-    np.save(matrix_path, space.S)
-    with open(keys_path, "w", encoding="utf-8") as fh:
-        for key in space.gold_keys:
-            fh.write("\t".join(str(k) for k in key) + "\n")

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ldlkit import CueConfig, Dataset, WordEntry, build_cue_matrix, build_inventory
+from ldlkit import (
+    CueConfig,
+    CueInventory,
+    Dataset,
+    PositionalSupportModel,
+    WordEntry,
+    build_cue_matrix,
+    build_inventory,
+)
 
 CONSONANTS = "bdfgklmnprstvz"
 VOWELS = "aeiou@"
@@ -139,3 +147,14 @@ def paradigm_lexicon(n_lemmas: int = 50, seed: int = 11, homophones: bool = True
                 )
             )
     return Dataset(entries)
+
+
+def model_from_dense(weights: np.ndarray, inventory: CueInventory, cfg: CueConfig) -> PositionalSupportModel:
+    """Compact positional model from a dense (max_len, input_dim, n_cues)
+    tensor; all-zero (position, cue) columns are dropped."""
+    max_len, input_dim, n_cues = weights.shape
+    assert n_cues == len(inventory), "dense weights need one column per inventory cue"
+    flat = np.moveaxis(np.asarray(weights, dtype=np.float64), 1, 0).reshape(input_dim, -1)
+    columns = np.flatnonzero(np.any(flat != 0.0, axis=0))
+    return PositionalSupportModel(weights=flat[:, columns], columns=columns, max_len=max_len,
+                                  inventory=inventory, cfg=cfg)

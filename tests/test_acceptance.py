@@ -97,7 +97,7 @@ def test_criterion_02_exact_memorization(toy100):
 def test_criterion_03_production_round_trip(toy100):
     with criterion(3, "produce() reproduces every toy training form"):
         d, cfg, strings, inv, C, space, F, pool = toy100
-        G = solve_endstate(space.S, C.rows, kind="production")
+        G = solve_endstate(space.S, C.rows)
         max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
         targets = positional_targets(strings, inv, cfg, max_len)
         model = train_positional(space.S @ G.W, targets, inv, cfg)

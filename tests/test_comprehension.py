@@ -17,8 +17,6 @@ from ldlkit import (
     build_cue_matrix,
     build_inventory,
     evaluate,
-    nearest_gold,
-    predict_semantics,
     score_items,
     simulate_vectors,
     solve_endstate,
@@ -44,59 +42,6 @@ from corpora import paradigm_lexicon, toy_lexicon
 def entry(wordform, lemma, case, number):
     return WordEntry(wordform=wordform, pronunciation=wordform.lower(), lemma=lemma,
                      case=case, number=number, gender="masculine", frequency=1)
-
-
-class TestNearestGold:
-    def space(self, rows):
-        return SemanticSpace(S=np.asarray(rows, dtype=float),
-                             gold_keys=[(i,) for i in range(len(rows))])
-
-    def test_identical_row_wins_with_r_one(self):
-        gold = self.space([[1.0, 2.0, 3.0], [3.0, -1.0, 0.0]])
-        idx, r = nearest_gold(np.array([1.0, 2.0, 3.0]), gold)
-        assert idx == 0
-        assert r == pytest.approx(1.0)
-
-    def test_exact_tie_breaks_to_lowest_index(self):
-        row = [1.0, -1.0, 2.0]
-        gold = self.space([row, row])
-        idx, _ = nearest_gold(np.array([2.0, 0.0, 1.0]), gold)
-        assert idx == 0
-
-    def test_zero_variance_prediction_flagged(self):
-        gold = self.space([[1.0, 2.0, 3.0]])
-        idx, r = nearest_gold(np.full(3, 5.0), gold)
-        assert idx == -1
-        assert np.isnan(r)
-
-    def test_affine_rescaling_keeps_argmax(self):
-        rng = np.random.default_rng(0)
-        gold = self.space(rng.normal(size=(6, 10)))
-        s = rng.normal(size=10)
-        base, _ = nearest_gold(s, gold)
-        for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
-            idx, _ = nearest_gold(a * s + b, gold)
-            assert idx == base
-
-    def test_empty_gold_rejected(self):
-        with pytest.raises(ComprehensionError):
-            nearest_gold(np.ones(3), SemanticSpace(S=np.zeros((0, 3)), gold_keys=[]))
-
-
-class TestPredict:
-    def test_zero_cue_vector(self):
-        m = solve_endstate(np.eye(3), np.ones((3, 2)))
-        np.testing.assert_array_equal(predict_semantics(np.zeros(3), m), np.zeros(2))
-
-    def test_identity_training_recovers_rows(self):
-        Y = np.arange(6.0).reshape(3, 2)
-        m = solve_endstate(np.eye(3), Y)
-        np.testing.assert_allclose(predict_semantics(np.eye(3)[1], m), Y[1])
-
-    def test_dimension_mismatch(self):
-        m = solve_endstate(np.eye(3), np.ones((3, 2)))
-        with pytest.raises(ComprehensionError):
-            predict_semantics(np.zeros(4), m)
 
 
 class TestFullRankToy:
@@ -226,15 +171,21 @@ def test_score_items_best_rows_match_per_row_nanargmax():
     cfg = CueConfig(unit="letter", n=2)
     pool = GoldPool.build(space, d, cfg)
     S_hat = np.vstack([base[1], rng.normal(size=(n - 2, 6)), np.full(6, 1.0)])
-    results = score_items(S_hat, space, pool, d, cfg)
-    R = pearson_matrix(S_hat, pool_rows(pool, space))
-    assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
-    assert R[0, 1] == R[0, 4]
-    for res, r in zip(results, R):
-        expected = -1 if np.isnan(r).all() else int(np.nanargmax(r))
-        assert res.best_index == expected
-    assert results[0].best_index == 1
-    assert results[-1].reason == "zero-variance prediction"
+    bests = None
+    # the plain predictions, then affine rescalings of them: correlation
+    # ignores scale and offset, so every best row stays
+    for a, b in ((1.0, 0.0), (2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
+        results = score_items(a * S_hat + b, space, pool, d, cfg)
+        R = pearson_matrix(a * S_hat + b, pool_rows(pool, space))
+        assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
+        assert R[0, 1] == R[0, 4]
+        for res, r in zip(results, R):
+            expected = -1 if np.isnan(r).all() else int(np.nanargmax(r))
+            assert res.best_index == expected
+        assert results[0].best_index == 1
+        assert results[-1].reason == "zero-variance prediction"
+        bests = bests or [res.best_index for res in results]
+        assert [res.best_index for res in results] == bests
 
 
 def test_pearson_matrix_matches_numpy_corrcoef():
@@ -296,23 +247,22 @@ def test_score_items_cached_statistics_match_direct_pearson():
     C = build_cue_matrix([cfg.cue_string(e) for e in d], inv, cfg)
     space = simulate_vectors(d, dim=30, seed=4)
     S_hat = C.rows @ solve_endstate(C.rows, space.S).W
-    ids = list(range(0, len(d), 3))
     for pool, gold in itertools.product(
         (GoldPool.build(space, d, cfg), GoldPool.build(space, d, cfg, restrict_ids=range(0, len(d), 2))),
         (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)),
     ):
         for _ in range(2):
-            results = score_items(S_hat, gold, pool, d, cfg, ids)
+            results = score_items(S_hat, gold, pool, d, cfg)
             r_own = [r.r_target for r in results]
-            assert r_own == rowwise_pearson(S_hat[ids], gold.S[ids]).tolist()
-            best = pearson_matrix(S_hat[ids], pool_rows(pool, space)).argmax(axis=1).tolist()
+            assert r_own == rowwise_pearson(S_hat, gold.S).tolist()
+            best = pearson_matrix(S_hat, pool_rows(pool, space)).argmax(axis=1).tolist()
             assert [r.best_index for r in results] == best
 
 
 @st.composite
 def scoring_cases(draw):
     """Gold rows with duplicates, predictions with constant rows, homophone
-    forms, and every way of choosing the pool, the gold space and the ids."""
+    forms, and every way of choosing the pool and the gold space."""
     n = draw(st.integers(2, 9))
     dims = draw(st.integers(2, 40))  # past numpy's pairwise-summation block of 8
     value = st.integers(-2, 2) | st.floats(-8, 8, allow_subnormal=False)
@@ -323,12 +273,10 @@ def scoring_cases(draw):
     for i in draw(st.sets(st.integers(0, n - 1))):
         S_hat[i] = S_hat[i, 0]  # zero variance
     forms = [f"W{draw(st.integers(0, n // 2))}" for _ in range(n)]
-    everyone = st.lists(st.integers(0, n - 1))
     return dict(
         gold=gold, S_hat=S_hat, forms=forms,
         pool_ids=draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted)),
         other_gold=draw(st.none() | st.just(np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float))),
-        ids=draw(st.none() | everyone),
         centred_input=draw(st.booleans()),
         chunk_bytes=draw(st.integers(8, 160)),
     )
@@ -367,7 +315,7 @@ _WIDE = np.random.default_rng(8).normal(size=(4, 37))
 @settings(max_examples=300, deadline=None)
 @example(case=dict(  # one-row blocks of 37 dims: several pairwise-summation blocks per row
     gold=_WIDE[[0, 1, 1, 2]], S_hat=_WIDE[[1, 2, 3, 0]] * 3.7 + 0.1, forms=["W0", "W1", "W0", "W2"],
-    pool_ids=[0, 1, 3], other_gold=None, ids=[3, 0, 2, 2], centred_input=False, chunk_bytes=8,
+    pool_ids=[0, 1, 3], other_gold=None, centred_input=False, chunk_bytes=8,
 ))
 def test_score_items_is_the_direct_pearson_on_copies(case):
     """Bit for bit, in row blocks of one to a few rows: a pool of every
@@ -381,20 +329,19 @@ def test_score_items_is_the_direct_pearson_on_copies(case):
     cfg = CueConfig(unit="letter", n=2)
     pool = GoldPool.build(space, d, cfg, restrict_ids=case["pool_ids"])
     gold = space if case["other_gold"] is None else SemanticSpace(S=case["other_gold"], gold_keys=keys)
-    ids = list(range(n)) if case["ids"] is None else case["ids"]
     S_hat = case["S_hat"].copy()
     given_rows = centre(S_hat) if case["centred_input"] else S_hat
     with mock.patch.object(comprehension, "CHUNK_BYTES", case["chunk_bytes"]):
-        results = score_items(given_rows, gold, pool, d, cfg, case["ids"])
-        R = pearson_matrix(case["S_hat"][ids], pool_rows(pool, space))
-        r_own = rowwise_pearson(case["S_hat"][ids], gold.S[ids].copy())
+        results = score_items(given_rows, gold, pool, d, cfg)
+        R = pearson_matrix(case["S_hat"], pool_rows(pool, space))
+        r_own = rowwise_pearson(case["S_hat"], gold.S.copy())
 
-    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"][ids], pool_rows(pool, space)))
-    np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"][ids], gold.S[ids], True))
+    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"], pool_rows(pool, space)))
+    np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"], gold.S, True))
     assert np.array_equal(S_hat, case["S_hat"])
-    assert [r.item_id for r in results] == ids
+    assert [r.item_id for r in results] == list(range(n))
     np.testing.assert_array_equal([r.r_target for r in results], r_own)
-    for res, i, r in zip(results, ids, R):
+    for i, (res, r) in enumerate(zip(results, R)):
         if np.isnan(r).all():
             assert (res.best_index, res.best_key, res.reason) == (-1, None, "zero-variance prediction")
             assert not (res.correct_strict or res.correct_lenient)
@@ -405,8 +352,7 @@ def test_score_items_is_the_direct_pearson_on_copies(case):
         assert res.correct_lenient == (cfg.cue_string(d[i]) in pool.cue_strings[best])
 
 
-@pytest.mark.parametrize("ids", [None, [3, 0, 3]])
-def test_score_items_leaves_its_input_unchanged(ids):
+def test_score_items_leaves_its_input_unchanged():
     rng = np.random.default_rng(5)
     S = rng.normal(size=(4, 6))
     d = Dataset([entry(f"W{i}", f"W{i}", "nominative", "singular") for i in range(4)])
@@ -415,7 +361,7 @@ def test_score_items_leaves_its_input_unchanged(ids):
     pool = GoldPool.build(space, d, cfg)
     S_hat = S + rng.normal(scale=0.1, size=S.shape)
     before = S_hat.copy()
-    score_items(S_hat, space, pool, d, cfg, ids)
+    score_items(S_hat, space, pool, d, cfg)
     assert np.array_equal(S_hat, before)
     assert np.array_equal(space.S, S)
 

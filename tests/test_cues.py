@@ -145,20 +145,3 @@ class TestMerge:
         with pytest.raises(Exception):
             merge_grams(["#al", "l@#"], PHONE3)
 
-
-def test_save_cue_matrix_triplets(tmp_path):
-    from ldlkit.cues import save_cue_matrix
-
-    corpus = ["al@", "bu"]
-    inv = build_inventory(corpus, PHONE3)
-    cm = build_cue_matrix(corpus, inv, PHONE3)
-    triplets = tmp_path / "c.triplets"
-    listing = tmp_path / "c.cues"
-    save_cue_matrix(cm, triplets, listing)
-    assert listing.read_text(encoding="utf-8").splitlines() == inv.cues
-    cells = [line.split("\t") for line in triplets.read_text().splitlines()]
-    rebuilt = np.zeros_like(cm.rows)
-    for r, c, one in cells:
-        assert one == "1"
-        rebuilt[int(r), int(c)] = 1.0
-    np.testing.assert_array_equal(rebuilt, cm.rows)

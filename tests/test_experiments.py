@@ -46,6 +46,12 @@ def data_path(tmp_path):
     return p
 
 
+def solves_f(X):
+    """Whether a solve_endstate call fits F: F's inputs are the binary cue
+    rows, G's the real-valued semantic rows."""
+    return bool(np.isin(X, (0.0, 1.0)).all())
+
+
 def base_config(data_path, tmp_path, **overrides):
     pairs = {
         "data": str(data_path),
@@ -438,7 +444,10 @@ class TestRunWug:
         save_dataset(paradigm_lexicon(10, seed=32), p)
         cfg = base_config(p, tmp_path, **{"cues.unit": "letter", "cues.n": "2"})
         report = run_wug(cfg, ["Bral", "QQQQ"])
-        assert "QQQQ" in report["skipped_nonces"]
+        assert report["skipped_nonces"] == ["QQQQ"]
+        # every gram is counted, repeats too: QQQQ's five grams #Q, QQ, QQ, QQ, Q#
+        assert report["novel_gram_counts"] == {"Bral": 4, "QQQQ": 5}
+        assert list(report["candidates"]) == ["Bral"]
 
     def test_privative_number_rejected(self, tmp_path):
         p = tmp_path / "corpus.tsv"
@@ -588,6 +597,10 @@ class TestCli:
         # an explicit 0 is a value, not "unset": it reaches the range checks
         ("semantics.dim=0", "dimension must be >= 1"),
         ("roles.subsample_lemmas=0", "empty dataset"),
+        ("learning.checkpoints=-1", "learning.checkpoints must be >= 0"),
+        ("roles.subsample_lemmas=-1", "roles.subsample_lemmas must be >= 0"),
+        ("production.max_len_margin=-50", "production.max_len_margin must be >= 0"),
+        ("learning.eta=0", "learning.eta must be > 0"),
     ])
     def test_out_of_range_value_exits_2_before_any_output(self, data_path, tmp_path, capsys,
                                                           override, message):
@@ -609,8 +622,8 @@ class TestCli:
             raise ProductionError("fit failed")
 
         if where == "worker":
-            monkeypatch.setattr(ex, "solve_endstate", lambda X, Y, kind: (
-                fail() if kind == "comprehension" else solve_endstate(X, Y, kind=kind)))
+            monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
+                fail() if solves_f(X) else solve_endstate(X, Y)))
         else:
             monkeypatch.setattr(ex, "train_positional", fail)
         before = set(threading.enumerate())
@@ -675,7 +688,7 @@ class TestOverlappedFits:
         train_ids = list(state.split.train_ids)
         S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
         forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
-        F = solve_endstate(cue_rows, S, kind="comprehension")
+        F = solve_endstate(cue_rows, S)
         G, positional = ex._production_model(cfg, state.C.inventory, S, cue_rows, forms)
         assert np.array_equal(state.F.W, F.W)
         assert np.array_equal(state.G.W, G.W)
@@ -687,16 +700,16 @@ class TestOverlappedFits:
                                                         with_production):
         threads = {}
 
-        def recording_solve(X, Y, kind="comprehension"):
-            threads[kind] = threading.current_thread()
-            return solve_endstate(X, Y, kind=kind)
+        def recording_solve(X, Y):
+            threads["F" if solves_f(X) else "G"] = threading.current_thread()
+            return solve_endstate(X, Y)
 
         monkeypatch.setattr(ex, "solve_endstate", recording_solve)
         before = set(threading.enumerate())
         ex.build_pipeline(base_config(data_path, tmp_path), with_production=with_production)
-        assert (threads.pop("comprehension") is threading.main_thread()) != with_production
+        assert (threads.pop("F") is threading.main_thread()) != with_production
         if with_production:
-            assert threads.pop("production") is threading.main_thread()
+            assert threads.pop("G") is threading.main_thread()
         assert not threads
         assert set(threading.enumerate()) == before
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
 from ldlkit.cues import csr_arrays
-from ldlkit.mappings import MappingError, load_mapping, save_mapping
+from ldlkit.mappings import MappingError
 
 
 def normal_equations_oracle(X, Y):
@@ -296,16 +296,3 @@ class TestPrune:
         fracs = [prune(m, t)[1] for t in np.linspace(0, 3, 10)]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
 
-
-def test_mapping_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = Mapping(W=rng.normal(size=(7, 4)), kind="production",
-                provenance="incremental", trained_tokens=123, eta=0.01)
-    path = tmp_path / "map.bin"
-    save_mapping(m, path)
-    back = load_mapping(path)
-    np.testing.assert_array_equal(back.W, m.W)
-    assert back.kind == "production"
-    assert back.provenance == "incremental"
-    assert back.trained_tokens == 123
-    assert back.eta == 0.01

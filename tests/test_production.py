@@ -17,13 +17,12 @@ from ldlkit import (
 )
 from ldlkit.cues import extract_grams
 from ldlkit.production import (
-    PositionalSupportModel,
     ProductionError,
     ProductionParams,
     positional_targets,
 )
 
-from corpora import toy_lexicon
+from corpora import model_from_dense, toy_lexicon
 
 PHONE3 = CueConfig(unit="phone", n=3)
 
@@ -44,7 +43,7 @@ def support_model(rows_by_position, inv, cfg):
     for p, row in enumerate(rows_by_position):
         for gram, value in row.items():
             W[p, 0, inv.index[gram]] = value
-    return PositionalSupportModel.from_dense(W, inv, cfg)
+    return model_from_dense(W, inv, cfg)
 
 
 def support_of(m, x):
@@ -121,7 +120,7 @@ class TestEnumeratePaths:
     def test_raising_theta_never_enlarges_candidates(self):
         rng = np.random.default_rng(0)
         W = rng.random((4, 1, len(self.inv)))
-        m = PositionalSupportModel.from_dense(W, self.inv, PHONE3)
+        m = model_from_dense(W, self.inv, PHONE3)
         previous = None
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             surfaces = {p.surface for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta)}
@@ -165,7 +164,7 @@ class TestEnumeratePaths:
     def test_tolerance_off_all_grams_meet_theta(self):
         rng = np.random.default_rng(1)
         W = rng.random((4, 1, len(self.inv)))
-        m = PositionalSupportModel.from_dense(W, self.inv, PHONE3)
+        m = model_from_dense(W, self.inv, PHONE3)
         theta = 0.4
         sup = dense_support(m, [1.0])
         for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta):
@@ -178,7 +177,7 @@ class TestEnumeratePaths:
         rng = np.random.default_rng(2)
         for trial in range(30):
             W = rng.normal(size=(6, 3, len(inv)))
-            m = PositionalSupportModel.from_dense(W, inv, PHONE3)
+            m = model_from_dense(W, inv, PHONE3)
             x = rng.normal(size=3)
             for tol in (False, True):
                 paths = enumerate_paths(m, support_of(m, x), k=4, theta=0.1, tolerance=tol)
@@ -192,7 +191,7 @@ class TestEnumeratePaths:
         corpus = ["bada", "dalu", "badalu", "luba"]
         inv = build_inventory(corpus, PHONE3)
         W = np.abs(rng.normal(size=(6, 1, len(inv))))
-        m = PositionalSupportModel.from_dense(W, inv, PHONE3)
+        m = model_from_dense(W, inv, PHONE3)
         full = enumerate_paths(m, support_of(m, [1.0]), k=6, theta=0.0)
         assert len(full) > 1 and not full.truncated
         capped = enumerate_paths(m, support_of(m, [1.0]), k=6, theta=0.0, max_paths=1)
@@ -268,7 +267,7 @@ class TestProduce:
         C = build_cue_matrix(strings, inv, cfg)
         space = simulate_vectors(d, dim=n_forms + 20, seed=5)
         F = solve_endstate(C.rows, space.S)
-        G = solve_endstate(space.S, C.rows, kind="production")
+        G = solve_endstate(space.S, C.rows)
         max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
         targets = positional_targets(strings, inv, cfg, max_len)
         model = train_positional(space.S @ G.W, targets, inv, cfg)

@@ -23,7 +23,7 @@ from ldlkit.production import (
     synthesize_by_analysis,
 )
 
-from corpora import paradigm_lexicon
+from corpora import model_from_dense, paradigm_lexicon
 
 EPS = np.finfo(np.float64).eps
 
@@ -170,7 +170,7 @@ def test_search_supports_choose_as_input_order_sums(
     u = rng.normal(size=input_dim)
     W += 1e14 * u[None, :, None] * (rng.random((max_len, 1, n_cues)) < 0.5)
     W *= rng.random((max_len, 1, n_cues)) >= zero_share  # all-zero (position, cue) columns
-    m = PositionalSupportModel.from_dense(W, letter_inventory(n_cues), CueConfig(unit="letter", n=3))
+    m = model_from_dense(W, letter_inventory(n_cues), CueConfig(unit="letter", n=3))
     assert m.weights.shape == (input_dim, int(np.any(W != 0.0, axis=1).sum()))
 
     rows_per_chunk = 3
@@ -205,7 +205,7 @@ def test_from_dense_keeps_attested_columns_in_flat_order():
     W = np.zeros((2, 1, 3))
     W[0, 0, 2], W[1, 0, 0] = 5.0, -1.0
     inv = CueInventory(["#a", "a#", "#b"])
-    m = PositionalSupportModel.from_dense(W, inv, CueConfig(unit="letter", n=2))
+    m = model_from_dense(W, inv, CueConfig(unit="letter", n=2))
     assert m.columns.tolist() == [2, 3]
     assert m.weights.tolist() == [[5.0, -1.0]]
     assert m.ends.tolist() == [0, 1, 2] and m.cue_ids.tolist() == [2, 0]
@@ -231,7 +231,7 @@ def pipeline(request, tmp_path_factory):
 def test_compact_weights_are_the_attested_dense_columns(pipeline):
     state, _, W = pipeline
     m = state.positional
-    dense = PositionalSupportModel.from_dense(W, m.inventory, m.cfg)
+    dense = model_from_dense(W, m.inventory, m.cfg)
     assert np.array_equal(dense.columns, m.columns)
     assert np.array_equal(dense.weights, m.weights)
 

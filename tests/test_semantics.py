@@ -11,9 +11,17 @@ from ldlkit import (
     simulate_vectors,
     wug_plural_vector,
 )
-from ldlkit.semantics import FeatureRegistry, SemanticsError, compose_vector
+from ldlkit.semantics import FeatureRegistry, SemanticsError
 
 from corpora import paradigm_lexicon
+
+
+def compose_vector(reg, lemma, features):
+    """The noise-free vector of a lemma with the given features."""
+    row = reg.lexeme_vectors[lemma].copy()
+    for f in features:
+        row += reg.feature_vectors[f]
+    return row
 
 
 def entry(wordform, lemma, case, number, role=None, definiteness=None):
@@ -274,17 +282,3 @@ class TestReconstructAnalytical:
         assert np.all(np.isnan(corr[constant]))
         assert not np.any(np.isnan(old[constant])), "the old formula scored round-off"
 
-
-def test_save_space_round_trip(tmp_path):
-    from ldlkit.semantics import save_space
-
-    d = paradigm_lexicon(4)
-    space = simulate_vectors(d, dim=6, seed=14)
-    matrix = tmp_path / "space.npy"
-    keys = tmp_path / "keys.txt"
-    save_space(space, matrix, keys)
-    back = np.load(matrix)
-    np.testing.assert_array_equal(back, space.S)
-    lines = keys.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(space.gold_keys)
-    assert lines[0].split("\t")[0] == space.gold_keys[0][0]
