@@ -5,7 +5,18 @@ Binary n-gram form vectors are mapped onto real-valued semantic vectors
 either in closed form or incrementally token by token.  Word forms are
 synthesized by assembling supported n-grams into overlap-valid paths
 and reranking them through the comprehension mapping.
+
+BLAS runs on one thread unless the environment sets a count: how a
+product rounds depends on the thread count, and one thread writes the
+same bytes on every machine.  The default is set here, before anything
+imports numpy; it has no effect when numpy was imported first.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .cues import (
     CueConfig,

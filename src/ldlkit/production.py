@@ -8,7 +8,10 @@ well each inventory cue is supported at each position; paths are
 assembled depth-first from the top-k supported cues per position, with
 an optional tolerance budget for weakly supported cues, and the
 surviving candidates are ranked by how well their own projected meaning
-correlates with the target meaning.
+correlates with the target meaning.  That correlation is computed in cue
+space: per item, from the centred rows of F.W of only the cues its
+candidates use and their Gram matrix, never from a dense candidate-by-cue
+matrix or the candidates' projections.
 
 Positional support models are estimated in closed form only; there is
 no token-by-token training path for them.  A model stores only the
@@ -32,7 +35,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .cues import CueConfig, CueInventory, extract_grams
-from .comprehension import pearson_matrix
 from .mappings import Mapping
 
 
@@ -410,6 +412,12 @@ def enumerate_paths(
     return out
 
 
+# A candidate whose centred cue rows sum to a squared norm below CANCELLATION
+# times the sum of their squared norms is scored from the sum itself
+# (synthesize_by_analysis).
+CANCELLATION = 1e-3
+
+
 def synthesize_by_analysis(
     candidates: Sequence[CandidatePath],
     F: Mapping,
@@ -418,20 +426,68 @@ def synthesize_by_analysis(
 ) -> list[CandidatePath]:
     """Rank candidates by the fit of their own projected meanings.
 
-    Each candidate's binary cue vector is mapped through the
-    comprehension matrix; the Pearson correlation of that projection
-    with the target meaning is the candidate's score.  Sorting is by
-    descending score with the surface string as deterministic
-    tie-break; degenerate projections rank last.
+    A candidate's score is the Pearson correlation of its binary cue
+    vector mapped through the comprehension matrix, c @ F.W, with the
+    target meaning; a gram that occurs twice in a path counts once.
+    Sorting is by descending score with the surface string as
+    deterministic tie-break; degenerate projections (NaN) rank last.
+
+    The correlation is computed in cue space, from only the cues that
+    the item's candidates use.  Centring is linear, so the centred
+    projection of a candidate is the sum of its cues' centred rows of
+    F.W.  With Fc those rows for the sorted union U of the candidates'
+    cues and s_c the centred target, a candidate with local cue ids
+    ids scores
+
+        r = sum(u[ids]) / sqrt(sum(K[ids, ids]) * |s_c|^2),
+        u = Fc @ s_c,  K = Fc @ Fc.T,
+
+    which equals the dense Pearson up to round-off (within 1e-12 in the
+    tests).  The rounding error of sum(K[ids, ids]) grows as the
+    candidate's rows cancel; a candidate whose sum falls below
+    CANCELLATION times sum(diag(K)[ids]) is scored from the sum of its
+    rows of F.W instead, as the dense path scores it.  Each path takes
+    at most one cue per position from that position's top k, so
+    |U| <= k * max_len whatever the inventory size: no (candidates,
+    cues), (candidates, dims) or (cues, cues) array is built.
     """
     if not candidates:
         return []
-    rows = [i for i, c in enumerate(candidates) for _ in c.grams]
-    cols = [inv.index[g] for c in candidates for g in c.grams]
-    C = np.zeros((len(candidates), len(inv)))
-    C[rows, cols] = 1.0
-    S_hat = C @ F.W
-    r = pearson_matrix(S_hat, np.asarray(s_target, dtype=np.float64)[None, :])[:, 0]
+    n = len(candidates)
+    lengths = np.fromiter((len(c.grams) for c in candidates), dtype=np.int64, count=n)
+    flat = np.fromiter((inv.index[g] for c in candidates for g in c.grams), dtype=np.int64,
+                       count=int(lengths.sum()))
+    U, local = np.unique(flat, return_inverse=True)
+    pad = U.size  # index of the zero entry of u and K
+    ids = np.full((n, int(lengths.max())), pad)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = local
+    ids.sort(axis=1)
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad  # a repeated gram counts once
+    # Sorted again, candidates with the same cue set get the same row, and
+    # so the same score to the bit: they tie, as their dense rows do.
+    ids.sort(axis=1)
+
+    rows = F.W[U]
+    Fc = np.zeros((pad + 1, rows.shape[1]))  # the pad's row stays zero
+    np.subtract(rows, rows.mean(axis=1, keepdims=True), out=Fc[:pad])
+    Fc[:pad][(rows == rows[:, :1]).all(axis=1)] = 0.0  # a constant row has no variance
+    s = np.asarray(s_target, dtype=np.float64)
+    s_c = np.zeros_like(s) if (s == s[0]).all() else s - s.mean()
+    u = Fc @ s_c
+    K = Fc @ Fc.T
+
+    num = u[ids].sum(axis=1)
+    sq = np.zeros(n)
+    for a in range(ids.shape[1]):
+        sq += K[ids[:, a : a + 1], ids].sum(axis=1)
+    cancelled = np.flatnonzero(sq < CANCELLATION * np.diag(K)[ids].sum(axis=1))
+    for i in cancelled:
+        p = rows[ids[i][ids[i] < pad]].sum(axis=0)
+        p_c = np.zeros_like(p) if (p == p[0]).all() else p - p.mean()
+        num[i], sq[i] = p_c @ s_c, p_c @ p_c
+    den = sq * (s_c @ s_c)  # > 0 unless either side has no variance
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(den > 0, num / np.sqrt(den), np.nan)
     scored = [replace(c, score=float(r[i])) for i, c in enumerate(candidates)]
     scored.sort(key=lambda c: (-(c.score if not np.isnan(c.score) else -2.0), c.surface))
     return scored

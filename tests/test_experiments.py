@@ -750,6 +750,40 @@ class TestNumpyOnlyRuntime:
         assert proc.stdout.strip() == "[]"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records OPENBLAS_NUM_THREADS as numpy is first imported, then imports ldlkit.
+BLAS_AT_NUMPY_IMPORT = """
+import json, os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import ldlkit
+print(json.dumps([seen[0]] + [os.environ.get(k) for k in sys.argv[1:]]))
+"""
+
+
+class TestBlasThreads:
+    """import ldlkit gives BLAS one thread unless the environment sets a count."""
+
+    def run(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(preset, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", BLAS_AT_NUMPY_IMPORT, *BLAS_THREAD_VARS],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_one_thread_by_default_before_numpy_loads(self):
+        assert self.run() == ["1", "1", "1", "1"]
+
+    def test_a_count_the_user_sets_wins(self):
+        assert self.run(OPENBLAS_NUM_THREADS="2") == ["2", "2", "1", "1"]
+
+
 def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
     """Traced bytes of one comprehension_scores call: the (items, dims)
     predictions and the (items, pool rows) correlations, plus a slack of two

@@ -253,6 +253,52 @@ class TestSynthesizeByAnalysis:
         ranked = synthesize_by_analysis([c1, c2], F, np.array([1.0, 2.0, 3.0]), inv)
         assert [c.surface for c in ranked] == ["ab", "ba"]
 
+    def test_degenerate_projections_rank_last(self):
+        from ldlkit import CueInventory, Mapping
+        from ldlkit.production import CandidatePath
+
+        inv = CueInventory(["#a", "a#", "#b", "b#", "#c"])
+        F = Mapping(np.array([
+            [0.0, 0.0, 0.0, 0.0],     # #a: a zero row
+            [2.5, 2.5, 2.5, 2.5],     # a#: a constant row
+            [1.0, -1.0, 0.5, 2.0],
+            [0.0, 3.0, -1.0, 1.0],
+            [-7.0, -7.0, -7.0, -7.0],  # #c: another constant row
+        ]))
+        cands = [
+            CandidatePath(grams=("#a", "a#"), surface="a"),
+            CandidatePath(grams=("#b", "b#"), surface="b"),
+            CandidatePath(grams=("#c", "a#", "#a"), surface="c"),
+            CandidatePath(grams=("#b", "a#"), surface="ba"),
+        ]
+        ranked = synthesize_by_analysis(cands, F, np.array([0.2, 1.0, -0.3, 0.4]), inv)
+        assert [c.surface for c in ranked[2:]] == ["a", "c"]
+        assert all(np.isnan(c.score) for c in ranked[2:])
+        assert not any(np.isnan(c.score) for c in ranked[:2])
+        # A constant target has no variance either: every score is NaN.
+        flat = synthesize_by_analysis(cands, F, np.full(4, 0.7), inv)
+        assert [c.surface for c in flat] == ["a", "b", "ba", "c"]
+        assert all(np.isnan(c.score) for c in flat)
+
+    def test_repeated_gram_counts_once(self):
+        from ldlkit import CueInventory, Mapping
+        from ldlkit.production import CandidatePath
+
+        # Paths of nine and more cues: numpy sums eight or more terms pairwise,
+        # so the repeat must not move a cue's place in the sums.
+        inv = CueInventory([f"g{j}" for j in range(12)])
+        F = Mapping(np.random.default_rng(3).normal(size=(12, 6)))
+        grams = tuple(inv.cues[:9])
+        once = CandidatePath(grams=grams, surface="once")
+        twice = CandidatePath(grams=grams[:2] + grams[1:], surface="twice")
+        other = CandidatePath(grams=grams[:8] + (inv.cues[11],), surface="other")
+        ranked = synthesize_by_analysis([twice, other, once], F, np.arange(6.0) ** 2, inv)
+        by_surface = {c.surface: c.score for c in ranked}
+        assert by_surface["once"] == by_surface["twice"]
+        assert by_surface["once"] != by_surface["other"]
+        surfaces = [c.surface for c in ranked]
+        assert surfaces.index("once") + 1 == surfaces.index("twice")
+
     def test_empty_candidates(self):
         F = solve_endstate(np.eye(2), np.ones((2, 2)))
         inv = build_inventory(["ab"], CueConfig(unit="phone", n=2))

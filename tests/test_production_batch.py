@@ -13,6 +13,7 @@ from ldlkit import experiments as ex
 from ldlkit.comprehension import pearson_matrix
 from ldlkit.cues import CueConfig, CueInventory, extract_grams
 from ldlkit.lexicon import save_dataset
+from ldlkit.mappings import Mapping
 from ldlkit.production import (
     CandidatePath,
     PositionalSupportModel,
@@ -276,19 +277,107 @@ def test_production_allocates_no_dense_support_block(tmp_path):
     assert peak < dense_bytes
 
 
+# Cue-space synthesis scores against the Pearson of the dense C @ F.W rows.
+SYNTHESIS_TOL = 1e-12
+
+
+def dense_synthesis_scores(cands, F, target, inv):
+    """Reference: each candidate's binary cue row (a repeated gram sets its
+    cue once) mapped through F.W, correlated with the target."""
+    rows = np.zeros((len(cands), len(inv)))
+    for i, c in enumerate(cands):
+        for g in c.grams:
+            rows[i, inv.index[g]] = 1.0
+    return pearson_matrix(rows @ F.W, np.asarray(target, dtype=np.float64)[None, :])[:, 0]
+
+
+def check_synthesis_against_dense(cands, F, target, inv):
+    """Scores within SYNTHESIS_TOL of the dense Pearson and NaN at the same
+    candidates; the ranked order is the dense one wherever two dense
+    scores lie more than SYNTHESIS_TOL apart."""
+    dense = dict(zip((c.surface for c in cands), dense_synthesis_scores(cands, F, target, inv)))
+    ranked = synthesize_by_analysis(cands, F, target, inv)
+    assert sorted(c.surface for c in ranked) == sorted(dense)
+    for c in ranked:
+        ref = dense[c.surface]
+        assert np.isnan(c.score) == np.isnan(ref), (c.surface, c.score, ref)
+        if not np.isnan(ref):
+            assert abs(c.score - ref) <= SYNTHESIS_TOL, (c.surface, c.score, ref)
+    for i, a in enumerate(ranked):
+        for b in ranked[i + 1 :]:
+            da, db = dense[a.surface], dense[b.surface]
+            if np.isnan(da) or np.isnan(db):
+                assert np.isnan(db) and (not np.isnan(da) or a.surface < b.surface)
+            elif abs(da - db) > SYNTHESIS_TOL:
+                assert da > db, (a.surface, da, b.surface, db)
+    return ranked
+
+
 def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):
     state, _, _ = pipeline
     m, F, cfg = state.positional, state.F, state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train][:20]
     cands = [CandidatePath(grams=tuple(extract_grams(f, cfg)), surface=f) for f in dict.fromkeys(forms)]
-    rows = np.zeros((len(cands), len(m.inventory)))
-    for i, c in enumerate(cands):
-        for g in c.grams:
-            rows[i, m.inventory.index[g]] = 1.0
     target = state.space.S[state.split.train_ids[0]]
-    r = pearson_matrix(rows @ F.W, target[None, :])[:, 0]
-    expected = dict(zip((c.surface for c in cands), r))
-    ranked = synthesize_by_analysis(cands, F, target, m.inventory)
+    ranked = check_synthesis_against_dense(cands, F, target, m.inventory)
     assert len(ranked) == len(cands) > 1
-    for c in ranked:
-        assert c.score == expected[c.surface]
+    assert not any(np.isnan(c.score) for c in ranked)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cues=st.integers(1, 12),
+    dims=st.integers(1, 6),
+    n_cands=st.sampled_from([1, 2, 40]),
+    max_grams=st.integers(1, 8),
+    target=st.sampled_from(["varied", "constant"]),
+)
+@example(seed=0, n_cues=3, dims=4, n_cands=1, max_grams=1, target="varied")
+@settings(max_examples=200, deadline=None)
+def test_cue_space_synthesis_is_the_dense_pearson(seed, n_cues, dims, n_cands, max_grams, target):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(n_cues, dims)) * rng.uniform(0.1, 10.0, size=(n_cues, 1))
+    kind = rng.choice(["varied", "zero", "constant"], size=n_cues, p=[0.6, 0.2, 0.2])
+    W[kind == "zero"] = 0.0
+    W[kind == "constant"] = rng.normal(size=(int((kind == "constant").sum()), 1))
+    inv = letter_inventory(n_cues)
+    # Grams are drawn with replacement, so a path may repeat one.
+    cands = [
+        CandidatePath(grams=tuple(inv.cues[j] for j in rng.integers(0, n_cues, rng.integers(1, max_grams + 1))),
+                      surface=f"c{i:02d}")
+        for i in range(n_cands)
+    ]
+    s = rng.normal(size=dims) if target == "varied" else np.full(dims, rng.normal())
+    check_synthesis_against_dense(cands, Mapping(W), s, inv)
+
+
+def test_synthesis_of_cancelling_rows_is_the_dense_pearson():
+    """Two cue rows that sum to almost nothing (exactly, in floating point):
+    summed products of the rows would lose every digit of the sum, so the
+    candidate is scored from the sum itself."""
+    inv = letter_inventory(3)
+    F = Mapping(np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.000001], [0.5, -1.0, 2.0, 0.0]]))
+    cands = [CandidatePath(grams=(inv.cues[0], inv.cues[1]), surface="ab"),
+             CandidatePath(grams=(inv.cues[0], inv.cues[1], inv.cues[2]), surface="abc"),
+             CandidatePath(grams=(inv.cues[1],), surface="b")]
+    ranked = check_synthesis_against_dense(cands, F, np.array([0.3, -0.2, 0.1, -0.9]), inv)
+    assert [c.surface for c in ranked] == ["ab", "b", "abc"]
+
+
+def test_synthesis_allocates_nothing_of_candidates_by_cues():
+    rng = np.random.default_rng(5)
+    n_cues, dims, n_cands = 4000, 20, 500
+    inv = letter_inventory(n_cues)
+    F = Mapping(rng.normal(size=(n_cues, dims)))
+    used = rng.choice(n_cues, size=30, replace=False)
+    cands = [CandidatePath(grams=tuple(inv.cues[j] for j in rng.choice(used, size=7)), surface=f"c{i}")
+             for i in range(n_cands)]
+    dense_bytes = n_cands * n_cues * 8
+    tracemalloc.start()
+    try:
+        ranked = synthesize_by_analysis(cands, F, rng.normal(size=dims), inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == n_cands
+    assert peak < dense_bytes // 20
