@@ -16,6 +16,7 @@ import csv
 import json
 import operator
 import os
+from collections import Counter
 from dataclasses import Field, dataclass, field, fields
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -659,10 +660,14 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     Comprehension is trained on all real words; each nonce's meaning is
     inferred from its singular form, shifted to a plural meaning, and
     mapped back to candidate forms.  The production mapping is re-solved
-    with the nonces included (known only as singulars).
+    with the nonces included (known only as singulars), so each nonce word
+    may be given once.
     """
     if not nonce_words:
         raise ConfigError("no nonce words supplied")
+    repeated = [w for w, n in Counter(nonce_words).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"nonce words must be distinct; repeated: {', '.join(repeated)}")
     if cfg.number_opposition != "equipollent":
         raise ConfigError("the plural shift needs both number vectors; "
                           f"{_key_of('number_opposition')} must be equipollent")

@@ -18,18 +18,20 @@ no token-by-token training path for them.  A model stores only the
 (position, cue) columns attested in training: a cue that never fills a
 position has support exactly 0 there, so the model keeps one
 (input_dim, n_attested) weight matrix and the flat position-cue index of
-each column.  Supports stay in that compact form all the way through
-the path search: they are computed for a batch of inputs with one
-matrix product, and the search places one position's attested values
-at a time in a row of zeros, one per cue, to pick that position's top
-k.  The few supports that can decide the search's top-k choice are
-summed again in input order (search_supports), so an item's candidates
-do not depend on the batch it is computed in.
+each column.  Supports stay in that compact form until the path search:
+they are computed for a batch of inputs with one matrix product, and the
+search scatters one item's attested values into a (max_len, n_cues)
+block of zeros to pick every position's top k at once.  The few supports
+that can decide that choice are summed again in input order
+(search_supports), so an item's candidates do not depend on the batch it
+is computed in.  A candidate is a path of cue ids from the search to the
+ranking; a CandidatePath with its grams is built only for the kept top n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -79,9 +81,9 @@ class PositionalSupportModel:
     (input_dim, n_attested) maps the configured input space (predicted
     cue vector or semantic vector) to the support of cue j at position p,
     where columns[c] == p * n_cues + j; every other cue has support 0.
-    Position p's columns are ends[p]:ends[p + 1], and cue_ids holds each
-    column's j.  The inventory's token lists and (n-1)-unit overlap keys
-    are computed once here for the path search.
+    Position p's columns are ends[p]:ends[p + 1].  The inventory's token
+    lists and (n-1)-unit overlap keys are computed once here for the path
+    search.
     """
 
     weights: np.ndarray  # (input_dim, n_attested)
@@ -90,7 +92,6 @@ class PositionalSupportModel:
     inventory: CueInventory
     cfg: CueConfig
     ends: np.ndarray = field(init=False, repr=False, compare=False)
-    cue_ids: np.ndarray = field(init=False, repr=False, compare=False)
     tokens: list[list[str]] = field(init=False, repr=False, compare=False)
     prefixes: list[tuple] = field(init=False, repr=False, compare=False)
     suffixes: list[tuple] = field(init=False, repr=False, compare=False)
@@ -98,9 +99,7 @@ class PositionalSupportModel:
     def __post_init__(self):
         if self.weights.shape[1] != self.columns.size:
             raise ProductionError("weights need one column per attested (position, cue) pair")
-        n_cues = len(self.inventory)
-        self.ends = _position_ends(self.columns, self.max_len, n_cues)
-        self.cue_ids = self.columns % n_cues
+        self.ends = _position_ends(self.columns, self.max_len, len(self.inventory))
         self.tokens = [self.cfg.tokens(g) for g in self.inventory.cues]
         k = self.cfg.n - 1
         self.prefixes = [tuple(t[:k]) for t in self.tokens]
@@ -113,7 +112,7 @@ class PositionalSupportModel:
 
     def search_supports(self, X: np.ndarray, params: ProductionParams) -> np.ndarray:
         """supports(X), with every value that can change the path search's
-        choice of cues (_position_candidates) summed in input order.
+        choice of cues (_candidates_by_position) summed in input order.
 
         A matrix product may add its terms in any order.  With near-singular
         inputs, weights reach ~1e12, so that order can move a support by
@@ -273,16 +272,32 @@ class CandidatePath:
     score: float = float("nan")
 
 
-class CandidatePaths(list):
-    """The paths of one search; truncated is set when max_paths stopped it."""
+class CandidatePaths(dict):
+    """The paths of one search, surface -> (cue ids, tolerated count) in the
+    order found; truncated is set when max_paths stopped the search."""
 
     truncated: bool = False
 
 
-def _position_candidates(
-    support: np.ndarray, k: int, theta: float, tolerance: bool
-) -> list[tuple[int, bool]]:
-    """Top-k cues at one position: (cue index, is_weak) pairs.
+def _check_search_ranges(k: int, theta: float, max_tolerated: int, max_paths: Optional[int]):
+    """The ranges of the path search's parameters, for ProductionParams and
+    enumerate_paths alike."""
+    if k < 1:
+        raise ProductionError(f"k must be >= 1, got {k}")
+    if theta < 0:
+        raise ProductionError(f"theta must be >= 0, got {theta}")
+    if max_tolerated < 0:
+        raise ProductionError(f"max_tolerated must be >= 0, got {max_tolerated}")
+    if max_paths is not None and max_paths < 1:
+        raise ProductionError(f"max_paths must be >= 1, got {max_paths}")
+
+
+def _candidates_by_position(
+    m: PositionalSupportModel, support: np.ndarray, k: int, theta: float, tolerance: bool
+) -> list[list[tuple[int, bool]]]:
+    """Each position's top-k cues as (cue index, is_weak) pairs, from one
+    item's compact support row scattered into a (max_len, n_cues) block of
+    zeros.
 
     Cues at or above theta are free; below-theta cues appear only in
     tolerance mode and draw on the path's tolerated budget.  The chosen k
@@ -291,30 +306,17 @@ def _position_candidates(
     argpartition, not to the cue index; ROADMAP item 3 plans to break
     those ties by the lowest cue index.
     """
-    k = min(k, support.size)
-    top = np.argpartition(-support, k - 1)[:k] if k < support.size else np.arange(support.size)
-    order = top[np.lexsort((top, -support[top]))]
-    out = []
-    for j in order:
-        if support[j] >= theta:
-            out.append((int(j), False))
-        elif tolerance:
-            out.append((int(j), True))
-    return out
-
-
-def _candidates_by_position(
-    m: PositionalSupportModel, support: np.ndarray, k: int, theta: float, tolerance: bool
-) -> list[list[tuple[int, bool]]]:
-    """_position_candidates of each position, from one item's compact
-    support row: the position's attested values are placed in a row of
-    zeros, one per cue."""
-    per_pos = []
-    for a, b in zip(m.ends, m.ends[1:]):
-        row = np.zeros(len(m.inventory))
-        row[m.cue_ids[a:b]] = support[a:b]
-        per_pos.append(_position_candidates(row, k, theta, tolerance))
-    return per_pos
+    n_cues = len(m.inventory)
+    block = np.zeros((m.max_len, n_cues))
+    block.flat[m.columns] = support
+    k = min(k, n_cues)
+    top = (np.argpartition(-block, k - 1, axis=1)[:, :k] if k < n_cues
+           else np.broadcast_to(np.arange(n_cues), block.shape))
+    vals = np.take_along_axis(block, top, axis=1)
+    order = np.lexsort((top, -vals), axis=1)
+    top = np.take_along_axis(top, order, axis=1).tolist()
+    free = (np.take_along_axis(vals, order, axis=1) >= theta).tolist()
+    return [[(j, not f) for j, f in zip(js, fs) if f or tolerance] for js, fs in zip(top, free)]
 
 
 def enumerate_paths(
@@ -333,16 +335,14 @@ def enumerate_paths(
     every other cue (_candidates_by_position).
     Depth-first expansion over the per-position top-k candidate cues;
     a path may use at most max_tolerated sub-threshold cues when
-    tolerance is on.  Results are deduplicated by surface string.  An
-    empty list is a legitimate outcome (nothing sufficiently supported).
-    max_paths optionally truncates the search as a runaway guard, and
-    the result's truncated flag records that it did; the default
-    explores everything.
+    tolerance is on.  Each distinct surface string maps to the cue ids of
+    the first path that spells it and that path's tolerated count; an
+    empty result is a legitimate outcome (nothing sufficiently
+    supported).  max_paths optionally truncates the search as a runaway
+    guard, and the result's truncated flag records that it did; the
+    default explores everything.
     """
-    if k < 1:
-        raise ProductionError(f"k must be >= 1, got {k}")
-    if theta < 0:
-        raise ProductionError(f"theta must be >= 0, got {theta}")
+    _check_search_ranges(k, theta, max_tolerated, max_paths)
     if np.shape(support) != m.columns.shape:
         raise ProductionError(
             f"support must be one item's ({m.columns.size},) row of attested columns, "
@@ -352,7 +352,6 @@ def enumerate_paths(
 
     cfg = m.cfg
     boundary = cfg.boundary
-    grams = m.inventory.cues
     tok = m.tokens
     n = cfg.n
 
@@ -365,25 +364,19 @@ def enumerate_paths(
             d.setdefault(m.prefixes[j], []).append((j, weak))
         by_prefix.append(d)
 
-    results: dict[str, CandidatePath] = {}
     out = CandidatePaths()
     budget = max_tolerated if tolerance else 0
 
-    def emit(path: list[int], tolerated: int) -> None:
-        # Overlap holds by construction: merge the cached tokens directly.
-        surface = _surface(tok[path[0]] + [tok[j][-1] for j in path[1:]], cfg)
-        if surface not in results:
-            results[surface] = CandidatePath(
-                grams=tuple(grams[j] for j in path), surface=surface, tolerated_count=tolerated
-            )
-
     def dfs(path: list[int], tolerated: int) -> bool:
-        if max_paths is not None and len(results) >= max_paths:
+        if max_paths is not None and len(out) >= max_paths:
             out.truncated = True
             return False
         last = path[-1]
         if tok[last][-1] == boundary:
-            emit(path, tolerated)
+            # Overlap holds by construction: merge the cached tokens directly.
+            surface = _surface(tok[path[0]] + [tok[j][-1] for j in path[1:]], cfg)
+            if surface not in out:
+                out[surface] = (tuple(path), tolerated)
             return True
         depth = len(path)
         if depth >= m.max_len:
@@ -408,7 +401,9 @@ def enumerate_paths(
             continue
         if not dfs([j], t):
             break
-    out.extend(results.values())
+    # dfs refers to itself; unless that cycle is cut here, it keeps out's
+    # paths alive until the cyclic garbage collector next runs.
+    del dfs
     return out
 
 
@@ -419,18 +414,23 @@ CANCELLATION = 1e-3
 
 
 def synthesize_by_analysis(
-    candidates: Sequence[CandidatePath],
+    candidates: dict[str, tuple[Sequence[int], int]],
     F: Mapping,
     s_target: np.ndarray,
     inv: CueInventory,
+    top_n: Optional[int] = None,
 ) -> list[CandidatePath]:
     """Rank candidates by the fit of their own projected meanings.
 
-    A candidate's score is the Pearson correlation of its binary cue
-    vector mapped through the comprehension matrix, c @ F.W, with the
-    target meaning; a gram that occurs twice in a path counts once.
-    Sorting is by descending score with the surface string as
-    deterministic tie-break; degenerate projections (NaN) rank last.
+    candidates maps each surface string to its path of cue ids and
+    tolerated count, as enumerate_paths returns them.  A candidate's
+    score is the Pearson correlation of its binary cue vector mapped
+    through the comprehension matrix, c @ F.W, with the target meaning; a
+    gram that occurs twice in a path counts once.  Ranking is by
+    descending score with the surface string as deterministic tie-break;
+    degenerate projections (NaN) rank last.  Only the first top_n (all
+    when None) are returned, and only those become CandidatePaths, with
+    their grams read from inv.cues.
 
     The correlation is computed in cue space, from only the cues that
     the item's candidates use.  Centring is linear, so the centred
@@ -454,8 +454,9 @@ def synthesize_by_analysis(
     if not candidates:
         return []
     n = len(candidates)
-    lengths = np.fromiter((len(c.grams) for c in candidates), dtype=np.int64, count=n)
-    flat = np.fromiter((inv.index[g] for c in candidates for g in c.grams), dtype=np.int64,
+    surfaces, paths = list(candidates), list(candidates.values())
+    lengths = np.fromiter((len(path) for path, _ in paths), dtype=np.int64, count=n)
+    flat = np.fromiter(chain.from_iterable(path for path, _ in paths), dtype=np.int64,
                        count=int(lengths.sum()))
     U, local = np.unique(flat, return_inverse=True)
     pad = U.size  # index of the zero entry of u and K
@@ -488,9 +489,15 @@ def synthesize_by_analysis(
     den = sq * (s_c @ s_c)  # > 0 unless either side has no variance
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where(den > 0, num / np.sqrt(den), np.nan)
-    scored = [replace(c, score=float(r[i])) for i, c in enumerate(candidates)]
-    scored.sort(key=lambda c: (-(c.score if not np.isnan(c.score) else -2.0), c.surface))
-    return scored
+    # Only the top_n smallest keys, and keys tied with the last of them,
+    # can be ranked among the first top_n.
+    key = np.where(np.isnan(r), 2.0, -r)
+    pick = range(n)
+    if top_n is not None and top_n < n:
+        pick = np.flatnonzero(key <= np.partition(key, top_n - 1)[top_n - 1]).tolist()
+    kept = sorted(pick, key=lambda i: (key[i], surfaces[i]))[:top_n]
+    return [CandidatePath(grams=tuple(inv.cues[j] for j in paths[i][0]), surface=surfaces[i],
+                          tolerated_count=paths[i][1], score=float(r[i])) for i in kept]
 
 
 # The vector the positional model reads (config key production.input): the
@@ -509,18 +516,11 @@ class ProductionParams:
     max_paths: Optional[int] = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ProductionError(f"k must be >= 1, got {self.k}")
-        if self.theta < 0:
-            raise ProductionError(f"theta must be >= 0, got {self.theta}")
+        _check_search_ranges(self.k, self.theta, self.max_tolerated, self.max_paths)
         if self.input_space not in INPUT_SPACES:
             raise ProductionError(f"unknown input space: {self.input_space!r}")
         if self.top_n < 1:
             raise ProductionError(f"top_n must be >= 1, got {self.top_n}")
-        if self.max_tolerated < 0:
-            raise ProductionError(f"max_tolerated must be >= 0, got {self.max_tolerated}")
-        if self.max_paths is not None and self.max_paths < 1:
-            raise ProductionError(f"max_paths must be >= 1, got {self.max_paths}")
 
 
 @dataclass
@@ -557,11 +557,11 @@ def produce(
         tolerance=params.tolerance, max_tolerated=params.max_tolerated,
         max_paths=params.max_paths,
     )
-    ranked = synthesize_by_analysis(candidates, F, s_target, m.inventory)
+    ranked = synthesize_by_analysis(candidates, F, s_target, m.inventory, top_n=params.top_n)
     return ProductionResult(
         best=ranked[0] if ranked else None,
-        top_n=ranked[: params.top_n],
-        n_candidates=len(ranked),
+        top_n=ranked,
+        n_candidates=len(candidates),
         truncated=candidates.truncated,
     )
 

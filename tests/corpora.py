@@ -13,6 +13,7 @@ from ldlkit import (
     build_cue_matrix,
     build_inventory,
 )
+from ldlkit.production import CandidatePaths
 
 CONSONANTS = "bdfgklmnprstvz"
 VOWELS = "aeiou@"
@@ -158,3 +159,11 @@ def model_from_dense(weights: np.ndarray, inventory: CueInventory, cfg: CueConfi
     columns = np.flatnonzero(np.any(flat != 0.0, axis=0))
     return PositionalSupportModel(weights=flat[:, columns], columns=columns, max_len=max_len,
                                   inventory=inventory, cfg=cfg)
+
+
+def id_paths(cands, inv: CueInventory) -> CandidatePaths:
+    """Candidates written with gram strings (anything with surface, grams and
+    tolerated_count), as enumerate_paths returns them: surface -> (cue ids,
+    tolerated count)."""
+    return CandidatePaths({c.surface: (tuple(inv.index[g] for g in c.grams), c.tolerated_count)
+                           for c in cands})

@@ -657,6 +657,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert "marker_summary" in out
 
+    def test_wug_repeated_nonce_exits_2_before_any_output(self, tmp_path, capsys):
+        # A repeated nonce would be fitted twice and its candidates counted twice.
+        nonce = tmp_path / "nonce.txt"
+        nonce.write_text("Bral\nKach\nBral\n", encoding="utf-8")
+        rc = cli.main(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
+                       "--set", f"output={tmp_path / 'out'}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        assert err["type"] == "ConfigError" and "repeated: Bral" in err["error"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["embeddings", "analytical", "bogus"])
     def test_wug_rejects_semantics_it_cannot_use(self, tmp_path, capsys, mode):
         # wug simulates its meanings; any other semantics.mode must fail, not

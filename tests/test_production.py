@@ -1,5 +1,8 @@
 """Positional support, path enumeration, and synthesis by analysis."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,12 +20,13 @@ from ldlkit import (
 )
 from ldlkit.cues import extract_grams
 from ldlkit.production import (
+    CandidatePath,
     ProductionError,
     ProductionParams,
     positional_targets,
 )
 
-from corpora import model_from_dense, toy_lexicon
+from corpora import id_paths, model_from_dense, toy_lexicon
 
 PHONE3 = CueConfig(unit="phone", n=3)
 
@@ -35,6 +39,12 @@ def validate_path(cand, cfg):
     for a, b in zip(toks, toks[1:]):
         assert a[-(len(b) - 1):] == b[:-1], "adjacent grams must overlap"
     assert merge_grams(cand.grams, cfg) == cand.surface
+
+
+def validate_paths(paths, inv, cfg):
+    """validate_path for each of enumerate_paths' surface -> (cue ids, tolerated)."""
+    for surface, (ids, _) in paths.items():
+        validate_path(CandidatePath(grams=tuple(inv.cues[j] for j in ids), surface=surface), cfg)
 
 
 def support_model(rows_by_position, inv, cfg):
@@ -98,14 +108,14 @@ class TestEnumeratePaths:
             [{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3
         )
         paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
-        assert [p.surface for p in paths] == ["al@"]
-        validate_path(paths[0], PHONE3)
+        assert list(paths) == ["al@"]
+        validate_paths(paths, self.inv, PHONE3)
 
     def test_theta_above_all_supports_empty(self):
         m = support_model(
             [{"#al": 0.3}, {"al@": 0.3}, {"l@#": 0.3}], self.inv, PHONE3
         )
-        assert enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.9) == []
+        assert enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.9) == {}
 
     def test_branching_paths(self):
         m = support_model(
@@ -113,9 +123,8 @@ class TestEnumeratePaths:
             self.inv, PHONE3,
         )
         paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
-        assert {p.surface for p in paths} == {"al@", "alu"}
-        for p in paths:
-            validate_path(p, PHONE3)
+        assert set(paths) == {"al@", "alu"}
+        validate_paths(paths, self.inv, PHONE3)
 
     def test_raising_theta_never_enlarges_candidates(self):
         rng = np.random.default_rng(0)
@@ -123,7 +132,7 @@ class TestEnumeratePaths:
         m = model_from_dense(W, self.inv, PHONE3)
         previous = None
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-            surfaces = {p.surface for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta)}
+            surfaces = set(enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta))
             if previous is not None:
                 assert surfaces <= previous
             previous = surfaces
@@ -133,13 +142,13 @@ class TestEnumeratePaths:
             [{"#al": 1.0}, {"al@": 0.01}, {"l@#": 0.01}], self.inv, PHONE3
         )
         x = np.array([1.0])
-        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=False) == []
-        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=1) == []
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=False) == {}
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=1) == {}
         found = enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=2)
-        surfaces = {p.surface: p for p in found}
-        assert "al@" in surfaces, "two weak grams fit into the budget of two"
-        assert surfaces["al@"].tolerated_count == 2
-        assert all(p.tolerated_count <= 2 for p in found)
+        assert "al@" in found, "two weak grams fit into the budget of two"
+        ids = tuple(self.inv.index[g] for g in ("#al", "al@", "l@#"))
+        assert found["al@"] == (ids, 2)
+        assert all(t <= 2 for _, t in found.values())
 
     def test_unattested_cue_outranks_negative_support_in_tolerance_mode(self):
         m = support_model(
@@ -152,9 +161,20 @@ class TestEnumeratePaths:
         # The four unattested cues at position 1 (support exactly 0) fill the
         # top 4 ahead of al@ (-0.5); only alu continues #al.
         paths = enumerate_paths(m, sup, k=4, theta=0.5, tolerance=True, max_tolerated=1)
-        assert [(p.surface, p.tolerated_count) for p in paths] == [("alu", 1)]
+        assert [(s, t) for s, (_, t) in paths.items()] == [("alu", 1)]
         wider = enumerate_paths(m, sup, k=5, theta=0.5, tolerance=True, max_tolerated=1)
-        assert [p.surface for p in wider] == ["alu", "al@"]
+        assert list(wider) == ["alu", "al@"]
+
+    def test_result_is_freed_without_the_cycle_collector(self):
+        # An item's paths must go when its ranking is done, not at the next
+        # collection: with the cycle collector off, dropping the result frees it.
+        m = support_model([{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3)
+        gc.disable()
+        try:
+            paths = weakref.ref(enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5))
+            assert paths() is None
+        finally:
+            gc.enable()
 
     def test_dense_support_block_rejected(self):
         m = support_model([{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3)
@@ -167,9 +187,9 @@ class TestEnumeratePaths:
         m = model_from_dense(W, self.inv, PHONE3)
         theta = 0.4
         sup = dense_support(m, [1.0])
-        for p in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta):
-            for pos, g in enumerate(p.grams):
-                assert sup[pos, self.inv.index[g]] >= theta
+        for ids, _ in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta).values():
+            for pos, j in enumerate(ids):
+                assert sup[pos, j] >= theta
 
     def test_invariants_over_random_supports(self):
         corpus = ["bada", "dalu", "ba", "lu", "badalu"]
@@ -181,10 +201,7 @@ class TestEnumeratePaths:
             x = rng.normal(size=3)
             for tol in (False, True):
                 paths = enumerate_paths(m, support_of(m, x), k=4, theta=0.1, tolerance=tol)
-                surfaces = [p.surface for p in paths]
-                assert len(surfaces) == len(set(surfaces)), "deduplicated by surface"
-                for p in paths:
-                    validate_path(p, PHONE3)
+                validate_paths(paths, inv, PHONE3)
 
     def test_max_paths_truncates(self):
         rng = np.random.default_rng(3)
@@ -210,13 +227,11 @@ class TestSynthesizeByAnalysis:
         F = solve_endstate(C.rows, space.S)
 
         m = support_model([{}], inv, cfg)  # unused here, just for paths
-        from ldlkit.production import CandidatePath
-
         cands = [
             CandidatePath(grams=tuple(extract_grams(s, cfg)), surface=s)
             for s in strings[:4]
         ]
-        ranked = synthesize_by_analysis(cands, F, space.S[0], inv)
+        ranked = synthesize_by_analysis(id_paths(cands, inv), F, space.S[0], inv)
         assert ranked[0].surface == strings[0]
         scores = [c.score for c in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -229,20 +244,16 @@ class TestSynthesizeByAnalysis:
         C = build_cue_matrix(strings, inv, cfg)
         space = simulate_vectors(d, dim=30, seed=4)
         F = solve_endstate(C.rows, space.S)
-        from ldlkit.production import CandidatePath
-
         cands = [
             CandidatePath(grams=tuple(extract_grams(s, cfg)), surface=s)
             for s in strings[:6]
         ]
         target = space.S[2]
-        base = [c.surface for c in synthesize_by_analysis(cands, F, target, inv)]
-        scaled = [c.surface for c in synthesize_by_analysis(cands, F, 7.5 * target, inv)]
+        base = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, target, inv)]
+        scaled = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, 7.5 * target, inv)]
         assert base == scaled
 
     def test_deterministic_tie_break_by_surface(self):
-        from ldlkit.production import CandidatePath
-
         inv = build_inventory(["ba", "ab"], CueConfig(unit="phone", n=2))
         F = solve_endstate(np.eye(len(inv)), np.ones((len(inv), 3)))
         # identical cue sets -> identical projections -> tie on score
@@ -250,12 +261,11 @@ class TestSynthesizeByAnalysis:
         c2 = CandidatePath(grams=("#a", "ab", "b#"), surface="ab")
         # give both the same grams so scores tie exactly
         c2 = CandidatePath(grams=c1.grams, surface="ab")
-        ranked = synthesize_by_analysis([c1, c2], F, np.array([1.0, 2.0, 3.0]), inv)
+        ranked = synthesize_by_analysis(id_paths([c1, c2], inv), F, np.array([1.0, 2.0, 3.0]), inv)
         assert [c.surface for c in ranked] == ["ab", "ba"]
 
     def test_degenerate_projections_rank_last(self):
         from ldlkit import CueInventory, Mapping
-        from ldlkit.production import CandidatePath
 
         inv = CueInventory(["#a", "a#", "#b", "b#", "#c"])
         F = Mapping(np.array([
@@ -271,18 +281,17 @@ class TestSynthesizeByAnalysis:
             CandidatePath(grams=("#c", "a#", "#a"), surface="c"),
             CandidatePath(grams=("#b", "a#"), surface="ba"),
         ]
-        ranked = synthesize_by_analysis(cands, F, np.array([0.2, 1.0, -0.3, 0.4]), inv)
+        ranked = synthesize_by_analysis(id_paths(cands, inv), F, np.array([0.2, 1.0, -0.3, 0.4]), inv)
         assert [c.surface for c in ranked[2:]] == ["a", "c"]
         assert all(np.isnan(c.score) for c in ranked[2:])
         assert not any(np.isnan(c.score) for c in ranked[:2])
         # A constant target has no variance either: every score is NaN.
-        flat = synthesize_by_analysis(cands, F, np.full(4, 0.7), inv)
+        flat = synthesize_by_analysis(id_paths(cands, inv), F, np.full(4, 0.7), inv)
         assert [c.surface for c in flat] == ["a", "b", "ba", "c"]
         assert all(np.isnan(c.score) for c in flat)
 
     def test_repeated_gram_counts_once(self):
         from ldlkit import CueInventory, Mapping
-        from ldlkit.production import CandidatePath
 
         # Paths of nine and more cues: numpy sums eight or more terms pairwise,
         # so the repeat must not move a cue's place in the sums.
@@ -292,7 +301,7 @@ class TestSynthesizeByAnalysis:
         once = CandidatePath(grams=grams, surface="once")
         twice = CandidatePath(grams=grams[:2] + grams[1:], surface="twice")
         other = CandidatePath(grams=grams[:8] + (inv.cues[11],), surface="other")
-        ranked = synthesize_by_analysis([twice, other, once], F, np.arange(6.0) ** 2, inv)
+        ranked = synthesize_by_analysis(id_paths([twice, other, once], inv), F, np.arange(6.0) ** 2, inv)
         by_surface = {c.surface: c.score for c in ranked}
         assert by_surface["once"] == by_surface["twice"]
         assert by_surface["once"] != by_surface["other"]
@@ -359,6 +368,12 @@ class TestProductionParams:
     def test_rejected_when_built(self, kwargs, message):
         with pytest.raises(ProductionError, match=message):
             ProductionParams(**kwargs)
+        if kwargs.keys() <= {"k", "theta", "max_tolerated", "max_paths"}:
+            # The path search checks its own parameters' ranges the same way.
+            inv = build_inventory(["al@"], PHONE3)
+            m = support_model([{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], inv, PHONE3)
+            with pytest.raises(ProductionError, match=message):
+                enumerate_paths(m, support_of(m, [1.0]), tolerance=True, **kwargs)
 
     def test_boundary_values_accepted(self):
         ProductionParams(k=1, theta=0.0, input_space="semantics", top_n=1, max_tolerated=0,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldlkit import experiments as ex
+from ldlkit import production
 from ldlkit.comprehension import pearson_matrix
 from ldlkit.cues import CueConfig, CueInventory, extract_grams
 from ldlkit.lexicon import save_dataset
@@ -24,7 +25,7 @@ from ldlkit.production import (
     synthesize_by_analysis,
 )
 
-from corpora import model_from_dense, paradigm_lexicon
+from corpora import id_paths, model_from_dense, paradigm_lexicon
 
 EPS = np.finfo(np.float64).eps
 
@@ -142,6 +143,8 @@ def test_compact_candidates_are_the_dense_top_k(n_cues, k, theta, tolerance, dat
     # an inventory smaller than k plus the attested count, and than k
     (4, [{0: -1.0, 2: 0.7, 3: -0.2}], 3, 0.005),
     (3, [{1: -1.0, 2: 0.7}], 5, 0.0),
+    # several positions, each with a tie at 0 at the k-th place
+    (7, [{0: 0.9, 3: -0.2}, {2: 0.4, 6: 0.0}, {1: 0.7, 4: 0.1, 5: -0.3}], 3, 0.005),
 ])
 def test_compact_candidates_named_cases(n_cues, positions, k, theta, tolerance):
     check_candidates_against_dense(n_cues, positions, k, theta, tolerance)
@@ -209,7 +212,7 @@ def test_from_dense_keeps_attested_columns_in_flat_order():
     m = model_from_dense(W, inv, CueConfig(unit="letter", n=2))
     assert m.columns.tolist() == [2, 3]
     assert m.weights.tolist() == [[5.0, -1.0]]
-    assert m.ends.tolist() == [0, 1, 2] and m.cue_ids.tolist() == [2, 0]
+    assert m.ends.tolist() == [0, 1, 2]
     row = m.supports(np.array([[2.0]]))
     assert row.tolist() == [[10.0, -2.0]]
     assert dense_block(m, row[0]).tolist() == [[0.0, 0.0, 10.0], [-2.0, 0.0, 0.0]]
@@ -260,6 +263,22 @@ def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
         assert summary(got) == summary(ref)
 
 
+def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch):
+    state, ids, _ = pipeline
+    params = dataclasses.replace(state.cfg.production_params(), tolerance=True)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return CandidatePath(*args, **kwargs)
+
+    monkeypatch.setattr(production, "CandidatePath", counted)
+    results = ex.produce_items(state.space.S[ids], state.G, state.positional, state.F, params)
+    kept = sum(len(r.top_n) for r in results)
+    assert sum(r.n_candidates for r in results) > kept
+    assert len(built) == kept
+
+
 def test_production_allocates_no_dense_support_block(tmp_path):
     data = tmp_path / "paradigm40.tsv"
     save_dataset(paradigm_lexicon(40), data)
@@ -296,7 +315,7 @@ def check_synthesis_against_dense(cands, F, target, inv):
     candidates; the ranked order is the dense one wherever two dense
     scores lie more than SYNTHESIS_TOL apart."""
     dense = dict(zip((c.surface for c in cands), dense_synthesis_scores(cands, F, target, inv)))
-    ranked = synthesize_by_analysis(cands, F, target, inv)
+    ranked = synthesize_by_analysis(id_paths(cands, inv), F, target, inv)
     assert sorted(c.surface for c in ranked) == sorted(dense)
     for c in ranked:
         ref = dense[c.surface]
@@ -370,8 +389,8 @@ def test_synthesis_allocates_nothing_of_candidates_by_cues():
     inv = letter_inventory(n_cues)
     F = Mapping(rng.normal(size=(n_cues, dims)))
     used = rng.choice(n_cues, size=30, replace=False)
-    cands = [CandidatePath(grams=tuple(inv.cues[j] for j in rng.choice(used, size=7)), surface=f"c{i}")
-             for i in range(n_cands)]
+    cands = id_paths([CandidatePath(grams=tuple(inv.cues[j] for j in rng.choice(used, size=7)),
+                                    surface=f"c{i}") for i in range(n_cands)], inv)
     dense_bytes = n_cands * n_cues * 8
     tracemalloc.start()
     try:
