@@ -522,8 +522,69 @@ def _default_checkpoints(total: int, n: int) -> list[int]:
     return [p for p in pts if p <= total]
 
 
+def _train_and_score(
+    state: PipelineState, stream: np.ndarray, checkpoints: Sequence[int]
+) -> tuple[list[tuple[int, dict[str, float]]], list[comp.ItemScore], list[comp.ItemScore]]:
+    """Run the Widrow-Hoff token loop over stream and score the weights
+    at every checkpoint, the final weights and the end-state F.
+
+    Returns the curve, one (tokens, accuracies) pair per checkpoint in
+    order, then the incremental and the end-state scores.  One worker
+    thread scores while this thread runs the loop: first the end-state
+    baseline, then each checkpoint on a snapshot of W.  Each checkpoint
+    collects the previous one's scores before it overwrites the snapshot,
+    so one snapshot is reused and at most one scoring is in flight.  Each
+    product is the same single-thread BLAS call on the same inputs as in
+    a serial run, so the bits are the same.  An error on either thread
+    propagates from here, after the worker is joined."""
+    # imported here, so that the CLI's start-up skips its ~4 ms import
+    from concurrent.futures import ThreadPoolExecutor
+
+    def score(m: Mapping) -> tuple[int, list[comp.ItemScore], dict[str, float]]:
+        results = comprehension_scores(state, m)
+        return m.trained_tokens, results, comprehension_accuracies(state, results)
+
+    curve: list[tuple[int, dict[str, float]]] = []
+    latest: list[comp.ItemScore] = []  # the last checkpoint's scores
+    in_flight = None  # the future of the checkpoint being scored
+    snapshot: Optional[np.ndarray] = None
+
+    def collect() -> None:
+        nonlocal in_flight, latest
+        if in_flight is not None:
+            tokens, latest, acc = in_flight.result()
+            in_flight = None
+            curve.append((tokens, acc))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        baseline = worker.submit(comprehension_scores, state)  # F is already solved
+
+        def score_checkpoint(m: Mapping) -> None:
+            nonlocal in_flight, snapshot
+            collect()
+            if snapshot is None:
+                snapshot = m.W.copy()
+            else:
+                np.copyto(snapshot, m.W)
+            in_flight = worker.submit(score, Mapping(W=snapshot, trained_tokens=m.trained_tokens))
+
+        final = train_incremental(
+            stream, state.C.rows, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
+            on_checkpoint=score_checkpoint,
+        )
+        collect()
+        # A checkpoint at the stream's end has already scored the final weights.
+        if not curve or curve[-1][0] != final.trained_tokens:
+            latest = worker.submit(comprehension_scores, state, final).result()
+        return curve, latest, baseline.result()
+
+
 def run_incremental(cfg: ExperimentConfig) -> dict:
-    """Single-pass token learning with trajectory and frequency analyses."""
+    """Single-pass token learning with trajectory and frequency analyses.
+
+    The token loop runs on the calling thread while one worker thread
+    scores each checkpoint and the end-state baseline (_train_and_score);
+    every output is byte-identical to a serial run."""
     state = build_pipeline(cfg, with_production=False)
     d, split = state.dataset, state.split
 
@@ -531,26 +592,8 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     local_stream = lexicon.sample_token_stream(split.train, cfg.seed_stream)
     stream = train_ids[local_stream]
     checkpoints = _default_checkpoints(stream.size, cfg.n_checkpoints)
-
-    curve_rows = []
-    latest: dict[int, list[comp.ItemScore]] = {}  # the last checkpoint's scores, by tokens
-
-    def score_checkpoint(m: Mapping) -> None:
-        results = comprehension_scores(state, m)
-        latest.clear()
-        latest[m.trained_tokens] = results
-        curve_rows.append((m.trained_tokens, comprehension_accuracies(state, results)))
-
-    final = train_incremental(
-        stream, state.C.rows, state.space.S, eta=cfg.eta, checkpoints=checkpoints,
-        on_checkpoint=score_checkpoint,
-    )
-    # A checkpoint at the stream's end has already scored the final weights.
-    inc_results = latest.get(final.trained_tokens)
-    if inc_results is None:
-        inc_results = comprehension_scores(state, final)
+    curve_rows, inc_results, end_results = _train_and_score(state, stream, checkpoints)
     inc_acc = comprehension_accuracies(state, inc_results)
-    end_results = comprehension_scores(state)  # end-state baseline on the same split
     end_acc = comprehension_accuracies(state, end_results)
 
     report = {

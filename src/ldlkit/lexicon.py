@@ -508,12 +508,9 @@ def simulate_role_frequencies(
 
 def sample_token_stream(d: Dataset, seed: int) -> np.ndarray:
     """Seeded shuffled stream of entry ids, one occurrence per token."""
-    reps = []
-    for i, e in enumerate(d):
-        f = e.role_frequency if e.role_frequency is not None else e.frequency
-        reps.extend([i] * f)
-    if not reps:
+    freqs = [e.role_frequency if e.role_frequency is not None else e.frequency for e in d]
+    stream = np.repeat(np.arange(len(d), dtype=np.int64), freqs)
+    if not stream.size:
         raise LexiconError("all token frequencies are zero")
-    stream = np.asarray(reps, dtype=np.int64)
     np.random.default_rng(seed).shuffle(stream)
     return stream

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ldlkit import cli, comprehension
+from ldlkit import _wh_numpy, cli, comprehension
 from ldlkit import experiments as ex
 from ldlkit.experiments import (
     ConfigError,
@@ -33,7 +34,7 @@ from ldlkit.experiments import (
     run_wug,
 )
 from ldlkit.lexicon import Dataset, save_dataset
-from ldlkit.mappings import solve_endstate
+from ldlkit.mappings import MappingError, solve_endstate, train_incremental
 from ldlkit.production import ProductionError
 
 from corpora import paradigm_lexicon
@@ -611,29 +612,52 @@ class TestCli:
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("verb,where", [
+        pytest.param("endstate", "worker", id="worker"),
+        pytest.param("endstate", "caller", id="caller"),
+        pytest.param("incremental", "worker", id="incremental-worker"),
+        pytest.param("incremental", "caller", id="incremental-caller"),
+    ])
     def test_error_on_either_thread_exits_2_and_leaves_no_thread(self, data_path, tmp_path, capsys,
-                                                                 monkeypatch, where):
-        # The worker solves F while the calling thread runs train_positional.
+                                                                 monkeypatch, verb, where):
+        # endstate: the worker solves F while the calling thread runs
+        # train_positional.  incremental: the worker scores the checkpoints
+        # while the calling thread runs the token loop.
         raised_on = []
+        error = ProductionError if verb == "endstate" else MappingError
 
         def fail(*args, **kwargs):
             raised_on.append(threading.current_thread())
-            raise ProductionError("fit failed")
+            raise error("fit failed")
 
-        if where == "worker":
+        if verb == "endstate" and where == "worker":
             monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
                 fail() if solves_f(X) else solve_endstate(X, Y)))
-        else:
+        elif verb == "endstate":
             monkeypatch.setattr(ex, "train_positional", fail)
+        elif where == "worker":
+            # every checkpoint's scoring fails; the baseline's does not
+            scores = ex.comprehension_scores
+            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
+                fail() if F is not None else scores(state, F)))
+        else:
+            # the second stream segment fails, with the first checkpoint in flight
+            run_stream = _wh_numpy.run_stream
+            segments = []
+
+            def second_segment_fails(*args):
+                segments.append(args)
+                return fail() if len(segments) == 2 else run_stream(*args)
+
+            monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
         before = set(threading.enumerate())
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["endstate", "--config", str(p)])
+        rc = cli.main([verb, "--config", str(p)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert [json.loads(line) for line in captured.err.splitlines()] == [
-            {"error": "fit failed", "type": "ProductionError"}
+            {"error": "fit failed", "type": error.__name__}
         ]
         assert len(raised_on) == 1
         assert (raised_on[0] is threading.main_thread()) == (where == "caller")
@@ -727,6 +751,96 @@ class TestOverlappedFits:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def demo_incremental_config(output):
+    return load_config(ROOT / "data" / "demo.config", [
+        f"data={ROOT / 'data' / 'demo.tsv'}", f"output={output}",
+        "learning.eta=0.01", "learning.checkpoints=5",
+    ])
+
+
+def serial_train_and_score(state, stream, checkpoints):
+    """The serial oracle of ex._train_and_score: each checkpoint is scored
+    on the calling thread inside the token loop, then the end state."""
+    curve, latest = [], {}
+
+    def score(m):
+        results = ex.comprehension_scores(state, m)
+        latest[m.trained_tokens] = results
+        curve.append((m.trained_tokens, ex.comprehension_accuracies(state, results)))
+
+    final = train_incremental(stream, state.C.rows, state.space.S, eta=state.cfg.eta,
+                              checkpoints=checkpoints, on_checkpoint=score)
+    inc = latest.get(final.trained_tokens) or ex.comprehension_scores(state, final)
+    return curve, inc, ex.comprehension_scores(state)
+
+
+INCREMENTAL_FILES = ("curve.csv", "items.csv", "report.json")
+
+
+def incremental_outputs(output):
+    """Run the demo incremental into output (report.json records the
+    path, so runs compared share it) and return its files."""
+    run_incremental(demo_incremental_config(output))
+    files = {name: (output / name).read_bytes() for name in INCREMENTAL_FILES}
+    for name in os.listdir(output):
+        os.remove(output / name)
+    return files
+
+
+class TestOverlappedScoring:
+    def test_outputs_equal_serial_scoring_bit_for_bit(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.setattr(ex, "_train_and_score", serial_train_and_score)
+            expected = incremental_outputs(tmp_path)
+
+        scored_on = {}
+        scores = ex.comprehension_scores
+
+        def recording_scores(state, F=None):
+            scored_on[None if F is None else F.trained_tokens] = threading.current_thread()
+            return scores(state, F)
+
+        monkeypatch.setattr(ex, "comprehension_scores", recording_scores)
+        before = set(threading.enumerate())
+        assert incremental_outputs(tmp_path) == expected
+        assert set(threading.enumerate()) == before
+        checkpoints = json.loads(expected["report.json"])["checkpoints"]
+        assert len(checkpoints) == 5 and set(scored_on) == {None, *checkpoints}
+        assert threading.main_thread() not in scored_on.values()
+
+    def test_a_slow_worker_changes_nothing(self, tmp_path, monkeypatch):
+        # Each checkpoint in flight holds one snapshot of W: with a worker
+        # slower than the token loop, checkpoints would pile up unless the
+        # loop waits for the previous one.
+        expected = incremental_outputs(tmp_path)
+        scores = ex.comprehension_scores
+        submitted, scored, in_flight = [], [], []
+
+        def slow_scores(state, F=None):
+            seen = None if F is None else F.W.copy()
+            time.sleep(0.05)  # longer than a demo stream segment
+            results = scores(state, F)
+            # the loop has gone on meanwhile, but not into the snapshot
+            assert F is None or np.array_equal(F.W, seen)
+            if F is not None:
+                scored.append(F.trained_tokens)
+            return results
+
+        def counting_train(*args, on_checkpoint, **kwargs):
+            def counted(m):
+                on_checkpoint(m)
+                submitted.append(m.trained_tokens)
+                in_flight.append(len(submitted) - len(scored))
+            return train_incremental(*args, on_checkpoint=counted, **kwargs)
+
+        monkeypatch.setattr(ex, "comprehension_scores", slow_scores)
+        monkeypatch.setattr(ex, "train_incremental", counting_train)
+        assert incremental_outputs(tmp_path) == expected
+        assert submitted == scored and len(scored) == 5
+        assert max(in_flight) == 1
+
 
 # Runs the CLI with scipy unimportable: a None entry in sys.modules makes
 # every `import scipy...` raise ImportError.

@@ -1,6 +1,7 @@
 """Dataset ingestion, article attachment, splits, and token streams."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,23 @@ class TestTokenStream:
     def test_all_zero_rejected(self):
         with pytest.raises(LexiconError):
             sample_token_stream(Dataset([make_entry(frequency=0)]), seed=0)
+
+    def test_equals_the_list_construction(self):
+        # entries with zero frequency, with role_frequency set (some of them
+        # zero) and without it, in one corpus
+        plain = [replace(e, frequency=0) if i % 3 == 0 else e
+                 for i, e in enumerate(paradigm_lexicon(8, seed=4))]
+        d = Dataset(plain + list(simulate_role_frequencies(paradigm_lexicon(8, seed=5), seed=6)))
+        freqs = [e.role_frequency if e.role_frequency is not None else e.frequency for e in d]
+        assert 0 in freqs[: len(plain)] and 0 in freqs[len(plain):]
+        reps = []
+        for i, f in enumerate(freqs):
+            reps.extend([i] * f)
+        expected = np.asarray(reps, dtype=np.int64)
+        np.random.default_rng(17).shuffle(expected)
+        stream = sample_token_stream(d, seed=17)
+        assert stream.dtype == np.int64
+        assert stream.tobytes() == expected.tobytes()
 
 
 def test_save_split_round_trip(tmp_path):
