@@ -613,11 +613,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     }
 
     if cfg.frequency_effect:
-        freq = np.array(
-            [d[i].role_frequency if d[i].role_frequency is not None else d[i].frequency
-             for i in split.train_ids],
-            dtype=np.float64,
-        )
+        freq = np.array([d[i].token_frequency for i in split.train_ids], dtype=np.float64)
         by_id_inc = {r.item_id: r.r_target for r in inc_results}
         by_id_end = {r.item_id: r.r_target for r in end_results}
         r_inc = np.array([by_id_inc[i] for i in split.train_ids])

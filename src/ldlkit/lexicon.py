@@ -128,6 +128,12 @@ class WordEntry:
                     f"{self.syllabified_pronunciation!r} vs {self.pronunciation!r}"
                 )
 
+    @property
+    def token_frequency(self) -> int:
+        """The entry's tokens in a learning stream: role_frequency if set, else
+        frequency."""
+        return self.frequency if self.role_frequency is None else self.role_frequency
+
 
 class Dataset:
     """Immutable ordered collection of entries; ids are dense 0..N-1."""
@@ -508,7 +514,7 @@ def simulate_role_frequencies(
 
 def sample_token_stream(d: Dataset, seed: int) -> np.ndarray:
     """Seeded shuffled stream of entry ids, one occurrence per token."""
-    freqs = [e.role_frequency if e.role_frequency is not None else e.frequency for e in d]
+    freqs = [e.token_frequency for e in d]
     stream = np.repeat(np.arange(len(d), dtype=np.int64), freqs)
     if not stream.size:
         raise LexiconError("all token frequencies are zero")

@@ -5,13 +5,14 @@ semantic space.
 A word is a path through overlapping n-grams from a boundary-initial
 gram to a boundary-final one.  A per-position linear model scores how
 well each inventory cue is supported at each position; paths are
-assembled depth-first from the top-k supported cues per position, with
-an optional tolerance budget for weakly supported cues, and the
-surviving candidates are ranked by how well their own projected meaning
-correlates with the target meaning.  That correlation is computed in cue
-space: per item, from the centred rows of F.W of only the cues its
-candidates use and their Gram matrix, never from a dense candidate-by-cue
-matrix or the candidates' projections.
+assembled depth-first, in one loop over an explicit stack, from the
+top-k supported cues per position, with an optional tolerance budget for
+weakly supported cues, and the surviving candidates are ranked by how
+well their own projected meaning correlates with the target meaning.
+That correlation is computed in cue space: per item, from the centred
+rows of F.W of only the cues its candidates use and their Gram matrix,
+never from a dense candidate-by-cue matrix or the candidates'
+projections.
 
 Positional support models are estimated in closed form only; there is
 no token-by-token training path for them.  A model stores only the
@@ -25,7 +26,8 @@ block of zeros to pick every position's top k at once.  The few supports
 that can decide that choice are summed again in input order
 (search_supports), so an item's candidates do not depend on the batch it
 is computed in.  A candidate is a path of cue ids from the search to the
-ranking; a CandidatePath with its grams is built only for the kept top n.
+ranking.  Its surface string is spelled only if ranking can keep it, and
+a CandidatePath with its grams is built only for the kept top n.
 """
 
 from __future__ import annotations
@@ -272,9 +274,9 @@ class CandidatePath:
     score: float = float("nan")
 
 
-class CandidatePaths(dict):
-    """The paths of one search, surface -> (cue ids, tolerated count) in the
-    order found; truncated is set when max_paths stopped the search."""
+class CandidatePaths(list):
+    """The paths of one search, (cue ids, tolerated count) in the order
+    found; truncated is set when max_paths stopped the search."""
 
     truncated: bool = False
 
@@ -333,14 +335,19 @@ def enumerate_paths(
     support is one item's (n_attested,) row from m.search_supports; each
     position's top-k cues are chosen from its attested values and 0 for
     every other cue (_candidates_by_position).
-    Depth-first expansion over the per-position top-k candidate cues;
-    a path may use at most max_tolerated sub-threshold cues when
-    tolerance is on.  Each distinct surface string maps to the cue ids of
-    the first path that spells it and that path's tolerated count; an
-    empty result is a legitimate outcome (nothing sufficiently
-    supported).  max_paths optionally truncates the search as a runaway
-    guard, and the result's truncated flag records that it did; the
-    default explores everything.
+    Depth-first expansion over the per-position top-k candidate cues, in
+    rank order; a path may use at most max_tolerated sub-threshold cues
+    when tolerance is on.  Each complete path is returned as its cue ids
+    and tolerated count, in the order found; an empty result is a
+    legitimate outcome (nothing sufficiently supported).  max_paths
+    optionally truncates the search as a runaway guard, and the result's
+    truncated flag records that it did; the default explores everything.
+
+    No surface string is built here.  Each gram after the first overlaps
+    the previous one in all but its last unit, and a boundary can only
+    open the first gram or close the last one (as in every gram that
+    extract_grams makes).  So a path is fixed by its unit sequence, and
+    two distinct paths spell distinct surfaces.
     """
     _check_search_ranges(k, theta, max_tolerated, max_paths)
     if np.shape(support) != m.columns.shape:
@@ -349,14 +356,9 @@ def enumerate_paths(
             f"got shape {np.shape(support)}"
         )
     per_pos = _candidates_by_position(m, support, k, theta, tolerance)
-
-    cfg = m.cfg
-    boundary = cfg.boundary
-    tok = m.tokens
-    n = cfg.n
-
-    # Index each position's candidates by their (n-1)-unit prefix so the
-    # DFS only touches overlap-compatible continuations.
+    # Index each position's candidates by their (n-1)-unit prefix, so that a
+    # path only meets overlap-compatible continuations (all of them when
+    # n == 1, where every prefix and suffix is ()).
     by_prefix: list[dict[tuple, list[tuple[int, bool]]]] = []
     for cands in per_pos:
         d: dict[tuple, list[tuple[int, bool]]] = {}
@@ -366,44 +368,23 @@ def enumerate_paths(
 
     out = CandidatePaths()
     budget = max_tolerated if tolerance else 0
-
-    def dfs(path: list[int], tolerated: int) -> bool:
+    tok, boundary = m.tokens, m.cfg.boundary
+    # Continuations are pushed in reverse rank order, so that popping visits
+    # paths in depth-first preorder.
+    stack = [((j,), int(weak)) for j, weak in reversed(per_pos[0])
+             if tok[j][0] == boundary and weak <= budget]
+    while stack:
         if max_paths is not None and len(out) >= max_paths:
             out.truncated = True
-            return False
+            break
+        path, tolerated = stack.pop()
         last = path[-1]
         if tok[last][-1] == boundary:
-            # Overlap holds by construction: merge the cached tokens directly.
-            surface = _surface(tok[path[0]] + [tok[j][-1] for j in path[1:]], cfg)
-            if surface not in out:
-                out[surface] = (tuple(path), tolerated)
-            return True
-        depth = len(path)
-        if depth >= m.max_len:
-            return True
-        nexts = by_prefix[depth].get(m.suffixes[last], []) if n > 1 else per_pos[depth]
-        for j, weak in nexts:
-            t = tolerated + int(weak)
-            if t > budget:
-                continue
-            path.append(j)
-            ok = dfs(path, t)
-            path.pop()
-            if not ok:
-                return False
-        return True
-
-    for j, weak in per_pos[0]:
-        if tok[j][0] != boundary:
-            continue
-        t = int(weak)
-        if t > budget:
-            continue
-        if not dfs([j], t):
-            break
-    # dfs refers to itself; unless that cycle is cut here, it keeps out's
-    # paths alive until the cyclic garbage collector next runs.
-    del dfs
+            out.append((path, tolerated))
+        elif len(path) < m.max_len:
+            stack.extend((path + (j,), tolerated + weak)
+                         for j, weak in reversed(by_prefix[len(path)].get(m.suffixes[last], ()))
+                         if tolerated + weak <= budget)
     return out
 
 
@@ -414,23 +395,24 @@ CANCELLATION = 1e-3
 
 
 def synthesize_by_analysis(
-    candidates: dict[str, tuple[Sequence[int], int]],
+    candidates: Sequence[tuple[Sequence[int], int]],
     F: Mapping,
     s_target: np.ndarray,
-    inv: CueInventory,
+    m: PositionalSupportModel,
     top_n: Optional[int] = None,
 ) -> list[CandidatePath]:
     """Rank candidates by the fit of their own projected meanings.
 
-    candidates maps each surface string to its path of cue ids and
-    tolerated count, as enumerate_paths returns them.  A candidate's
-    score is the Pearson correlation of its binary cue vector mapped
-    through the comprehension matrix, c @ F.W, with the target meaning; a
-    gram that occurs twice in a path counts once.  Ranking is by
-    descending score with the surface string as deterministic tie-break;
-    degenerate projections (NaN) rank last.  Only the first top_n (all
-    when None) are returned, and only those become CandidatePaths, with
-    their grams read from inv.cues.
+    candidates are paths of cue ids with their tolerated counts, as
+    enumerate_paths returns them.  A candidate's score is the Pearson
+    correlation of its binary cue vector mapped through the comprehension
+    matrix, c @ F.W, with the target meaning; a gram that occurs twice in
+    a path counts once.  Ranking is by descending score with the surface
+    string as deterministic tie-break; degenerate projections (NaN) rank
+    last.  Only the first top_n (all when None) are returned.  Surfaces
+    are spelled from m's cached tokens only for the candidates that can
+    be among them, and only those become CandidatePaths, with their grams
+    read from m.inventory.
 
     The correlation is computed in cue space, from only the cues that
     the item's candidates use.  Centring is linear, so the centred
@@ -454,9 +436,8 @@ def synthesize_by_analysis(
     if not candidates:
         return []
     n = len(candidates)
-    surfaces, paths = list(candidates), list(candidates.values())
-    lengths = np.fromiter((len(path) for path, _ in paths), dtype=np.int64, count=n)
-    flat = np.fromiter(chain.from_iterable(path for path, _ in paths), dtype=np.int64,
+    lengths = np.fromiter((len(path) for path, _ in candidates), dtype=np.int64, count=n)
+    flat = np.fromiter(chain.from_iterable(path for path, _ in candidates), dtype=np.int64,
                        count=int(lengths.sum()))
     U, local = np.unique(flat, return_inverse=True)
     pad = U.size  # index of the zero entry of u and K
@@ -495,9 +476,14 @@ def synthesize_by_analysis(
     pick = range(n)
     if top_n is not None and top_n < n:
         pick = np.flatnonzero(key <= np.partition(key, top_n - 1)[top_n - 1]).tolist()
+    surfaces = {}
+    for i in pick:
+        path = candidates[i][0]
+        surfaces[i] = _surface(m.tokens[path[0]] + [m.tokens[j][-1] for j in path[1:]], m.cfg)
     kept = sorted(pick, key=lambda i: (key[i], surfaces[i]))[:top_n]
-    return [CandidatePath(grams=tuple(inv.cues[j] for j in paths[i][0]), surface=surfaces[i],
-                          tolerated_count=paths[i][1], score=float(r[i])) for i in kept]
+    return [CandidatePath(grams=tuple(m.inventory.cues[j] for j in candidates[i][0]),
+                          surface=surfaces[i], tolerated_count=candidates[i][1], score=float(r[i]))
+            for i in kept]
 
 
 # The vector the positional model reads (config key production.input): the
@@ -557,7 +543,7 @@ def produce(
         tolerance=params.tolerance, max_tolerated=params.max_tolerated,
         max_paths=params.max_paths,
     )
-    ranked = synthesize_by_analysis(candidates, F, s_target, m.inventory, top_n=params.top_n)
+    ranked = synthesize_by_analysis(candidates, F, s_target, m, top_n=params.top_n)
     return ProductionResult(
         best=ranked[0] if ranked else None,
         top_n=ranked,

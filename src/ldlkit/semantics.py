@@ -41,7 +41,6 @@ class FeatureRegistry:
 
     lexeme_vectors: dict[str, np.ndarray]
     feature_vectors: dict[str, np.ndarray]
-    dimension: int
 
 
 @dataclass
@@ -146,7 +145,7 @@ def simulate_vectors(
         f: rng.normal(0.0, sd_feature * feature_scale, size=dim)
         for f in scheme_features(scheme, number_opposition, use_definiteness)
     }
-    registry = FeatureRegistry(lexeme_vectors, feature_vectors, dim)
+    registry = FeatureRegistry(lexeme_vectors, feature_vectors)
 
     S = np.empty((len(d), dim))
     keys = []
@@ -174,7 +173,6 @@ def wug_plural_vector(s_nom_sg: np.ndarray, reg: FeatureRegistry) -> np.ndarray:
 class EmbeddingLoadResult:
     space: SemanticSpace
     dataset: Dataset  # entries that had a vector, reindexed densely
-    kept_ids: tuple[int, ...]  # positions in the input dataset
     missing_words: tuple[str, ...]
 
 
@@ -225,7 +223,6 @@ def load_embeddings(path: str | os.PathLike, d: Dataset) -> EmbeddingLoadResult:
     return EmbeddingLoadResult(
         space=space,
         dataset=d.subset(kept),
-        kept_ids=tuple(kept),
         missing_words=tuple(dict.fromkeys(missing)),
     )
 
@@ -259,7 +256,7 @@ def reconstruct_analytical(
         vecs = [v for w, v in form_vec.items() if feat in form_feats[w]]
         if vecs:
             feature_vectors[feat] = np.mean(vecs, axis=0)
-    registry = FeatureRegistry(lexeme_vectors, feature_vectors, space.dimension)
+    registry = FeatureRegistry(lexeme_vectors, feature_vectors)
 
     rows = np.empty_like(space.S)
     keys = []

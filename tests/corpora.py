@@ -12,6 +12,7 @@ from ldlkit import (
     WordEntry,
     build_cue_matrix,
     build_inventory,
+    merge_grams,
 )
 from ldlkit.production import CandidatePaths
 
@@ -161,9 +162,20 @@ def model_from_dense(weights: np.ndarray, inventory: CueInventory, cfg: CueConfi
                                   inventory=inventory, cfg=cfg)
 
 
+def spelling_model(inventory: CueInventory, cfg: CueConfig) -> PositionalSupportModel:
+    """A positional model with no attested column: what synthesis reads of
+    a model is its inventory, the inventory's tokens and the cue config."""
+    return PositionalSupportModel(weights=np.zeros((1, 0)), columns=np.zeros(0, dtype=np.int64),
+                                  max_len=1, inventory=inventory, cfg=cfg)
+
+
 def id_paths(cands, inv: CueInventory) -> CandidatePaths:
-    """Candidates written with gram strings (anything with surface, grams and
-    tolerated_count), as enumerate_paths returns them: surface -> (cue ids,
-    tolerated count)."""
-    return CandidatePaths({c.surface: (tuple(inv.index[g] for g in c.grams), c.tolerated_count)
-                           for c in cands})
+    """Candidates written with gram strings (anything with grams and
+    tolerated_count), as enumerate_paths returns them: (cue ids, tolerated
+    count) in the given order."""
+    return CandidatePaths((tuple(inv.index[g] for g in c.grams), c.tolerated_count) for c in cands)
+
+
+def spell(paths: CandidatePaths, m: PositionalSupportModel) -> list[str]:
+    """The surface of each of enumerate_paths' paths, merged from its grams."""
+    return [merge_grams([m.inventory.cues[j] for j in ids], m.cfg) for ids, _ in paths]

@@ -323,6 +323,11 @@ class TestTokenStream:
         stream = sample_token_stream(Dataset([e]), seed=0)
         assert len(stream) == 4
 
+    def test_token_frequency_is_role_frequency_when_set(self):
+        assert make_entry(frequency=10).token_frequency == 10
+        zero = make_entry(frequency=10, semantic_role="agent", role_frequency=0)
+        assert zero.token_frequency == 0
+
     def test_deterministic(self):
         d = paradigm_lexicon(10)
         a = sample_token_stream(d, seed=42)

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldlkit import (
     CueConfig,
@@ -23,10 +25,12 @@ from ldlkit.production import (
     CandidatePath,
     ProductionError,
     ProductionParams,
+    _candidates_by_position,
+    _surface,
     positional_targets,
 )
 
-from corpora import id_paths, model_from_dense, toy_lexicon
+from corpora import id_paths, model_from_dense, spell, spelling_model, toy_lexicon
 
 PHONE3 = CueConfig(unit="phone", n=3)
 
@@ -41,10 +45,13 @@ def validate_path(cand, cfg):
     assert merge_grams(cand.grams, cfg) == cand.surface
 
 
-def validate_paths(paths, inv, cfg):
-    """validate_path for each of enumerate_paths' surface -> (cue ids, tolerated)."""
-    for surface, (ids, _) in paths.items():
-        validate_path(CandidatePath(grams=tuple(inv.cues[j] for j in ids), surface=surface), cfg)
+def validate_paths(paths, m):
+    """validate_path for each of enumerate_paths' (cue ids, tolerated) paths,
+    and no two of them spell the same surface."""
+    surfaces = spell(paths, m)
+    for (ids, _), surface in zip(paths, surfaces):
+        validate_path(CandidatePath(grams=tuple(m.inventory.cues[j] for j in ids), surface=surface), m.cfg)
+    assert len(set(surfaces)) == len(surfaces)
 
 
 def support_model(rows_by_position, inv, cfg):
@@ -66,6 +73,66 @@ def dense_support(m, x):
     out = np.zeros(m.max_len * len(m.inventory))
     out[m.columns] = support_of(m, x)
     return out.reshape(m.max_len, len(m.inventory))
+
+
+def recursive_paths(m, support, k=10, theta=0.008, tolerance=False, max_tolerated=2,
+                    max_paths=None):
+    """The recursive depth-first search that enumerate_paths replaced, kept
+    as its oracle: surface -> (cue ids, tolerated count) of the first path
+    that spells each surface, whether max_paths stopped the search, and
+    how many complete paths it met."""
+    per_pos = _candidates_by_position(m, support, k, theta, tolerance)
+    cfg = m.cfg
+    boundary = cfg.boundary
+    tok = m.tokens
+    n = cfg.n
+    by_prefix = []
+    for cands in per_pos:
+        d = {}
+        for j, weak in cands:
+            d.setdefault(m.prefixes[j], []).append((j, weak))
+        by_prefix.append(d)
+
+    out = {}
+    truncated, completed = False, 0
+    budget = max_tolerated if tolerance else 0
+
+    def dfs(path, tolerated):
+        nonlocal truncated, completed
+        if max_paths is not None and len(out) >= max_paths:
+            truncated = True
+            return False
+        last = path[-1]
+        if tok[last][-1] == boundary:
+            completed += 1
+            surface = _surface(tok[path[0]] + [tok[j][-1] for j in path[1:]], cfg)
+            if surface not in out:
+                out[surface] = (tuple(path), tolerated)
+            return True
+        depth = len(path)
+        if depth >= m.max_len:
+            return True
+        nexts = by_prefix[depth].get(m.suffixes[last], []) if n > 1 else per_pos[depth]
+        for j, weak in nexts:
+            t = tolerated + int(weak)
+            if t > budget:
+                continue
+            path.append(j)
+            ok = dfs(path, t)
+            path.pop()
+            if not ok:
+                return False
+        return True
+
+    for j, weak in per_pos[0]:
+        if tok[j][0] != boundary:
+            continue
+        t = int(weak)
+        if t > budget:
+            continue
+        if not dfs([j], t):
+            break
+    return out, truncated, completed
 
 
 class TestPositionalTargets:
@@ -108,14 +175,14 @@ class TestEnumeratePaths:
             [{"#al": 1.0}, {"al@": 1.0}, {"l@#": 1.0}], self.inv, PHONE3
         )
         paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
-        assert list(paths) == ["al@"]
-        validate_paths(paths, self.inv, PHONE3)
+        assert spell(paths, m) == ["al@"]
+        validate_paths(paths, m)
 
     def test_theta_above_all_supports_empty(self):
         m = support_model(
             [{"#al": 0.3}, {"al@": 0.3}, {"l@#": 0.3}], self.inv, PHONE3
         )
-        assert enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.9) == {}
+        assert enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.9) == []
 
     def test_branching_paths(self):
         m = support_model(
@@ -123,8 +190,8 @@ class TestEnumeratePaths:
             self.inv, PHONE3,
         )
         paths = enumerate_paths(m, support_of(m, [1.0]), k=5, theta=0.5)
-        assert set(paths) == {"al@", "alu"}
-        validate_paths(paths, self.inv, PHONE3)
+        assert set(spell(paths, m)) == {"al@", "alu"}
+        validate_paths(paths, m)
 
     def test_raising_theta_never_enlarges_candidates(self):
         rng = np.random.default_rng(0)
@@ -132,7 +199,7 @@ class TestEnumeratePaths:
         m = model_from_dense(W, self.inv, PHONE3)
         previous = None
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-            surfaces = set(enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta))
+            surfaces = set(spell(enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta), m))
             if previous is not None:
                 assert surfaces <= previous
             previous = surfaces
@@ -142,13 +209,14 @@ class TestEnumeratePaths:
             [{"#al": 1.0}, {"al@": 0.01}, {"l@#": 0.01}], self.inv, PHONE3
         )
         x = np.array([1.0])
-        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=False) == {}
-        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=1) == {}
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=False) == []
+        assert enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=1) == []
         found = enumerate_paths(m, support_of(m, x), k=5, theta=0.5, tolerance=True, max_tolerated=2)
-        assert "al@" in found, "two weak grams fit into the budget of two"
+        surfaces = spell(found, m)
+        assert "al@" in surfaces, "two weak grams fit into the budget of two"
         ids = tuple(self.inv.index[g] for g in ("#al", "al@", "l@#"))
-        assert found["al@"] == (ids, 2)
-        assert all(t <= 2 for _, t in found.values())
+        assert found[surfaces.index("al@")] == (ids, 2)
+        assert all(t <= 2 for _, t in found)
 
     def test_unattested_cue_outranks_negative_support_in_tolerance_mode(self):
         m = support_model(
@@ -161,9 +229,9 @@ class TestEnumeratePaths:
         # The four unattested cues at position 1 (support exactly 0) fill the
         # top 4 ahead of al@ (-0.5); only alu continues #al.
         paths = enumerate_paths(m, sup, k=4, theta=0.5, tolerance=True, max_tolerated=1)
-        assert [(s, t) for s, (_, t) in paths.items()] == [("alu", 1)]
+        assert [(s, t) for s, (_, t) in zip(spell(paths, m), paths)] == [("alu", 1)]
         wider = enumerate_paths(m, sup, k=5, theta=0.5, tolerance=True, max_tolerated=1)
-        assert list(wider) == ["alu", "al@"]
+        assert spell(wider, m) == ["alu", "al@"]
 
     def test_result_is_freed_without_the_cycle_collector(self):
         # An item's paths must go when its ranking is done, not at the next
@@ -187,7 +255,7 @@ class TestEnumeratePaths:
         m = model_from_dense(W, self.inv, PHONE3)
         theta = 0.4
         sup = dense_support(m, [1.0])
-        for ids, _ in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta).values():
+        for ids, _ in enumerate_paths(m, support_of(m, [1.0]), k=5, theta=theta):
             for pos, j in enumerate(ids):
                 assert sup[pos, j] >= theta
 
@@ -201,7 +269,7 @@ class TestEnumeratePaths:
             x = rng.normal(size=3)
             for tol in (False, True):
                 paths = enumerate_paths(m, support_of(m, x), k=4, theta=0.1, tolerance=tol)
-                validate_paths(paths, inv, PHONE3)
+                validate_paths(paths, m)
 
     def test_max_paths_truncates(self):
         rng = np.random.default_rng(3)
@@ -217,6 +285,92 @@ class TestEnumeratePaths:
         assert len(exact) == len(full)
 
 
+class TestRecursiveOracle:
+    """enumerate_paths against the recursive search it replaced."""
+
+    def capped(self, m, sup, cap):
+        paths = enumerate_paths(m, sup, k=6, theta=0.0, max_paths=cap)
+        oracle, truncated, completed = recursive_paths(m, sup, k=6, theta=0.0, max_paths=cap)
+        assert completed == len(oracle)
+        assert list(paths) == list(oracle.values())
+        assert paths.truncated == truncated
+        return paths
+
+    def branching(self):
+        """Two paths, #al al@ l@# and then #al alu lu#: the second is the
+        last node the search visits."""
+        inv = build_inventory(["al@", "alu"], PHONE3)
+        m = support_model([{"#al": 1.0}, {"al@": 0.9, "alu": 0.8}, {"l@#": 0.9, "lu#": 0.8}],
+                          inv, PHONE3)
+        return m, support_of(m, [1.0])
+
+    def random(self):
+        """Paths whose last is followed by dead ends."""
+        rng = np.random.default_rng(3)
+        inv = build_inventory(["bada", "dalu", "badalu", "luba"], PHONE3)
+        m = model_from_dense(np.abs(rng.normal(size=(6, 1, len(inv)))), inv, PHONE3)
+        return m, support_of(m, [1.0])
+
+    def test_max_paths_reached_at_a_completed_path(self):
+        m, sup = self.branching()
+        full = self.capped(m, sup, None)
+        assert len(full) == 2 and not full.truncated
+        paths = self.capped(m, sup, 1)
+        assert paths.truncated and paths == full[:1]
+        m, sup = self.random()
+        full = self.capped(m, sup, None)
+        for cap in range(1, len(full)):
+            paths = self.capped(m, sup, cap)
+            assert paths.truncated and paths == full[:cap]
+
+    def test_max_paths_reached_at_the_last_path(self):
+        m, sup = self.branching()
+        paths = self.capped(m, sup, 2)
+        assert not paths.truncated and spell(paths, m) == ["al@", "alu"]
+        # Here a dead end follows the last path, and visiting it is where the
+        # search stops: it is flagged as truncated with every path found.
+        m, sup = self.random()
+        full = self.capped(m, sup, None)
+        paths = self.capped(m, sup, len(full))
+        assert paths.truncated and paths == full
+        assert not self.capped(m, sup, len(full) + 1).truncated
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 3]),
+        unit=st.sampled_from(["letter", "syllable"]),
+        tolerance=st.booleans(),
+        max_tolerated=st.integers(0, 3),
+        max_paths=st.one_of(st.none(), st.integers(1, 50)),
+        k=st.integers(1, 12),
+        theta=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_models(self, seed, n, unit, tolerance, max_tolerated, max_paths, k, theta):
+        # Two units and non-negative supports, so that many grams overlap
+        # and are supported: some items have dozens of paths.
+        rng = np.random.default_rng(seed)
+        cfg = CueConfig(unit=unit, n=n)
+        units = ["a", "b"] if unit == "letter" else ["ba", "lu"]
+        forms = [cfg.joiner.join(rng.choice(units, size=int(rng.integers(1, 6))))
+                 for _ in range(int(rng.integers(1, 9)))]
+        inv = build_inventory(forms, cfg)
+        max_len = max(len(extract_grams(f, cfg)) for f in forms) + int(rng.integers(0, 3))
+        dims = 2
+        W = np.abs(rng.normal(size=(max_len, dims, len(inv))))
+        W *= rng.random((max_len, 1, len(inv))) < 0.8
+        m = model_from_dense(W, inv, cfg)
+        sup = support_of(m, np.abs(rng.normal(size=dims)))
+        kwargs = dict(k=k, theta=theta, tolerance=tolerance, max_tolerated=max_tolerated,
+                      max_paths=max_paths)
+        paths = enumerate_paths(m, sup, **kwargs)
+        oracle, truncated, completed = recursive_paths(m, sup, **kwargs)
+        assert completed == len(oracle), "the oracle's surface dictionary dropped a path"
+        assert list(paths) == list(oracle.values())
+        assert paths.truncated == truncated
+        assert spell(paths, m) == list(oracle)
+
+
 class TestSynthesizeByAnalysis:
     def test_orders_by_correlation(self):
         d, cfg = toy_lexicon(20, seed=9)
@@ -226,12 +380,12 @@ class TestSynthesizeByAnalysis:
         space = simulate_vectors(d, dim=40, seed=3)
         F = solve_endstate(C.rows, space.S)
 
-        m = support_model([{}], inv, cfg)  # unused here, just for paths
+        m = spelling_model(inv, cfg)
         cands = [
             CandidatePath(grams=tuple(extract_grams(s, cfg)), surface=s)
             for s in strings[:4]
         ]
-        ranked = synthesize_by_analysis(id_paths(cands, inv), F, space.S[0], inv)
+        ranked = synthesize_by_analysis(id_paths(cands, inv), F, space.S[0], m)
         assert ranked[0].surface == strings[0]
         scores = [c.score for c in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -248,45 +402,54 @@ class TestSynthesizeByAnalysis:
             CandidatePath(grams=tuple(extract_grams(s, cfg)), surface=s)
             for s in strings[:6]
         ]
-        target = space.S[2]
-        base = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, target, inv)]
-        scaled = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, 7.5 * target, inv)]
+        target, m = space.S[2], spelling_model(inv, cfg)
+        base = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, target, m)]
+        scaled = [c.surface for c in synthesize_by_analysis(id_paths(cands, inv), F, 7.5 * target, m)]
         assert base == scaled
 
     def test_deterministic_tie_break_by_surface(self):
-        inv = build_inventory(["ba", "ab"], CueConfig(unit="phone", n=2))
-        F = solve_endstate(np.eye(len(inv)), np.ones((len(inv), 3)))
-        # identical cue sets -> identical projections -> tie on score
+        from ldlkit import Mapping
+
+        cfg = CueConfig(unit="phone", n=2)
+        inv = build_inventory(["ba", "ab"], cfg)
+        assert inv.cues == ["#b", "ba", "a#", "#a", "ab", "b#"]
+        # #a, ab and b# repeat the rows of #b, ba and a#: the two paths have
+        # the same projection.  Small integers with mean 0 keep every sum exact.
+        rows = [[1.0, -1.0, 0.0], [0.0, 2.0, -2.0], [3.0, 0.0, -3.0]]
+        F = Mapping(np.array(rows + rows))
         c1 = CandidatePath(grams=("#b", "ba", "a#"), surface="ba")
         c2 = CandidatePath(grams=("#a", "ab", "b#"), surface="ab")
-        # give both the same grams so scores tie exactly
-        c2 = CandidatePath(grams=c1.grams, surface="ab")
-        ranked = synthesize_by_analysis(id_paths([c1, c2], inv), F, np.array([1.0, 2.0, 3.0]), inv)
+        ranked = synthesize_by_analysis(id_paths([c1, c2], inv), F, np.array([1.0, 2.0, -3.0]),
+                                        spelling_model(inv, cfg))
+        assert ranked[0].score == ranked[1].score and not np.isnan(ranked[0].score)
         assert [c.surface for c in ranked] == ["ab", "ba"]
 
     def test_degenerate_projections_rank_last(self):
         from ldlkit import CueInventory, Mapping
 
-        inv = CueInventory(["#a", "a#", "#b", "b#", "#c"])
+        inv = CueInventory(["#a", "a#", "#b", "b#", "#c", "c#", "ba"])
         F = Mapping(np.array([
             [0.0, 0.0, 0.0, 0.0],     # #a: a zero row
             [2.5, 2.5, 2.5, 2.5],     # a#: a constant row
             [1.0, -1.0, 0.5, 2.0],
             [0.0, 3.0, -1.0, 1.0],
             [-7.0, -7.0, -7.0, -7.0],  # #c: another constant row
+            [4.0, 4.0, 4.0, 4.0],     # c#: and another
+            [0.5, 0.0, 2.0, -1.0],
         ]))
         cands = [
             CandidatePath(grams=("#a", "a#"), surface="a"),
             CandidatePath(grams=("#b", "b#"), surface="b"),
-            CandidatePath(grams=("#c", "a#", "#a"), surface="c"),
-            CandidatePath(grams=("#b", "a#"), surface="ba"),
+            CandidatePath(grams=("#c", "c#"), surface="c"),
+            CandidatePath(grams=("#b", "ba", "a#"), surface="ba"),
         ]
-        ranked = synthesize_by_analysis(id_paths(cands, inv), F, np.array([0.2, 1.0, -0.3, 0.4]), inv)
+        m = spelling_model(inv, CueConfig(unit="phone", n=2))
+        ranked = synthesize_by_analysis(id_paths(cands, inv), F, np.array([0.2, 1.0, -0.3, 0.4]), m)
         assert [c.surface for c in ranked[2:]] == ["a", "c"]
         assert all(np.isnan(c.score) for c in ranked[2:])
         assert not any(np.isnan(c.score) for c in ranked[:2])
         # A constant target has no variance either: every score is NaN.
-        flat = synthesize_by_analysis(id_paths(cands, inv), F, np.full(4, 0.7), inv)
+        flat = synthesize_by_analysis(id_paths(cands, inv), F, np.full(4, 0.7), m)
         assert [c.surface for c in flat] == ["a", "b", "ba", "c"]
         assert all(np.isnan(c.score) for c in flat)
 
@@ -295,23 +458,27 @@ class TestSynthesizeByAnalysis:
 
         # Paths of nine and more cues: numpy sums eight or more terms pairwise,
         # so the repeat must not move a cue's place in the sums.
-        inv = CueInventory([f"g{j}" for j in range(12)])
+        # One-letter cues of unigram paths: a path spells its cues in order,
+        # and once spells a surface that sorts before twice's.
+        inv = CueInventory(list("lkjihgfedcba"))
+        m = spelling_model(inv, CueConfig(unit="letter", n=1))
         F = Mapping(np.random.default_rng(3).normal(size=(12, 6)))
         grams = tuple(inv.cues[:9])
-        once = CandidatePath(grams=grams, surface="once")
-        twice = CandidatePath(grams=grams[:2] + grams[1:], surface="twice")
-        other = CandidatePath(grams=grams[:8] + (inv.cues[11],), surface="other")
-        ranked = synthesize_by_analysis(id_paths([twice, other, once], inv), F, np.arange(6.0) ** 2, inv)
+        once = CandidatePath(grams=grams, surface="lkjihgfed")
+        twice = CandidatePath(grams=grams[:2] + grams[1:], surface="lkkjihgfed")
+        other = CandidatePath(grams=grams[:8] + (inv.cues[11],), surface="lkjihgfea")
+        ranked = synthesize_by_analysis(id_paths([twice, other, once], inv), F, np.arange(6.0) ** 2, m)
         by_surface = {c.surface: c.score for c in ranked}
-        assert by_surface["once"] == by_surface["twice"]
-        assert by_surface["once"] != by_surface["other"]
+        assert by_surface[once.surface] == by_surface[twice.surface]
+        assert by_surface[once.surface] != by_surface[other.surface]
         surfaces = [c.surface for c in ranked]
-        assert surfaces.index("once") + 1 == surfaces.index("twice")
+        assert surfaces.index(once.surface) + 1 == surfaces.index(twice.surface)
 
     def test_empty_candidates(self):
         F = solve_endstate(np.eye(2), np.ones((2, 2)))
-        inv = build_inventory(["ab"], CueConfig(unit="phone", n=2))
-        assert synthesize_by_analysis([], F, np.ones(2), inv) == []
+        cfg = CueConfig(unit="phone", n=2)
+        inv = build_inventory(["ab"], cfg)
+        assert synthesize_by_analysis([], F, np.ones(2), spelling_model(inv, cfg)) == []
 
 
 class TestProduce:

@@ -25,7 +25,7 @@ from ldlkit.production import (
     synthesize_by_analysis,
 )
 
-from corpora import id_paths, model_from_dense, paradigm_lexicon
+from corpora import id_paths, model_from_dense, paradigm_lexicon, spelling_model
 
 EPS = np.finfo(np.float64).eps
 
@@ -95,6 +95,13 @@ def chunk_budget(m, rows):
 
 def letter_inventory(n_cues):
     return CueInventory([f"#{chr(97 + j)}#" for j in range(n_cues)])
+
+
+def unigram_model(n_cues):
+    """A spelling model of n_cues one-letter cues under letter unigrams: a path
+    of them spells its cues in order, so distinct paths spell distinct surfaces."""
+    return spelling_model(CueInventory([chr(97 + j) for j in range(n_cues)]),
+                          CueConfig(unit="letter", n=1))
 
 
 def check_candidates_against_dense(n_cues, positions, k, theta, tolerance):
@@ -310,12 +317,14 @@ def dense_synthesis_scores(cands, F, target, inv):
     return pearson_matrix(rows @ F.W, np.asarray(target, dtype=np.float64)[None, :])[:, 0]
 
 
-def check_synthesis_against_dense(cands, F, target, inv):
+def check_synthesis_against_dense(cands, F, target, m):
     """Scores within SYNTHESIS_TOL of the dense Pearson and NaN at the same
     candidates; the ranked order is the dense one wherever two dense
-    scores lie more than SYNTHESIS_TOL apart."""
+    scores lie more than SYNTHESIS_TOL apart.  Each candidate's surface is
+    the one m spells for its grams."""
+    inv = m.inventory
     dense = dict(zip((c.surface for c in cands), dense_synthesis_scores(cands, F, target, inv)))
-    ranked = synthesize_by_analysis(id_paths(cands, inv), F, target, inv)
+    ranked = synthesize_by_analysis(id_paths(cands, inv), F, target, m)
     assert sorted(c.surface for c in ranked) == sorted(dense)
     for c in ranked:
         ref = dense[c.surface]
@@ -338,7 +347,7 @@ def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):
     forms = [cfg.cue_string(e) for e in state.split.train][:20]
     cands = [CandidatePath(grams=tuple(extract_grams(f, cfg)), surface=f) for f in dict.fromkeys(forms)]
     target = state.space.S[state.split.train_ids[0]]
-    ranked = check_synthesis_against_dense(cands, F, target, m.inventory)
+    ranked = check_synthesis_against_dense(cands, F, target, m)
     assert len(ranked) == len(cands) > 1
     assert not any(np.isnan(c.score) for c in ranked)
 
@@ -359,34 +368,35 @@ def test_cue_space_synthesis_is_the_dense_pearson(seed, n_cues, dims, n_cands, m
     kind = rng.choice(["varied", "zero", "constant"], size=n_cues, p=[0.6, 0.2, 0.2])
     W[kind == "zero"] = 0.0
     W[kind == "constant"] = rng.normal(size=(int((kind == "constant").sum()), 1))
-    inv = letter_inventory(n_cues)
-    # Grams are drawn with replacement, so a path may repeat one.
-    cands = [
-        CandidatePath(grams=tuple(inv.cues[j] for j in rng.integers(0, n_cues, rng.integers(1, max_grams + 1))),
-                      surface=f"c{i:02d}")
-        for i in range(n_cands)
-    ]
+    m = unigram_model(n_cues)
+    # Grams are drawn with replacement, so a path may repeat one.  A search
+    # returns each path once, so a path drawn twice is kept once.
+    draws = (rng.integers(0, n_cues, rng.integers(1, max_grams + 1)) for _ in range(n_cands))
+    paths = dict.fromkeys(tuple(m.inventory.cues[j] for j in ids) for ids in draws)
+    cands = [CandidatePath(grams=grams, surface="".join(grams)) for grams in paths]
     s = rng.normal(size=dims) if target == "varied" else np.full(dims, rng.normal())
-    check_synthesis_against_dense(cands, Mapping(W), s, inv)
+    check_synthesis_against_dense(cands, Mapping(W), s, m)
 
 
 def test_synthesis_of_cancelling_rows_is_the_dense_pearson():
     """Two cue rows that sum to almost nothing (exactly, in floating point):
     summed products of the rows would lose every digit of the sum, so the
     candidate is scored from the sum itself."""
-    inv = letter_inventory(3)
+    m = unigram_model(3)
+    inv = m.inventory
     F = Mapping(np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.000001], [0.5, -1.0, 2.0, 0.0]]))
     cands = [CandidatePath(grams=(inv.cues[0], inv.cues[1]), surface="ab"),
              CandidatePath(grams=(inv.cues[0], inv.cues[1], inv.cues[2]), surface="abc"),
              CandidatePath(grams=(inv.cues[1],), surface="b")]
-    ranked = check_synthesis_against_dense(cands, F, np.array([0.3, -0.2, 0.1, -0.9]), inv)
+    ranked = check_synthesis_against_dense(cands, F, np.array([0.3, -0.2, 0.1, -0.9]), m)
     assert [c.surface for c in ranked] == ["ab", "b", "abc"]
 
 
 def test_synthesis_allocates_nothing_of_candidates_by_cues():
     rng = np.random.default_rng(5)
     n_cues, dims, n_cands = 4000, 20, 500
-    inv = letter_inventory(n_cues)
+    m = unigram_model(n_cues)
+    inv = m.inventory
     F = Mapping(rng.normal(size=(n_cues, dims)))
     used = rng.choice(n_cues, size=30, replace=False)
     cands = id_paths([CandidatePath(grams=tuple(inv.cues[j] for j in rng.choice(used, size=7)),
@@ -394,7 +404,7 @@ def test_synthesis_allocates_nothing_of_candidates_by_cues():
     dense_bytes = n_cands * n_cues * 8
     tracemalloc.start()
     try:
-        ranked = synthesize_by_analysis(cands, F, rng.normal(size=dims), inv)
+        ranked = synthesize_by_analysis(cands, F, rng.normal(size=dims), m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -139,13 +139,13 @@ class TestSimulateVectors:
 
 class TestWugVector:
     def test_cancellation_when_equal(self):
-        reg = FeatureRegistry({}, {"singular": np.ones(3), "plural": np.ones(3)}, 3)
+        reg = FeatureRegistry({}, {"singular": np.ones(3), "plural": np.ones(3)})
         s = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(wug_plural_vector(s, reg), s)
 
     def test_zero_input(self):
         reg = FeatureRegistry({}, {"singular": np.array([1.0, 0.0]),
-                                   "plural": np.array([0.0, 1.0])}, 2)
+                                   "plural": np.array([0.0, 1.0])})
         np.testing.assert_array_equal(wug_plural_vector(np.zeros(2), reg), [-1.0, 1.0])
 
     def test_exact_shift_on_composed_vector(self):
@@ -157,7 +157,7 @@ class TestWugVector:
         np.testing.assert_allclose(shifted, expected, atol=1e-12)
 
     def test_missing_feature_rejected(self):
-        reg = FeatureRegistry({}, {"plural": np.zeros(2)}, 2)
+        reg = FeatureRegistry({}, {"plural": np.zeros(2)})
         with pytest.raises(SemanticsError):
             wug_plural_vector(np.zeros(2), reg)
 
