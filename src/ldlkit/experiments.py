@@ -16,9 +16,10 @@ import csv
 import json
 import operator
 import os
+import pickle
 from collections import Counter
 from dataclasses import Field, dataclass, field, fields
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -262,12 +263,23 @@ class PipelineState:
     cue_cfg: CueConfig
     C: CueMatrix
     space: semantics.SemanticSpace
-    F: Mapping
     G: Optional[Mapping] = None
     positional: Optional[PositionalSupportModel] = None
     pool: Optional[comp.GoldPool] = None
     dropped_entries: int = 0
     analytical_corr_mean: Optional[float] = None
+    solved_f: Optional[Mapping] = None
+
+    @property
+    def F(self) -> Mapping:
+        """The end-state comprehension mapping on the train rows.  A stage
+        with production solves it beside G; otherwise it is solved here
+        when first read, so a run reads it only where it is needed (the
+        incremental baseline reads it in a forked child)."""
+        if self.solved_f is None:
+            train_ids = list(self.split.train_ids)
+            self.solved_f = solve_endstate(self.C.rows[train_ids], self.space.S[train_ids])
+        return self.solved_f
 
 
 def _prepare_dataset(cfg: ExperimentConfig) -> lexicon.Dataset:
@@ -314,8 +326,9 @@ def _comprehension_stage(
     with_production: bool = False,
 ) -> PipelineState:
     """The stage every verb shares: the inventory of the training forms,
-    the cue matrix of every form, the simulated space (unless space is
-    given) and F solved on the train rows.
+    the cue matrix of every form and the simulated space (unless space is
+    given).  Without production, F is left to PipelineState.F, which
+    solves it on the train rows when first read.
 
     With production, F is solved on one worker thread while this thread
     fits G and the positional model to the same train rows.  Neither fit
@@ -331,15 +344,14 @@ def _comprehension_stage(
     C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
     if space is None:
         space = _simulated_space(cfg, d, inv)
-    train_ids = list(split.train_ids)
     if not with_production:
-        F = solve_endstate(C.rows[train_ids], space.S[train_ids])
-        return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space, F=F)
+        return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space)
 
     # imported here, so that runs which start no thread (and the CLI's
     # start-up) skip its ~4 ms import
     from concurrent.futures import ThreadPoolExecutor
 
+    train_ids = list(split.train_ids)
     cue_rows, S = C.rows[train_ids], space.S[train_ids]
     with ThreadPoolExecutor(max_workers=1) as worker:
         comprehension = worker.submit(solve_endstate, cue_rows, S)
@@ -348,7 +360,7 @@ def _comprehension_stage(
         )
         F = comprehension.result()
     return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space,
-                         F=F, G=G, positional=positional)
+                         G=G, positional=positional, solved_f=F)
 
 
 def _production_model(
@@ -372,7 +384,7 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
     otherwise), F is solved on one worker thread while G and the
     positional model are fitted (see _comprehension_stage); the state
     returned holds them as plain fields, and every bit is that of a serial
-    run."""
+    run.  Without production, F is solved when first read."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -472,8 +484,18 @@ def production_accuracies(
     return out
 
 
+def _check_production_cues(cfg: ExperimentConfig) -> None:
+    """Production needs cues of two or more units: a unigram boundary cue
+    both opens and closes a path, so every search would find the path of
+    that one cue, which spells the empty form."""
+    if cfg.cue_n < 2:
+        raise ConfigError(f"{_key_of('cue_n')} must be >= 2 where production runs, got {cfg.cue_n}")
+
+
 def run_endstate(cfg: ExperimentConfig) -> dict:
     """Closed-form training plus the full evaluation grid."""
+    if cfg.production_enabled:
+        _check_production_cues(cfg)
     state = build_pipeline(cfg)
     results = comprehension_scores(state)
     comp_acc = comprehension_accuracies(state, results)
@@ -522,69 +544,154 @@ def _default_checkpoints(total: int, n: int) -> list[int]:
     return [p for p in pts if p <= total]
 
 
+class _Child(NamedTuple):
+    """A scoring forked by _fork: its pid, the read end of its result
+    pipe, and what it scores, which names it in errors."""
+
+    pid: int
+    fd: int
+    what: str
+
+
+def _fork(what: str, work: Callable[[], object]) -> _Child:
+    """Run work() in a forked child process, whose pipe carries back its
+    pickled (ok, value) pair: (True, what work returned) or (False, the
+    exception it raised).
+
+    The child sees memory as it was at the fork, so the caller may go on
+    changing what work reads.  It ends with os._exit, so it never returns
+    into the caller, runs no exit handler and flushes no inherited buffer."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return _Child(pid, read_fd, what)
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, work())
+        except BaseException as exc:  # noqa: BLE001 - reported to the parent
+            outcome = (False, exc)
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception as exc:  # noqa: BLE001 - a value or exception pickle cannot take
+            payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write_fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(child: _Child):
+    """Read child's pipe to its end, reap it, and return what it sent, or
+    raise the exception it sent.  A child that ends without sending a
+    whole pair raises a RuntimeError naming what it scored."""
+    try:
+        with open(child.fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        status = os.waitpid(child.pid, 0)[1]
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:  # noqa: BLE001 - nothing or a cut-off pair was sent
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(
+            f"scoring {child.what} ended without a result (exit status {code})") from None
+    if not ok:
+        raise value
+    return value
+
+
 def _train_and_score(
     state: PipelineState, stream: np.ndarray, checkpoints: Sequence[int]
 ) -> tuple[list[tuple[int, dict[str, float]]], list[comp.ItemScore], list[comp.ItemScore]]:
-    """Run the Widrow-Hoff token loop over stream and score the weights
+    """Train W over the token stream and score the entries' predictions
     at every checkpoint, the final weights and the end-state F.
 
     Returns the curve, one (tokens, accuracies) pair per checkpoint in
-    order, then the incremental and the end-state scores.  One worker
-    thread scores while this thread runs the loop: first the end-state
-    baseline, then each checkpoint on a snapshot of W.  Each checkpoint
-    collects the previous one's scores before it overwrites the snapshot,
-    so one snapshot is reused and at most one scoring is in flight.  Each
+    order, then the incremental and the end-state scores.  While this
+    process runs the loop, forked child processes (_fork) score: first
+    the end-state baseline, whose child also solves F (state.F is read
+    there first), then each checkpoint.  The fork is the snapshot: a
+    child reads W as it was at the fork while the loop goes on writing
+    its own copy.  Each checkpoint collects the previous checkpoint's
+    child before it forks the next, so at most one checkpoint child is in
+    flight, and collects the baseline's child once its result is waiting,
+    so that child does not outlive its work.  Only a checkpoint at the
+    stream's end sends its item scores back, the others their
+    accuracies; without one, the final weights are scored here.  Each
     product is the same single-thread BLAS call on the same inputs as in
-    a serial run, so the bits are the same.  An error on either thread
-    propagates from here, after the worker is joined."""
-    # imported here, so that the CLI's start-up skips its ~4 ms import
-    from concurrent.futures import ThreadPoolExecutor
+    a serial run, so the bits are the same.  A child's exception is
+    raised here, and on every path out any child still running is killed
+    and reaped."""
+    # imported here, not with the module: importing signal at start-up
+    # (it builds enum classes) raised the peak RSS of endstate-1k, a verb
+    # that never gets here, by ~0.9 MB
+    import select
+    import signal
 
-    def score(m: Mapping) -> tuple[int, list[comp.ItemScore], dict[str, float]]:
-        results = comprehension_scores(state, m)
-        return m.trained_tokens, results, comprehension_accuracies(state, results)
-
+    baseline: Optional[_Child] = None
+    checkpoint: Optional[_Child] = None
+    end_scores: Optional[list[comp.ItemScore]] = None
     curve: list[tuple[int, dict[str, float]]] = []
-    latest: list[comp.ItemScore] = []  # the last checkpoint's scores
-    in_flight = None  # the future of the checkpoint being scored
-    snapshot: Optional[np.ndarray] = None
+    latest: Optional[list[comp.ItemScore]] = None  # the scores at the stream's end
 
-    def collect() -> None:
-        nonlocal in_flight, latest
-        if in_flight is not None:
-            tokens, latest, acc = in_flight.result()
-            in_flight = None
+    def score_checkpoint(m: Mapping):
+        results = comprehension_scores(state, m)
+        at_end = m.trained_tokens == stream.size
+        acc = comprehension_accuracies(state, results)
+        return m.trained_tokens, acc, results if at_end else None
+
+    def collect(wait_for_baseline: bool) -> None:
+        nonlocal baseline, checkpoint, end_scores, latest
+        if checkpoint is not None:
+            child, checkpoint = checkpoint, None
+            tokens, acc, latest = _join(child)
             curve.append((tokens, acc))
+        if baseline is not None and (
+            wait_for_baseline or select.select([baseline.fd], [], [], 0)[0]  # its result waits
+        ):
+            child, baseline = baseline, None
+            end_scores = _join(child)
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        baseline = worker.submit(comprehension_scores, state)  # F is already solved
+    def on_checkpoint(m: Mapping) -> None:
+        nonlocal checkpoint
+        collect(wait_for_baseline=False)
+        checkpoint = _fork(f"the checkpoint at {m.trained_tokens} tokens",
+                           lambda: score_checkpoint(m))
 
-        def score_checkpoint(m: Mapping) -> None:
-            nonlocal in_flight, snapshot
-            collect()
-            if snapshot is None:
-                snapshot = m.W.copy()
-            else:
-                np.copyto(snapshot, m.W)
-            in_flight = worker.submit(score, Mapping(W=snapshot, trained_tokens=m.trained_tokens))
-
+    try:
+        baseline = _fork("the end-state baseline", lambda: comprehension_scores(state))
         final = train_incremental(
             stream, state.C.rows, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
-            on_checkpoint=score_checkpoint,
+            on_checkpoint=on_checkpoint,
         )
-        collect()
-        # A checkpoint at the stream's end has already scored the final weights.
-        if not curve or curve[-1][0] != final.trained_tokens:
-            latest = worker.submit(comprehension_scores, state, final).result()
-        return curve, latest, baseline.result()
+        collect(wait_for_baseline=False)
+        if latest is None:  # no checkpoint at the stream's end
+            latest = comprehension_scores(state, final)
+        collect(wait_for_baseline=True)
+        return curve, latest, end_scores
+    finally:
+        for child in (baseline, checkpoint):
+            if child is not None:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+                os.close(child.fd)
 
 
 def run_incremental(cfg: ExperimentConfig) -> dict:
     """Single-pass token learning with trajectory and frequency analyses.
 
-    The token loop runs on the calling thread while one worker thread
-    scores each checkpoint and the end-state baseline (_train_and_score);
-    every output is byte-identical to a serial run."""
+    The token loop runs in this process while forked child processes
+    solve the end-state F and score the baseline and each checkpoint
+    (_train_and_score), so F is not solved here; every output is
+    byte-identical to a serial run.  It needs os.fork, which POSIX
+    systems have; it is tested on Linux only."""
+    if not hasattr(os, "fork"):
+        raise ConfigError("incremental scores its checkpoints in forked processes, "
+                          "and os.fork is missing on this platform")
     state = build_pipeline(cfg, with_production=False)
     d, split = state.dataset, state.split
 
@@ -710,6 +817,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     if cfg.number_opposition != "equipollent":
         raise ConfigError("the plural shift needs both number vectors; "
                           f"{_key_of('number_opposition')} must be equipollent")
+    _check_production_cues(cfg)
     if cfg.semantics_mode != "simulate":
         raise ConfigError("the wug experiment simulates its meanings; "
                           f"{_key_of('semantics_mode')} must be simulate, "

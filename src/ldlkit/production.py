@@ -554,7 +554,9 @@ def produce(
 
 def production_rows(rows: Iterable[tuple[str, ProductionResult]]):
     """Per-item CSV rows, header first: target, best candidate, match flag,
-    ranked top-n, and whether max_paths cut the item's path search short."""
+    ranked top-n, and truncated.  truncated is 1 when max_paths stopped
+    the item's path search with nodes left to visit; those nodes may hold
+    no complete path, so an item can be flagged that lost no candidate."""
     yield ["target", "best", "match", "rank", "candidate", "score", "tolerated", "truncated"]
     for target, res in rows:
         best = res.best.surface if res.best else ""

@@ -69,6 +69,29 @@ def base_config(data_path, tmp_path, **overrides):
     return resolve_config(pairs)
 
 
+class CallLog:
+    """Calls recorded as JSON lines in a file, each with the pid that made
+    it, so that calls made in forked children count too: their memory is
+    not visible here."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, **fields):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"pid": os.getpid(), **fields}) + "\n")
+
+    def records(self):
+        if not self.path.exists():
+            return []
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestConfig:
     def test_parse_flat_keys(self):
         text = "# comment\ncues.n = 3\n\ndata=corpus.tsv # trailing\n"
@@ -252,19 +275,28 @@ class TestRunIncremental:
 
     def test_final_weights_are_scored_once(self, data_path, tmp_path):
         """The checkpoint at the stream's end gives the incremental scores;
-        without checkpoints the final weights are scored after training."""
+        without checkpoints the final weights are scored after training, in
+        this process."""
         items = {}
+        score_items = comprehension.score_items
         # five checkpoints and the end state; or the final weights and the end state
-        for n, calls in ((5, 6), (0, 2)):
+        for n, calls_here, calls in ((5, 0, 6), (0, 1, 2)):
             cfg = base_config(data_path, tmp_path / str(n), **{"learning.eta": "0.01",
                                                               "learning.checkpoints": n})
-            with mock.patch.object(comprehension, "score_items",
-                                   wraps=comprehension.score_items) as spy:
+            log = CallLog(tmp_path / f"score_items{n}.jsonl")
+
+            def logged(*args, **kwargs):
+                log.add()
+                return score_items(*args, **kwargs)
+
+            with mock.patch.object(comprehension, "score_items", logged):
                 report = run_incremental(cfg)
             assert report["checkpoints"][-1:] == ([report["n_tokens"]] if n else [])
-            assert spy.call_count == calls
+            pids = [r["pid"] for r in log.records()]
+            assert len(pids) == calls and pids.count(os.getpid()) == calls_here
             items[n] = (tmp_path / str(n) / "out" / "items.csv").read_bytes()
         assert items[5] == items[0]
+        assert_no_child_left()
 
     def test_role_pipeline_with_error_analysis(self, data_path, tmp_path):
         cfg = base_config(
@@ -620,14 +652,15 @@ class TestCli:
     ])
     def test_error_on_either_thread_exits_2_and_leaves_no_thread(self, data_path, tmp_path, capsys,
                                                                  monkeypatch, verb, where):
-        # endstate: the worker solves F while the calling thread runs
-        # train_positional.  incremental: the worker scores the checkpoints
-        # while the calling thread runs the token loop.
-        raised_on = []
+        # endstate: the worker thread solves F while the calling thread runs
+        # train_positional.  incremental: a forked child scores each
+        # checkpoint while the calling process runs the token loop.
+        log = CallLog(tmp_path / "raised.jsonl")
         error = ProductionError if verb == "endstate" else MappingError
+        caller = os.getpid()
 
         def fail(*args, **kwargs):
-            raised_on.append(threading.current_thread())
+            log.add(main_thread=threading.current_thread() is threading.main_thread())
             raise error("fit failed")
 
         if verb == "endstate" and where == "worker":
@@ -639,7 +672,7 @@ class TestCli:
             # every checkpoint's scoring fails; the baseline's does not
             scores = ex.comprehension_scores
             monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
-                fail() if F is not None else scores(state, F)))
+                fail() if F is not None and F.trained_tokens else scores(state, F)))
         else:
             # the second stream segment fails, with the first checkpoint in flight
             run_stream = _wh_numpy.run_stream
@@ -659,10 +692,82 @@ class TestCli:
         assert [json.loads(line) for line in captured.err.splitlines()] == [
             {"error": "fit failed", "type": error.__name__}
         ]
-        assert len(raised_on) == 1
-        assert (raised_on[0] is threading.main_thread()) == (where == "caller")
+        [raised] = log.records()
+        on_caller = raised["pid"] == caller and raised["main_thread"]
+        assert on_caller == (where == "caller")
         assert not (tmp_path / "out").exists()
         assert set(threading.enumerate()) == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("dies_in", ["baseline", "checkpoint"])
+    def test_a_child_that_dies_without_a_result_exits_2(self, data_path, tmp_path, capsys,
+                                                         monkeypatch, dies_in):
+        caller = os.getpid()
+
+        def die():
+            assert os.getpid() != caller, "the scoring ran in the calling process"
+            os._exit(1)
+
+        if dies_in == "baseline":
+            monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: die())
+            what = "the end-state baseline"
+        else:
+            scores = ex.comprehension_scores
+            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
+                die() if F is not None and F.trained_tokens else scores(state, F)))
+            what = "the checkpoint at "
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["incremental", "--config", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        assert err["type"] == "RuntimeError"
+        assert what in err["error"] and "without a result (exit status 1)" in err["error"]
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+    def test_a_failing_loop_kills_the_children_it_leaves(self, data_path, tmp_path, capsys,
+                                                          monkeypatch):
+        # The baseline's child would take a minute; the run must not wait for it.
+        caller = os.getpid()
+
+        def slow_solve(X, Y):
+            assert os.getpid() != caller, "F was solved in the calling process"
+            time.sleep(60)
+            return solve_endstate(X, Y)
+
+        run_stream = _wh_numpy.run_stream
+        segments = []
+
+        def second_segment_fails(*args):
+            segments.append(args)
+            if len(segments) == 2:
+                raise MappingError("loop failed")
+            return run_stream(*args)
+
+        monkeypatch.setattr(ex, "solve_endstate", slow_solve)
+        monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        start = time.monotonic()
+        rc = cli.main(["incremental", "--config", str(p)])
+        assert time.monotonic() - start < 30
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "loop failed"
+        assert_no_child_left()
+
+    def test_without_fork_incremental_exits_2_before_any_output(self, data_path, tmp_path,
+                                                                 capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["incremental", "--config", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        assert err["type"] == "ConfigError" and "os.fork" in err["error"]
+        assert not (tmp_path / "out").exists()
 
     def test_wug_cli(self, tmp_path, capsys):
         data = tmp_path / "corpus.tsv"
@@ -692,6 +797,36 @@ class TestCli:
         [err] = [json.loads(line) for line in captured.err.splitlines()]
         assert err["type"] == "ConfigError" and "repeated: Bral" in err["error"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb,overrides", [
+        ("endstate", ["cues.n=1"]),
+        ("wug", ["cues.n=1"]),
+        # wug produces whatever production.enabled says
+        ("wug", ["cues.n=1", "production.enabled=false"]),
+    ])
+    def test_unigram_production_exits_2_before_any_output(self, tmp_path, capsys, verb,
+                                                          overrides):
+        # A unigram boundary cue opens and closes a path, so every item's
+        # only candidate would spell the empty form.
+        config = "data/demo-wug.config" if verb == "wug" else "data/demo.config"
+        argv = [verb, "--config", config, "--set", f"output={tmp_path / 'out'}"]
+        if verb == "wug":
+            argv += ["--nonce", "data/nonce.txt"]
+        for override in overrides:
+            argv += ["--set", override]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        assert err["type"] == "ConfigError" and "cues.n must be >= 2" in err["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_unigram_cues_run_without_production(self, tmp_path, capsys):
+        rc = cli.main(["endstate", "--config", "data/demo.config", "--set", f"output={tmp_path}",
+                       "--set", "production.enabled=false", "--set", "cues.n=1"])
+        assert rc == 0
+        assert "comprehension" in json.loads(capsys.readouterr().out)
+        assert not (tmp_path / "production.csv").exists()
 
     @pytest.mark.parametrize("mode", ["embeddings", "analytical", "bogus"])
     def test_wug_rejects_semantics_it_cannot_use(self, tmp_path, capsys, mode):
@@ -742,7 +877,11 @@ class TestOverlappedFits:
 
         monkeypatch.setattr(ex, "solve_endstate", recording_solve)
         before = set(threading.enumerate())
-        ex.build_pipeline(base_config(data_path, tmp_path), with_production=with_production)
+        state = ex.build_pipeline(base_config(data_path, tmp_path),
+                                  with_production=with_production)
+        # without production, F is solved where it is first read
+        assert ("F" in threads) == with_production
+        assert state.F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
         assert (threads.pop("F") is threading.main_thread()) != with_production
         if with_production:
             assert threads.pop("G") is threading.main_thread()
@@ -762,7 +901,7 @@ def demo_incremental_config(output):
 
 def serial_train_and_score(state, stream, checkpoints):
     """The serial oracle of ex._train_and_score: each checkpoint is scored
-    on the calling thread inside the token loop, then the end state."""
+    in the calling process inside the token loop, then the end state."""
     curve, latest = [], {}
 
     def score(m):
@@ -773,7 +912,9 @@ def serial_train_and_score(state, stream, checkpoints):
     final = train_incremental(stream, state.C.rows, state.space.S, eta=state.cfg.eta,
                               checkpoints=checkpoints, on_checkpoint=score)
     inc = latest.get(final.trained_tokens) or ex.comprehension_scores(state, final)
-    return curve, inc, ex.comprehension_scores(state)
+    train_ids = list(state.split.train_ids)
+    F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
+    return curve, inc, ex.comprehension_scores(state, F)
 
 
 INCREMENTAL_FILES = ("curve.csv", "items.csv", "report.json")
@@ -790,56 +931,114 @@ def incremental_outputs(output):
 
 
 class TestOverlappedScoring:
+    """Forked children score the baseline and the checkpoints while the
+    calling process runs the token loop."""
+
     def test_outputs_equal_serial_scoring_bit_for_bit(self, tmp_path, monkeypatch):
         with monkeypatch.context() as serial:
             serial.setattr(ex, "_train_and_score", serial_train_and_score)
-            expected = incremental_outputs(tmp_path)
+            expected = incremental_outputs(tmp_path / "out")
 
-        scored_on = {}
+        log = CallLog(tmp_path / "calls.jsonl")
         scores = ex.comprehension_scores
 
         def recording_scores(state, F=None):
-            scored_on[None if F is None else F.trained_tokens] = threading.current_thread()
+            log.add(scored="baseline" if F is None else F.trained_tokens)
             return scores(state, F)
 
+        def recording_solve(X, Y):
+            log.add(solved="F" if solves_f(X) else "G")
+            return solve_endstate(X, Y)
+
         monkeypatch.setattr(ex, "comprehension_scores", recording_scores)
+        monkeypatch.setattr(ex, "solve_endstate", recording_solve)
         before = set(threading.enumerate())
-        assert incremental_outputs(tmp_path) == expected
+        assert incremental_outputs(tmp_path / "out") == expected
         assert set(threading.enumerate()) == before
+        assert_no_child_left()
         checkpoints = json.loads(expected["report.json"])["checkpoints"]
-        assert len(checkpoints) == 5 and set(scored_on) == {None, *checkpoints}
-        assert threading.main_thread() not in scored_on.values()
+        calls = log.records()
+        scored = [r["scored"] for r in calls if "scored" in r]
+        assert scored.count("baseline") == 1
+        assert sorted(t for t in scored if t != "baseline") == checkpoints
+        assert [r["solved"] for r in calls if "solved" in r] == ["F"]
+        assert len(checkpoints) == 5 and os.getpid() not in {r["pid"] for r in calls}
 
     def test_a_slow_worker_changes_nothing(self, tmp_path, monkeypatch):
-        # Each checkpoint in flight holds one snapshot of W: with a worker
-        # slower than the token loop, checkpoints would pile up unless the
-        # loop waits for the previous one.
-        expected = incremental_outputs(tmp_path)
+        # A checkpoint child slower than a stream segment must make the loop
+        # wait at the next checkpoint, so that children do not pile up.
+        expected = incremental_outputs(tmp_path / "out")
+        log = CallLog(tmp_path / "scorings.jsonl")
         scores = ex.comprehension_scores
-        submitted, scored, in_flight = [], [], []
 
         def slow_scores(state, F=None):
-            seen = None if F is None else F.W.copy()
+            start = time.monotonic()
+            F = F or state.F
+            seen = F.W.copy()
             time.sleep(0.05)  # longer than a demo stream segment
             results = scores(state, F)
-            # the loop has gone on meanwhile, but not into the snapshot
-            assert F is None or np.array_equal(F.W, seen)
-            if F is not None:
-                scored.append(F.trained_tokens)
+            # the loop has gone on meanwhile, but not in this child's W
+            assert np.array_equal(F.W, seen)
+            log.add(tokens=F.trained_tokens, start=start, end=time.monotonic())
             return results
 
-        def counting_train(*args, on_checkpoint, **kwargs):
-            def counted(m):
-                on_checkpoint(m)
-                submitted.append(m.trained_tokens)
-                in_flight.append(len(submitted) - len(scored))
-            return train_incremental(*args, on_checkpoint=counted, **kwargs)
-
         monkeypatch.setattr(ex, "comprehension_scores", slow_scores)
-        monkeypatch.setattr(ex, "train_incremental", counting_train)
-        assert incremental_outputs(tmp_path) == expected
-        assert submitted == scored and len(scored) == 5
-        assert max(in_flight) == 1
+        assert incremental_outputs(tmp_path / "out") == expected
+        assert_no_child_left()
+        scorings = sorted((r["start"], r["end"], r["tokens"]) for r in log.records())
+        checkpoints = [(start, end) for start, end, tokens in scorings if tokens]
+        assert len(checkpoints) == 5 and len(scorings) == 6
+        # at most one checkpoint child in flight
+        assert all(end <= next_start for (_, end), (next_start, _) in
+                   zip(checkpoints, checkpoints[1:]))
+        assert os.getpid() not in {r["pid"] for r in log.records()}
+
+
+    def test_the_baseline_child_is_collected_once_its_result_waits(self, tmp_path,
+                                                                    monkeypatch):
+        # The demo's baseline takes well under a second; each stream segment
+        # is made to take 0.5 s, so the baseline's child has sent its scores
+        # before the last segment and must be reaped by then, not only after
+        # the loop: a result larger than a pipe holds keeps the child alive,
+        # with F and its heap, until the result is read.
+        log = CallLog(tmp_path / "baseline.jsonl")
+        scores = ex.comprehension_scores
+
+        def recording_scores(state, F=None):
+            if F is None:
+                log.add()
+            return scores(state, F)
+
+        run_stream = _wh_numpy.run_stream
+        reaped = []  # per segment, whether the baseline's child was reaped
+
+        def slow_segment(*args):
+            time.sleep(0.5)
+            try:  # WNOWAIT leaves a child that has ended to be reaped by the run
+                os.waitid(os.P_PID, log.records()[0]["pid"],
+                          os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                reaped.append(False)
+            except ChildProcessError:
+                reaped.append(True)
+            return run_stream(*args)
+
+        monkeypatch.setattr(ex, "comprehension_scores", recording_scores)
+        monkeypatch.setattr(_wh_numpy, "run_stream", slow_segment)
+        incremental_outputs(tmp_path / "out")
+        assert_no_child_left()
+        # five checkpoint segments and the empty one after the last
+        assert len(reaped) == 6 and reaped[-1]
+
+
+def test_incremental_imports_no_thread_pool(tmp_path):
+    proc = run_python(
+        "import sys\nfrom ldlkit import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, 'concurrent.futures' in sys.modules)",
+        "incremental", "--config", "data/demo.config", "--set", f"output={tmp_path}",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # Runs the CLI with scipy unimportable: a None entry in sys.modules makes
@@ -923,9 +1122,10 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
     n, dims = state.space.S.shape
     n_pool = len(state.pool.entry_ids)
     bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
+    F = state.F  # solved when first read, so before the trace starts
     tracemalloc.start()
     try:
-        results = ex.comprehension_scores(state)
+        results = ex.comprehension_scores(state, F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
