@@ -19,7 +19,9 @@ import os
 import pickle
 from collections import Counter
 from dataclasses import Field, dataclass, field, fields
-from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Optional, Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -45,6 +47,11 @@ from .production import (
     production_rows,
     train_positional,
 )
+
+if TYPE_CHECKING:  # imported where a thread is started, see _comprehension_stage
+    from concurrent.futures import Executor
+
+T = TypeVar("T")
 
 DEFAULT_THETA = {
     ("phone", 2): 0.05,
@@ -269,6 +276,8 @@ class PipelineState:
     dropped_entries: int = 0
     analytical_corr_mean: Optional[float] = None
     solved_f: Optional[Mapping] = None
+    # the positional model's inputs for production_ids(split), in that order
+    production_inputs: Optional[np.ndarray] = None
 
     @property
     def F(self) -> Mapping:
@@ -331,14 +340,15 @@ def _comprehension_stage(
     solves it on the train rows when first read.
 
     With production, F is solved on one worker thread while this thread
-    fits G and the positional model to the same train rows.  Neither fit
-    writes what the other reads, and numpy's LAPACK and BLAS calls release
-    the GIL, so the two run on two CPUs and give the bits of a serial run.
-    The worker takes the smaller fit because glibc gives it its own malloc
-    arena, whose freed memory this thread does not reuse: with G and the
-    positional model there, endstate-1k's peak RSS rose from ~158 to
-    ~188 MB.  The worker is joined before the stage returns, also when
-    either side raises."""
+    fits G to the same train rows; the worker then computes the
+    production inputs and half of the positional solves
+    (_production_model).  Neither side writes what the other reads, and
+    numpy's LAPACK and BLAS calls release the GIL, so the two run on two
+    CPUs and give the bits of a serial run.  The worker takes the smaller
+    fit because glibc gives it its own malloc arena, whose freed memory
+    this thread does not reuse: with G and the positional model there,
+    endstate-1k's peak RSS rose from ~158 to ~188 MB.  The worker is
+    joined before the stage returns, also when either side raises."""
     d = split.dataset
     inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
     C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
@@ -352,37 +362,67 @@ def _comprehension_stage(
     from concurrent.futures import ThreadPoolExecutor
 
     train_ids = list(split.train_ids)
-    cue_rows, S = C.rows[train_ids], space.S[train_ids]
     with ThreadPoolExecutor(max_workers=1) as worker:
-        comprehension = worker.submit(solve_endstate, cue_rows, S)
-        G, positional = _production_model(
-            cfg, inv, S, cue_rows, [cue_cfg.cue_string(e) for e in split.train]
+        # Each fit gets its own copies of the train rows, which it alone
+        # holds, so that they are freed once it no longer needs them.
+        comprehension = worker.submit(solve_endstate, C.rows[train_ids], space.S[train_ids])
+        G, positional, X = _production_model(
+            cfg, inv, space.S[train_ids], C.rows[train_ids],
+            [cue_cfg.cue_string(e) for e in split.train], worker, space.S, production_ids(split),
         )
         F = comprehension.result()
     return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space,
-                         G=G, positional=positional, solved_f=F)
+                         G=G, positional=positional, solved_f=F, production_inputs=X)
+
+
+def _predict_cues(S: np.ndarray, rows: Sequence[int], W: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = S[rows[r]] @ W, one vector-matrix product per row, as
+    produce() computes it: a row of a matrix product may round
+    differently."""
+    for r, i in enumerate(rows):
+        np.matmul(S[i], W, out=out[r])
 
 
 def _production_model(
     cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
-    forms: Sequence[str],
-) -> tuple[Mapping, PositionalSupportModel]:
-    """The production mapping G (S to cue_rows) and the positional model
-    trained on forms, the cue strings of the rows of S."""
+    forms: Sequence[str], worker: Executor, targets: np.ndarray, rows: Sequence[int],
+) -> tuple[Mapping, PositionalSupportModel, np.ndarray]:
+    """The production mapping G (S to cue_rows), the positional model
+    trained on forms, the cue strings of the rows of S, and the
+    positional model's inputs for the meanings targets[rows], which are
+    to be produced.
+
+    G is solved on this thread.  Then worker, an executor with one
+    thread (which may still be busy with earlier work), computes the
+    inputs of targets[rows] into an array allocated here, while this
+    thread computes the pseudo-inverse of the positional model's
+    training inputs; the positional solves are then split between the
+    two threads (train_positional).  S and cue_rows are let go once G
+    and the training inputs are computed: a caller that holds no other
+    reference to them has them freed before the positional solves."""
     cue_cfg = cfg.cue_config()
     G = solve_endstate(S, cue_rows)
+    if cfg.production_input == "predicted_cues":
+        X = np.empty((len(rows), G.W.shape[1]))
+        predicted = worker.submit(_predict_cues, targets, rows, G.W, X)
+        inputs = S @ G.W
+    else:
+        X, predicted, inputs = targets[rows], None, S
+    del S, cue_rows
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-    targets = positional_targets(forms, inv, cue_cfg, max_len)
-    inputs = S @ G.W if cfg.production_input == "predicted_cues" else S
-    return G, train_positional(inputs, targets, inv, cue_cfg)
+    positional = train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
+                                  inv, cue_cfg, worker)
+    if predicted is not None:
+        predicted.result()
+    return G, positional, X
 
 
 def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
     """Assemble split, cue matrix, semantic space, and trained mappings.
 
     With production (cfg.production_enabled unless with_production says
-    otherwise), F is solved on one worker thread while G and the
-    positional model are fitted (see _comprehension_stage); the state
+    otherwise), F, G, the positional model and the production inputs
+    are computed on two threads (see _comprehension_stage); the state
     returned holds them as plain fields, and every bit is that of a serial
     run.  Without production, F is solved when first read."""
     d = _prepare_dataset(cfg)
@@ -439,14 +479,15 @@ def _support_blocks(m: PositionalSupportModel, X: np.ndarray, params: Production
 
 def produce_items(
     S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
-    params: ProductionParams,
+    params: ProductionParams, X: Optional[np.ndarray] = None,
 ) -> list[ProductionResult]:
-    """produce() for every row of S_targets, with supports computed in chunks."""
-    if params.input_space == "predicted_cues":
-        # One vector-matrix product per item, as produce() computes it: a row
-        # of a matrix product may round differently.
-        X = np.array([s @ G.W for s in S_targets])
-    else:
+    """produce() for every row of S_targets, with supports computed in
+    chunks.  X holds the rows' inputs to m when they were computed
+    before; otherwise they are computed here."""
+    if X is None and params.input_space == "predicted_cues":
+        X = np.empty((len(S_targets), G.W.shape[1]))
+        _predict_cues(S_targets, range(len(S_targets)), G.W, X)
+    elif X is None:
         X = S_targets
     return [
         produce(s, G, m, F, params, support=sup)
@@ -462,12 +503,36 @@ def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
     }
 
 
-def production_results(
-    state: PipelineState, ids: Sequence[int]
-) -> dict[int, ProductionResult]:
-    params = state.cfg.production_params()
-    results = produce_items(state.space.S[list(ids)], state.G, state.positional, state.F, params)
-    return dict(zip(ids, results))
+def production_ids(split: lexicon.SplitResult) -> list[int]:
+    """The items endstate produces: every train and validation item, in id order."""
+    return sorted(set(split.train_ids) | set(split.validation_ids))
+
+
+def _produce_in_two(
+    S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
+    params: ProductionParams, X: np.ndarray, meanwhile: Callable[[], T] = lambda: None,
+) -> tuple[T, list[ProductionResult]]:
+    """meanwhile() and produce_items(S_targets, ...), with X the rows'
+    inputs to m, on two CPUs: a child forked with _fork produces the
+    second half of the rows while this process calls meanwhile() and
+    produces the first half.  Returns what meanwhile returned and the
+    results in row order.
+
+    search_supports makes an item's candidates independent of the batch
+    it is computed in, so the results are those of one serial batch.
+    The fork must come when no other thread runs: a thread holding a
+    lock at the fork would leave it held in the child.  On any error
+    here the child is killed and reaped."""
+    half = len(S_targets) // 2
+    child = _fork(f"the production of items [{half}, {len(S_targets)})",
+                  lambda: produce_items(S_targets[half:], G, m, F, params, X[half:]))
+    try:
+        done = meanwhile()
+        first = produce_items(S_targets[:half], G, m, F, params, X[:half])
+    except BaseException:
+        _kill(child)
+        raise
+    return done, first + _join(child)
 
 
 def production_accuracies(
@@ -484,20 +549,37 @@ def production_accuracies(
     return out
 
 
-def _check_production_cues(cfg: ExperimentConfig) -> None:
-    """Production needs cues of two or more units: a unigram boundary cue
-    both opens and closes a path, so every search would find the path of
-    that one cue, which spells the empty form."""
+def _check_production(cfg: ExperimentConfig) -> None:
+    """Production needs cues of two or more units, since a unigram
+    boundary cue both opens and closes a path, so every search would find
+    the path of that one cue, which spells the empty form; and it needs
+    os.fork (_produce_in_two)."""
     if cfg.cue_n < 2:
         raise ConfigError(f"{_key_of('cue_n')} must be >= 2 where production runs, got {cfg.cue_n}")
+    _check_fork("production runs half its items in a forked process")
+
+
+def _check_fork(why: str) -> None:
+    """A run that forks needs os.fork, which POSIX systems have; it is
+    tested on Linux only.  Checked before anything is fitted or written."""
+    if not hasattr(os, "fork"):
+        raise ConfigError(f"{why}, and os.fork is missing on this platform")
 
 
 def run_endstate(cfg: ExperimentConfig) -> dict:
     """Closed-form training plus the full evaluation grid."""
     if cfg.production_enabled:
-        _check_production_cues(cfg)
+        _check_production(cfg)
     state = build_pipeline(cfg)
-    results = comprehension_scores(state)
+    if cfg.production_enabled:
+        ids = production_ids(state.split)
+        results, produced = _produce_in_two(
+            state.space.S[ids], state.G, state.positional, state.F, cfg.production_params(),
+            state.production_inputs, meanwhile=lambda: comprehension_scores(state),
+        )
+        prod = dict(zip(ids, produced))
+    else:
+        results = comprehension_scores(state)
     comp_acc = comprehension_accuracies(state, results)
     report = {
         "n_entries": len(state.dataset),
@@ -518,12 +600,10 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
         report["analytical_reconstruction_mean_r"] = state.analytical_corr_mean
     tables = {"items.csv": comp.item_score_rows(results, state.split)}
     if cfg.production_enabled:
-        all_ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))
-        prod = production_results(state, all_ids)
         report["production"] = production_accuracies(state, prod)
         report.update(production_counts(prod.values()))
         tables["production.csv"] = production_rows(
-            (state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in all_ids
+            (state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in ids
         )
         tables["summary.csv"] = _summary_rows(report)
     write_outputs(cfg, report, tables)
@@ -545,8 +625,8 @@ def _default_checkpoints(total: int, n: int) -> list[int]:
 
 
 class _Child(NamedTuple):
-    """A scoring forked by _fork: its pid, the read end of its result
-    pipe, and what it scores, which names it in errors."""
+    """Work forked by _fork: its pid, the read end of its result pipe,
+    and what it does, which names it in errors."""
 
     pid: int
     fd: int
@@ -587,7 +667,7 @@ def _fork(what: str, work: Callable[[], object]) -> _Child:
 def _join(child: _Child):
     """Read child's pipe to its end, reap it, and return what it sent, or
     raise the exception it sent.  A child that ends without sending a
-    whole pair raises a RuntimeError naming what it scored."""
+    whole pair raises a RuntimeError naming its work."""
     try:
         with open(child.fd, "rb") as fh:
             payload = fh.read()
@@ -597,11 +677,21 @@ def _join(child: _Child):
         ok, value = pickle.loads(payload)
     except Exception:  # noqa: BLE001 - nothing or a cut-off pair was sent
         code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(
-            f"scoring {child.what} ended without a result (exit status {code})") from None
+        raise RuntimeError(f"{child.what} ended without a result (exit status {code})") from None
     if not ok:
         raise value
     return value
+
+
+def _kill(child: _Child) -> None:
+    """Kill and reap a child that will not be joined, and close its pipe."""
+    # imported here, not with the module: importing signal at start-up
+    # (it builds enum classes) raised the peak RSS of endstate-1k by ~0.9 MB
+    import signal
+
+    os.kill(child.pid, signal.SIGKILL)
+    os.waitpid(child.pid, 0)
+    os.close(child.fd)
 
 
 def _train_and_score(
@@ -626,11 +716,7 @@ def _train_and_score(
     a serial run, so the bits are the same.  A child's exception is
     raised here, and on every path out any child still running is killed
     and reaped."""
-    # imported here, not with the module: importing signal at start-up
-    # (it builds enum classes) raised the peak RSS of endstate-1k, a verb
-    # that never gets here, by ~0.9 MB
-    import select
-    import signal
+    import select  # imported here, as signal is in _kill
 
     baseline: Optional[_Child] = None
     checkpoint: Optional[_Child] = None
@@ -659,11 +745,11 @@ def _train_and_score(
     def on_checkpoint(m: Mapping) -> None:
         nonlocal checkpoint
         collect(wait_for_baseline=False)
-        checkpoint = _fork(f"the checkpoint at {m.trained_tokens} tokens",
+        checkpoint = _fork(f"scoring the checkpoint at {m.trained_tokens} tokens",
                            lambda: score_checkpoint(m))
 
     try:
-        baseline = _fork("the end-state baseline", lambda: comprehension_scores(state))
+        baseline = _fork("scoring the end-state baseline", lambda: comprehension_scores(state))
         final = train_incremental(
             stream, state.C.rows, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
             on_checkpoint=on_checkpoint,
@@ -676,9 +762,7 @@ def _train_and_score(
     finally:
         for child in (baseline, checkpoint):
             if child is not None:
-                os.kill(child.pid, signal.SIGKILL)
-                os.waitpid(child.pid, 0)
-                os.close(child.fd)
+                _kill(child)
 
 
 def run_incremental(cfg: ExperimentConfig) -> dict:
@@ -689,9 +773,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     (_train_and_score), so F is not solved here; every output is
     byte-identical to a serial run.  It needs os.fork, which POSIX
     systems have; it is tested on Linux only."""
-    if not hasattr(os, "fork"):
-        raise ConfigError("incremental scores its checkpoints in forked processes, "
-                          "and os.fork is missing on this platform")
+    _check_fork("incremental scores its checkpoints in forked processes")
     state = build_pipeline(cfg, with_production=False)
     d, split = state.dataset, state.split
 
@@ -817,7 +899,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     if cfg.number_opposition != "equipollent":
         raise ConfigError("the plural shift needs both number vectors; "
                           f"{_key_of('number_opposition')} must be equipollent")
-    _check_production_cues(cfg)
+    _check_production(cfg)
     if cfg.semantics_mode != "simulate":
         raise ConfigError("the wug experiment simulates its meanings; "
                           f"{_key_of('semantics_mode')} must be simulate, "
@@ -839,14 +921,18 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         raise ConfigError("every nonce word consists of unseen cues only")
     C_nonce = build_cue_matrix(usable, inv, cue_cfg).rows
     S_nonce_sg = C_nonce @ F.W
-
-    G, posmodel = _production_model(
-        cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
-        [cue_cfg.cue_string(e) for e in d] + usable,
-    )
-
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
-    results = produce_items(S_pl, G, posmodel, F, cfg.production_params())
+
+    # imported here, as in _comprehension_stage
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The worker is joined before the fork in _produce_in_two.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        G, posmodel, X = _production_model(
+            cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
+            [cue_cfg.cue_string(e) for e in d] + usable, worker, S_pl, range(len(S_pl)),
+        )
+    _, results = _produce_in_two(S_pl, G, posmodel, F, cfg.production_params(), X)
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
     candidate_rows = [["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"]]

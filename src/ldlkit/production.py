@@ -34,12 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .cues import CueConfig, CueInventory, extract_grams
 from .mappings import Mapping
+
+if TYPE_CHECKING:  # concurrent.futures is imported only by the runs that start a thread
+    from concurrent.futures import Executor
 
 
 _EPS = np.finfo(np.float64).eps
@@ -200,10 +203,13 @@ class PositionalTargets:
     max_len: int
     n_cues: int
 
-    def position(self, p: int) -> np.ndarray:
-        """Dense binary (n_items, n_cues) targets of position p."""
+    def position(self, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Dense binary (n_items, n_cues) targets of position p, written
+        into out when it is given."""
         at = self.columns // self.n_cues == p
-        out = np.zeros((self.n_items, self.n_cues))
+        if out is None:
+            out = np.empty((self.n_items, self.n_cues))
+        out.fill(0.0)
         out[self.items[at], self.columns[at] - p * self.n_cues] = 1.0
         return out
 
@@ -237,6 +243,7 @@ def train_positional(
     targets: PositionalTargets,
     inv: CueInventory,
     cfg: CueConfig,
+    worker: Optional[Executor] = None,
 ) -> PositionalSupportModel:
     """Least-squares positional support model.
 
@@ -244,7 +251,16 @@ def train_positional(
     input factorization is computed once and reused, which matches the
     per-position minimum-norm solutions.  Only the (position, cue)
     columns that some training form fills are solved for: the
-    minimum-norm weights of an all-zero target column are zero.
+    minimum-norm weights of an all-zero target column are zero, so a
+    position no form fills is not solved at all.
+
+    Given a worker (an executor with one thread, which may still be busy
+    with work submitted before), every other filled position is solved
+    there while this thread computes the rest.  Each position's product
+    is the same BLAS call on either thread, so the weights have the bits
+    of a serial solve.  Every array the worker fills is allocated here:
+    glibc gives it a malloc arena of its own, whose memory this thread
+    does not reuse.
     """
     if targets.n_items == 0:
         raise ProductionError("empty training set")
@@ -253,13 +269,28 @@ def train_positional(
     max_len, n_cues = targets.max_len, targets.n_cues
     columns = np.unique(targets.columns)
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
-    # Each position's product runs over all its cues, so every stored column
-    # has the bits of the dense per-position solve pinv @ targets.position(p).
     ends = _position_ends(columns, max_len, n_cues)
     weights = np.empty((pinv.shape[0], columns.size))
-    for p in range(max_len):
-        a, b = ends[p], ends[p + 1]
-        weights[:, a:b] = (pinv @ targets.position(p))[:, columns[a:b] - p * n_cues]
+    filled = [p for p in range(max_len) if ends[p] < ends[p + 1]]
+
+    def solve(positions: Sequence[int], dense: np.ndarray, product: np.ndarray) -> None:
+        # Each position's product runs over all its cues, so every stored
+        # column has the bits of the dense per-position solve
+        # pinv @ targets.position(p).
+        for p in positions:
+            a, b = ends[p], ends[p + 1]
+            np.matmul(pinv, targets.position(p, out=dense), out=product)
+            weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
+
+    def buffers() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((targets.n_items, n_cues)), np.empty((pinv.shape[0], n_cues))
+
+    if worker is None:
+        solve(filled, *buffers())
+    else:
+        odd = worker.submit(solve, filled[1::2], *buffers())
+        solve(filled[::2], *buffers())
+        odd.result()
     return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
                                   inventory=inv, cfg=cfg)
 

@@ -33,9 +33,15 @@ from ldlkit.experiments import (
     run_split,
     run_wug,
 )
+from ldlkit.cues import extract_grams
 from ldlkit.lexicon import Dataset, save_dataset
 from ldlkit.mappings import MappingError, solve_endstate, train_incremental
-from ldlkit.production import ProductionError
+from ldlkit.production import (
+    PositionalTargets,
+    ProductionError,
+    positional_targets,
+    train_positional,
+)
 
 from corpora import paradigm_lexicon
 
@@ -710,12 +716,12 @@ class TestCli:
 
         if dies_in == "baseline":
             monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: die())
-            what = "the end-state baseline"
+            what = "scoring the end-state baseline"
         else:
             scores = ex.comprehension_scores
             monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
                 die() if F is not None and F.trained_tokens else scores(state, F)))
-            what = "the checkpoint at "
+            what = "scoring the checkpoint at "
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
         rc = cli.main(["incremental", "--config", str(p)])
@@ -723,7 +729,68 @@ class TestCli:
         assert rc == 2 and captured.out == ""
         [err] = [json.loads(line) for line in captured.err.splitlines()]
         assert err["type"] == "RuntimeError"
-        assert what in err["error"] and "without a result (exit status 1)" in err["error"]
+        assert err["error"].startswith(what)
+        assert "without a result (exit status 1)" in err["error"]
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+    @staticmethod
+    def production_argv(verb, data_path, tmp_path):
+        if verb == "wug":
+            return ["wug", "--config", "data/demo-wug.config", "--nonce", "data/nonce.txt",
+                    "--set", f"output={tmp_path / 'out'}"]
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        return ["endstate", "--config", str(p)]
+
+    @pytest.mark.parametrize("verb", ["endstate", "wug"])
+    @pytest.mark.parametrize("how", ["raises", "exits"])
+    def test_a_failing_production_child_exits_2_and_leaves_no_child(self, data_path, tmp_path,
+                                                                     capsys, monkeypatch, verb,
+                                                                     how):
+        caller = os.getpid()
+        produce = ex.produce
+
+        def produce_in_child_fails(*args, **kwargs):
+            if os.getpid() != caller:
+                if how == "exits":
+                    os._exit(1)
+                raise ProductionError("production failed")
+            return produce(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "produce", produce_in_child_fails)
+        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        if how == "raises":
+            assert err == {"error": "production failed", "type": "ProductionError"}
+        else:
+            assert err["type"] == "RuntimeError"
+            assert re.fullmatch(r"the production of items \[\d+, \d+\) ended without a result "
+                                r"\(exit status 1\)", err["error"])
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("verb", ["endstate", "wug"])
+    def test_a_failing_calling_half_kills_the_production_child(self, data_path, tmp_path, capsys,
+                                                               monkeypatch, verb):
+        # The child's half would take a minute; the run must not wait for it.
+        caller = os.getpid()
+        produce = ex.produce
+
+        def produce_fails_here(*args, **kwargs):
+            if os.getpid() == caller:
+                raise ProductionError("production failed")
+            time.sleep(60)
+            return produce(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "produce", produce_fails_here)
+        start = time.monotonic()
+        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
+        assert time.monotonic() - start < 30
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "production failed"
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
 
@@ -768,6 +835,25 @@ class TestCli:
         [err] = [json.loads(line) for line in captured.err.splitlines()]
         assert err["type"] == "ConfigError" and "os.fork" in err["error"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["endstate", "wug"])
+    def test_without_fork_production_exits_2_before_any_output(self, data_path, tmp_path,
+                                                                capsys, monkeypatch, verb):
+        monkeypatch.delattr(os, "fork")
+        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        assert err == {"error": "production runs half its items in a forked process, "
+                                "and os.fork is missing on this platform", "type": "ConfigError"}
+        assert not (tmp_path / "out").exists()
+
+    def test_without_fork_endstate_runs_without_production(self, data_path, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        argv = self.production_argv("endstate", data_path, tmp_path)
+        assert cli.main(argv + ["--set", "production.enabled=false"]) == 0
+        assert "comprehension" in json.loads(capsys.readouterr().out)
 
     def test_wug_cli(self, tmp_path, capsys):
         data = tmp_path / "corpus.tsv"
@@ -852,19 +938,40 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
+def serial_production_model(state):
+    """The serial oracle of the production fits in build_pipeline: G, the
+    positional model and its inputs for production_ids, each computed as
+    it was on one thread."""
+    cfg, inv = state.cfg, state.C.inventory
+    train_ids = list(state.split.train_ids)
+    S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
+    forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
+    G = solve_endstate(S, cue_rows)
+    max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
+    targets = positional_targets(forms, inv, state.cue_cfg, max_len)
+    positional = train_positional(S @ G.W, targets, inv, state.cue_cfg)
+    X = np.array([s @ G.W for s in state.space.S[ex.production_ids(state.split)]])
+    return G, positional, X
+
+
 class TestOverlappedFits:
     def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path):
         cfg = base_config(data_path, tmp_path)
         state = ex.build_pipeline(cfg)
         train_ids = list(state.split.train_ids)
-        S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
-        forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
-        F = solve_endstate(cue_rows, S)
-        G, positional = ex._production_model(cfg, state.C.inventory, S, cue_rows, forms)
+        F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
+        G, positional, X = serial_production_model(state)
         assert np.array_equal(state.F.W, F.W)
         assert np.array_equal(state.G.W, G.W)
         assert np.array_equal(state.positional.columns, positional.columns)
         assert np.array_equal(state.positional.weights, positional.weights)
+        assert np.array_equal(state.production_inputs, X)
+
+    def test_semantic_inputs_are_the_targets_meanings(self, data_path, tmp_path):
+        state = ex.build_pipeline(base_config(data_path, tmp_path,
+                                              **{"production.input": "semantics"}))
+        ids = ex.production_ids(state.split)
+        assert np.array_equal(state.production_inputs, state.space.S[ids])
 
     @pytest.mark.parametrize("with_production", [True, False])
     def test_f_runs_on_a_worker_only_beside_production(self, data_path, tmp_path, monkeypatch,
@@ -887,6 +994,102 @@ class TestOverlappedFits:
             assert threads.pop("G") is threading.main_thread()
         assert not threads
         assert set(threading.enumerate()) == before
+
+    def test_predictions_and_half_the_positions_run_on_the_worker(self, data_path, tmp_path,
+                                                                   monkeypatch):
+        calls = []
+        predict, pinv, position = ex._predict_cues, np.linalg.pinv, PositionalTargets.position
+
+        def recording(name, f):
+            def call(*args, **kwargs):
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((name, args[1] if name == "position" else None, on_main))
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ex, "_predict_cues", recording("predict", predict))
+        monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
+        monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
+        before = set(threading.enumerate())
+        state = ex.build_pipeline(base_config(data_path, tmp_path))
+        assert set(threading.enumerate()) == before
+        # the two threads run at once, so their calls interleave in any order
+        assert sorted(c for c in calls if c[0] != "position") == [("pinv", None, True),
+                                                                 ("predict", None, False)]
+        m = state.positional
+        filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
+        assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
+        solved = sorted((p, on_main) for name, p, on_main in calls if name == "position")
+        assert solved == [(p, i % 2 == 0) for i, p in enumerate(filled)]
+        # every position's solve and every prediction gives the serial bits
+        _, positional, X = serial_production_model(state)
+        assert np.array_equal(m.weights, positional.weights)
+        assert np.array_equal(state.production_inputs, X)
+
+    @pytest.mark.parametrize("verb", ["endstate", "wug"])
+    def test_one_thread_is_alive_at_the_production_fork(self, data_path, tmp_path, monkeypatch,
+                                                        capsys, verb):
+        alive = []
+        fork = ex._fork
+
+        def counting_fork(what, work):
+            alive.append(threading.active_count())
+            return fork(what, work)
+
+        monkeypatch.setattr(ex, "_fork", counting_fork)
+        assert cli.main(TestCli.production_argv(verb, data_path, tmp_path)) == 0
+        assert alive == [1]
+        assert_no_child_left()
+
+
+def production_summary(results):
+    """Every field of each result, the scores as repr, so that NaN equals NaN."""
+    return [(r.n_candidates, r.truncated, r.best is None,
+             [(c.surface, c.grams, c.tolerated_count, repr(c.score)) for c in r.top_n])
+            for r in results]
+
+
+@pytest.fixture(scope="module")
+def production_state(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("production")
+    data_path = tmp_path / "corpus.tsv"
+    save_dataset(paradigm_lexicon(25, seed=21), data_path)
+    return ex.build_pipeline(base_config(data_path, tmp_path))
+
+
+class TestProductionInTwo:
+    """_produce_in_two against one serial produce_items batch."""
+
+    @pytest.mark.parametrize("tolerance", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 15])
+    def test_results_equal_one_serial_batch_bit_for_bit(self, production_state, tmp_path,
+                                                        monkeypatch, tolerance, n):
+        state = production_state
+        params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance)
+        ids = ex.production_ids(state.split)[:n]
+        S, X = state.space.S[ids], state.production_inputs[:n]
+        expected = ex.produce_items(S, state.G, state.positional, state.F, params)
+        assert len(expected) == n
+
+        log = CallLog(tmp_path / "produced.jsonl")
+        produce = ex.produce
+
+        def recording_produce(s, *args, **kwargs):
+            log.add(row=int(np.flatnonzero((S == s).all(axis=1))[0]))
+            return produce(s, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "produce", recording_produce)
+        caller = os.getpid()
+        done, results = ex._produce_in_two(S, state.G, state.positional, state.F, params, X,
+                                           meanwhile=lambda: os.getpid())
+        assert done == caller
+        assert production_summary(results) == production_summary(expected)
+        assert_no_child_left()
+        rows = {r["row"]: r["pid"] for r in log.records()}
+        assert sorted(rows) == list(range(n))
+        half = n // 2
+        assert all(rows[i] == caller for i in range(half))
+        assert all(rows[i] != caller for i in range(half, n))
 
 
 ROOT = Path(__file__).resolve().parents[1]
