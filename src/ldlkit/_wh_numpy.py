@@ -11,7 +11,12 @@ the active rows are summed one by one in index order, which is the order
 W[idx].sum(axis=0) adds them when W has two or more columns, so the
 weights are bit-identical to a gather/scatter loop at about half the
 numpy calls per token.  (With a single column, numpy sums the gathered
-column with partial sums, so the last bit can differ.)
+column with partial sums, so the last bit can differ.)  Each entry's row
+views and target row are built once per call, the first time the entry
+occurs, and every token's update is formed in one accumulator allocated
+once per call, so the loop allocates no array per token.  An entry with
+one active cue subtracts its row from the target directly; one with none
+is skipped.
 """
 
 from __future__ import annotations
@@ -28,17 +33,25 @@ def run_stream(
     eta: float,
 ) -> None:
     views = list(W)
-    entry_rows: dict[int, list[np.ndarray]] = {}
+    add, subtract = np.add, np.subtract
+    acc = np.empty(W.shape[1], dtype=W.dtype)
+    # per entry: its row views, those after the second, and its target row
+    entries: dict[int, tuple[list[np.ndarray], list[np.ndarray], np.ndarray]] = {}
     for eid in stream.tolist():
-        rows = entry_rows.get(eid)
-        if rows is None:
+        entry = entries.get(eid)
+        if entry is None:
             rows = [views[j] for j in indices[indptr[eid] : indptr[eid + 1]].tolist()]
-            entry_rows[eid] = rows
-        if rows:
-            acc = rows[0].copy()
-            for r in rows[1:]:
+            entry = entries[eid] = (rows, rows[2:], S[eid])
+        rows, more, target = entry
+        if len(rows) > 1:
+            add(rows[0], rows[1], out=acc)
+            for r in more:
                 acc += r
-            np.subtract(S[eid], acc, out=acc)
-            acc *= eta
-            for r in rows:
-                r += acc
+            subtract(target, acc, out=acc)
+        elif rows:
+            subtract(target, rows[0], out=acc)
+        else:
+            continue
+        acc *= eta
+        for r in rows:
+            r += acc

@@ -20,7 +20,8 @@ import pickle
 from collections import Counter
 from dataclasses import Field, dataclass, field, fields
 from typing import (
-    TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Optional, Sequence, TypeVar,
+    TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, NamedTuple, Optional, Sequence,
+    TypeVar,
 )
 
 import numpy as np
@@ -625,73 +626,102 @@ def _default_checkpoints(total: int, n: int) -> list[int]:
 
 
 class _Child(NamedTuple):
-    """Work forked by _fork: its pid, the read end of its result pipe,
-    and what it does, which names it in errors."""
+    """A process forked by _fork_serving: its pid, the read end of its
+    result pipe, and what it does, which names it in errors.  The pipe is
+    closed once the child is reaped."""
 
     pid: int
-    fd: int
+    results: BinaryIO
     what: str
 
 
 def _fork(what: str, work: Callable[[], object]) -> _Child:
-    """Run work() in a forked child process, whose pipe carries back its
-    pickled (ok, value) pair: (True, what work returned) or (False, the
-    exception it raised).
+    """Run work() in a forked child process that sends back its outcome
+    (_send) and ends; _join collects it."""
+    return _fork_serving(what, lambda out: _send(out, work))
 
-    The child sees memory as it was at the fork, so the caller may go on
-    changing what work reads.  It ends with os._exit, so it never returns
-    into the caller, runs no exit handler and flushes no inherited buffer."""
+
+def _fork_serving(what: str, serve: Callable[[BinaryIO], object]) -> _Child:
+    """Fork a child process that calls serve(out), out being the write end
+    of the pipe its results go back on (_send, read with _receive).
+
+    The child sees memory as it was at the fork, shared mappings aside,
+    so the caller may go on changing what it reads.  It ends with
+    os._exit, so it never returns into the caller, runs no exit handler
+    and flushes no inherited buffer."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
         os.close(write_fd)
-        return _Child(pid, read_fd, what)
+        return _Child(pid, open(read_fd, "rb"), what)
     status = 1
     try:
         os.close(read_fd)
-        try:
-            outcome = (True, work())
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            outcome = (False, exc)
-        try:
-            payload = pickle.dumps(outcome)
-        except Exception as exc:  # noqa: BLE001 - a value or exception pickle cannot take
-            payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(write_fd, "wb") as fh:
-            fh.write(payload)
+        with open(write_fd, "wb") as out:
+            serve(out)
         status = 0
     finally:
         os._exit(status)
 
 
-def _join(child: _Child):
-    """Read child's pipe to its end, reap it, and return what it sent, or
-    raise the exception it sent.  A child that ends without sending a
-    whole pair raises a RuntimeError naming its work."""
+def _send(out: BinaryIO, work: Callable[[], object]) -> bool:
+    """Call work() and send its outcome on out as one pickled (ok, value)
+    pair: (True, what work returned) or (False, the exception it raised).
+    Returns ok."""
     try:
-        with open(child.fd, "rb") as fh:
-            payload = fh.read()
-    finally:
-        status = os.waitpid(child.pid, 0)[1]
+        outcome = (True, work())
+    except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        outcome = (False, exc)
     try:
-        ok, value = pickle.loads(payload)
+        payload = pickle.dumps(outcome)
+    except Exception as exc:  # noqa: BLE001 - a value or exception pickle cannot take
+        outcome = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        payload = pickle.dumps(outcome)
+    out.write(payload)
+    out.flush()
+    return outcome[0]
+
+
+def _receive(child: _Child):
+    """Return the value of child's next (ok, value) pair.  A child that
+    sends an exception, or ends before a whole pair arrives, is done: it
+    is reaped, and its exception, or a RuntimeError naming its work, is
+    raised."""
+    try:
+        ok, value = pickle.load(child.results)
     except Exception:  # noqa: BLE001 - nothing or a cut-off pair was sent
-        code = os.waitstatus_to_exitcode(status)
+        code = os.waitstatus_to_exitcode(_reap(child))
         raise RuntimeError(f"{child.what} ended without a result (exit status {code})") from None
     if not ok:
+        _reap(child)
         raise value
     return value
 
 
+def _join(child: _Child):
+    """Receive the one result of a child forked by _fork and reap it."""
+    value = _receive(child)
+    _reap(child)
+    return value
+
+
+def _reap(child: _Child) -> int:
+    """Close child's pipe, wait for it to end and return its wait status."""
+    child.results.close()
+    return os.waitpid(child.pid, 0)[1]
+
+
 def _kill(child: _Child) -> None:
-    """Kill and reap a child that will not be joined, and close its pipe."""
+    """Kill and reap a child that will not be joined, unless it was
+    reaped already."""
+    if child.results.closed:
+        return
     # imported here, not with the module: importing signal at start-up
     # (it builds enum classes) raised the peak RSS of endstate-1k by ~0.9 MB
     import signal
 
     os.kill(child.pid, signal.SIGKILL)
-    os.waitpid(child.pid, 0)
-    os.close(child.fd)
+    _reap(child)
 
 
 def _train_and_score(
@@ -701,25 +731,33 @@ def _train_and_score(
     at every checkpoint, the final weights and the end-state F.
 
     Returns the curve, one (tokens, accuracies) pair per checkpoint in
-    order, then the incremental and the end-state scores.  While this
-    process runs the loop, forked child processes (_fork) score: first
-    the end-state baseline, whose child also solves F (state.F is read
-    there first), then each checkpoint.  The fork is the snapshot: a
-    child reads W as it was at the fork while the loop goes on writing
-    its own copy.  Each checkpoint collects the previous checkpoint's
-    child before it forks the next, so at most one checkpoint child is in
-    flight, and collects the baseline's child once its result is waiting,
-    so that child does not outlive its work.  Only a checkpoint at the
-    stream's end sends its item scores back, the others their
-    accuracies; without one, the final weights are scored here.  Each
-    product is the same single-thread BLAS call on the same inputs as in
-    a serial run, so the bits are the same.  A child's exception is
-    raised here, and on every path out any child still running is killed
-    and reaped."""
-    import select  # imported here, as signal is in _kill
+    order, then the incremental and the end-state scores.  This process
+    runs the loop; before the first token, and so before W exists (the
+    loop's writes to W then take no copy-on-write faults), it forks
+    - the baseline's child (_fork), which solves F (state.F is read
+      there first) and scores it.  F takes longer than the first stream
+      segments, so it has a process of its own rather than holding up
+      the checkpoints.  It is collected at the first checkpoint after
+      its result is waiting, so it does not outlive its work.
+    - with checkpoints, one scorer (_fork_serving) for all of them.  At
+      each checkpoint the loop collects the previous checkpoint's result,
+      copies W into one W-sized shared anonymous mmap and writes the
+      token count down the scorer's request pipe.  So at most one
+      checkpoint is in flight, and the buffer is its only snapshot.  The
+      scorer ends when its request pipe does.
+    Only a checkpoint at the stream's end sends its item scores back, the
+    others their accuracies; without one, the final weights are scored
+    here.  Each product is the same single-thread BLAS call on the same
+    values as in a serial run, so the bits are the same.  A child's
+    exception is raised here, and on every path out any child still
+    running is killed and reaped."""
+    import mmap  # imported here, as signal is in _kill
+    import select
 
     baseline: Optional[_Child] = None
-    checkpoint: Optional[_Child] = None
+    scorer: Optional[_Child] = None
+    to_scorer: Optional[int] = None  # the write end of the scorer's request pipe
+    in_flight = False
     end_scores: Optional[list[comp.ItemScore]] = None
     curve: list[tuple[int, dict[str, float]]] = []
     latest: Optional[list[comp.ItemScore]] = None  # the scores at the stream's end
@@ -730,26 +768,47 @@ def _train_and_score(
         acc = comprehension_accuracies(state, results)
         return m.trained_tokens, acc, results if at_end else None
 
+    def serve(out: BinaryIO) -> None:
+        os.close(to_scorer)
+        with open(requests, "rb") as fh:
+            for line in fh:  # one token count per checkpoint
+                m = Mapping(W=snapshot, trained_tokens=int(line))
+                if not _send(out, lambda: score_checkpoint(m)):
+                    return
+
     def collect(wait_for_baseline: bool) -> None:
-        nonlocal baseline, checkpoint, end_scores, latest
-        if checkpoint is not None:
-            child, checkpoint = checkpoint, None
-            tokens, acc, latest = _join(child)
+        nonlocal baseline, in_flight, end_scores, latest
+        if in_flight:
+            in_flight = False
+            tokens, acc, latest = _receive(scorer)
             curve.append((tokens, acc))
         if baseline is not None and (
-            wait_for_baseline or select.select([baseline.fd], [], [], 0)[0]  # its result waits
+            wait_for_baseline or select.select([baseline.results], [], [], 0)[0]  # its result waits
         ):
             child, baseline = baseline, None
             end_scores = _join(child)
 
     def on_checkpoint(m: Mapping) -> None:
-        nonlocal checkpoint
+        nonlocal scorer, in_flight
         collect(wait_for_baseline=False)
-        checkpoint = _fork(f"scoring the checkpoint at {m.trained_tokens} tokens",
-                           lambda: score_checkpoint(m))
+        np.copyto(snapshot, m.W)
+        scorer = scorer._replace(what=f"scoring the checkpoint at {m.trained_tokens} tokens")
+        try:
+            os.write(to_scorer, b"%d\n" % m.trained_tokens)
+        except BrokenPipeError:
+            pass  # the scorer has ended; collecting this checkpoint says how
+        in_flight = True
 
     try:
         baseline = _fork("scoring the end-state baseline", lambda: comprehension_scores(state))
+        if checkpoints:
+            shape = (state.C.rows.shape[1], state.space.S.shape[1])
+            snapshot = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1]))
+            requests, to_scorer = os.pipe()
+            try:
+                scorer = _fork_serving("the checkpoint scorer", serve)
+            finally:
+                os.close(requests)
         final = train_incremental(
             stream, state.C.rows, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
             on_checkpoint=on_checkpoint,
@@ -760,7 +819,9 @@ def _train_and_score(
         collect(wait_for_baseline=True)
         return curve, latest, end_scores
     finally:
-        for child in (baseline, checkpoint):
+        if to_scorer is not None:
+            os.close(to_scorer)
+        for child in (baseline, scorer):
             if child is not None:
                 _kill(child)
 
@@ -768,8 +829,8 @@ def _train_and_score(
 def run_incremental(cfg: ExperimentConfig) -> dict:
     """Single-pass token learning with trajectory and frequency analyses.
 
-    The token loop runs in this process while forked child processes
-    solve the end-state F and score the baseline and each checkpoint
+    The token loop runs in this process while one forked child solves
+    the end-state F and scores it and another scores every checkpoint
     (_train_and_score), so F is not solved here; every output is
     byte-identical to a serial run.  It needs os.fork, which POSIX
     systems have; it is tested on Linux only."""

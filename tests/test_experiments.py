@@ -705,7 +705,7 @@ class TestCli:
         assert set(threading.enumerate()) == before
         assert_no_child_left()
 
-    @pytest.mark.parametrize("dies_in", ["baseline", "checkpoint"])
+    @pytest.mark.parametrize("dies_in", ["baseline", "checkpoint", "idle-scorer"])
     def test_a_child_that_dies_without_a_result_exits_2(self, data_path, tmp_path, capsys,
                                                          monkeypatch, dies_in):
         caller = os.getpid()
@@ -717,6 +717,25 @@ class TestCli:
         if dies_in == "baseline":
             monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: die())
             what = "scoring the end-state baseline"
+        elif dies_in == "idle-scorer":
+            # Each child ends after its first result, and the loop waits for
+            # the scorer to end before it sends the next checkpoint, so that
+            # request finds the pipe closed.
+            send, receive = ex._send, ex._receive
+
+            def send_once(out, work):
+                send(out, work)
+                die()
+
+            def receive_then_wait(child):
+                value = receive(child)
+                if child.what.startswith("scoring the checkpoint at "):
+                    os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+                return value
+
+            monkeypatch.setattr(ex, "_send", send_once)
+            monkeypatch.setattr(ex, "_receive", receive_then_wait)
+            what = "scoring the checkpoint at "
         else:
             scores = ex.comprehension_scores
             monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
@@ -796,13 +815,22 @@ class TestCli:
 
     def test_a_failing_loop_kills_the_children_it_leaves(self, data_path, tmp_path, capsys,
                                                           monkeypatch):
-        # The baseline's child would take a minute; the run must not wait for it.
+        # The baseline's child and the checkpoint scorer would each take a
+        # minute; the run must not wait for them.
         caller = os.getpid()
+        log = CallLog(tmp_path / "scorer.jsonl")
+        scores = ex.comprehension_scores
 
         def slow_solve(X, Y):
             assert os.getpid() != caller, "F was solved in the calling process"
             time.sleep(60)
             return solve_endstate(X, Y)
+
+        def slow_scores(state, F=None):
+            if F is not None:
+                log.add(tokens=F.trained_tokens)
+                time.sleep(60)
+            return scores(state, F)
 
         run_stream = _wh_numpy.run_stream
         segments = []
@@ -814,6 +842,7 @@ class TestCli:
             return run_stream(*args)
 
         monkeypatch.setattr(ex, "solve_endstate", slow_solve)
+        monkeypatch.setattr(ex, "comprehension_scores", slow_scores)
         monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
@@ -822,6 +851,40 @@ class TestCli:
         assert time.monotonic() - start < 30
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "loop failed"
+        assert_no_child_left()
+        # the scorer had taken the first checkpoint, and is gone
+        [scoring] = log.records()
+        assert scoring["pid"] != caller
+        with pytest.raises(ProcessLookupError):
+            os.kill(scoring["pid"], 0)
+
+    def test_a_scorer_that_raises_at_the_second_checkpoint_exits_2(self, data_path, tmp_path,
+                                                                    capsys, monkeypatch):
+        caller = os.getpid()
+        log = CallLog(tmp_path / "scorings.jsonl")
+        scores = ex.comprehension_scores
+
+        def second_checkpoint_fails(state, F=None):
+            if F is not None and F.trained_tokens:
+                log.add(tokens=F.trained_tokens)
+                if len(log.records()) == 2:
+                    raise MappingError("scoring failed")
+            return scores(state, F)
+
+        monkeypatch.setattr(ex, "comprehension_scores", second_checkpoint_fails)
+        p = tmp_path / "exp.config"
+        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        rc = cli.main(["incremental", "--config", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "scoring failed", "type": "MappingError"}
+        ]
+        # one scorer took both checkpoints, and it was not this process
+        first, second = log.records()
+        assert first["pid"] == second["pid"] != caller
+        assert first["tokens"] < second["tokens"]
+        assert not (tmp_path / "out").exists()
         assert_no_child_left()
 
     def test_without_fork_incremental_exits_2_before_any_output(self, data_path, tmp_path,
@@ -1168,8 +1231,9 @@ class TestOverlappedScoring:
         assert len(checkpoints) == 5 and os.getpid() not in {r["pid"] for r in calls}
 
     def test_a_slow_worker_changes_nothing(self, tmp_path, monkeypatch):
-        # A checkpoint child slower than a stream segment must make the loop
-        # wait at the next checkpoint, so that children do not pile up.
+        # A scoring slower than a stream segment must make the loop wait at
+        # the next checkpoint, so that it does not overwrite the shared
+        # buffer the scorer is reading.
         expected = incremental_outputs(tmp_path / "out")
         log = CallLog(tmp_path / "scorings.jsonl")
         scores = ex.comprehension_scores
@@ -1180,7 +1244,7 @@ class TestOverlappedScoring:
             seen = F.W.copy()
             time.sleep(0.05)  # longer than a demo stream segment
             results = scores(state, F)
-            # the loop has gone on meanwhile, but not in this child's W
+            # the loop has gone on meanwhile, but not in the W this scoring reads
             assert np.array_equal(F.W, seen)
             log.add(tokens=F.trained_tokens, start=start, end=time.monotonic())
             return results
@@ -1191,11 +1255,51 @@ class TestOverlappedScoring:
         scorings = sorted((r["start"], r["end"], r["tokens"]) for r in log.records())
         checkpoints = [(start, end) for start, end, tokens in scorings if tokens]
         assert len(checkpoints) == 5 and len(scorings) == 6
-        # at most one checkpoint child in flight
+        # at most one checkpoint in flight
         assert all(end <= next_start for (_, end), (next_start, _) in
                    zip(checkpoints, checkpoints[1:]))
         assert os.getpid() not in {r["pid"] for r in log.records()}
 
+
+    @pytest.mark.parametrize("n_checkpoints, n_forks", [(0, 1), (5, 2), (50, 2)])
+    def test_one_fork_for_the_baseline_and_one_for_all_checkpoints(self, tmp_path, monkeypatch,
+                                                                   n_checkpoints, n_forks):
+        fork = os.fork
+        forked = []  # the pids this process forked
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        log = CallLog(tmp_path / "calls.jsonl")
+        scores = ex.comprehension_scores
+
+        def recording_scores(state, F=None):
+            log.add(scored="baseline" if F is None else F.trained_tokens)
+            return scores(state, F)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(ex, "comprehension_scores", recording_scores)
+        cfg = load_config(ROOT / "data" / "demo.config", [
+            f"data={ROOT / 'data' / 'demo.tsv'}", f"output={tmp_path / 'out'}",
+            "learning.eta=0.01", f"learning.checkpoints={n_checkpoints}",
+        ])
+        report = run_incremental(cfg)
+        assert_no_child_left()
+        assert len(forked) == n_forks
+        calls = log.records()
+        [baseline] = [r["pid"] for r in calls if r["scored"] == "baseline"]
+        scored = [r for r in calls if r["scored"] != "baseline"]
+        assert baseline == forked[0]
+        if n_checkpoints:
+            assert [r["scored"] for r in scored] == report["checkpoints"]
+            assert len(report["checkpoints"]) == n_checkpoints
+            assert {r["pid"] for r in scored} == {forked[1]}
+            assert forked[1] not in (os.getpid(), baseline)
+        else:  # the final weights, here
+            assert [(r["pid"], r["scored"]) for r in scored] == [(os.getpid(), report["n_tokens"])]
 
     def test_the_baseline_child_is_collected_once_its_result_waits(self, tmp_path,
                                                                     monkeypatch):

@@ -241,7 +241,9 @@ def test_run_stream_is_bit_identical_to_gather_scatter(
     rng = np.random.default_rng(seed)
     C = np.zeros((n_entries, n_cues))
     for row in C:
-        row[rng.choice(n_cues, size=rng.integers(1, 21), replace=False)] = 1.0
+        # no active cue (the loop skips the entry), one (its row is the sum) or 2-20
+        n_active = rng.choice([0, 1, rng.integers(2, 21)])
+        row[rng.choice(n_cues, size=n_active, replace=False)] = 1.0
     S = rng.normal(size=(n_entries, dim))
     stream = rng.integers(0, n_entries, size=n_tokens)  # few entries, so ids repeat
     # 0, repeats and the stream's end among the checkpoints
