@@ -19,10 +19,7 @@ import os
 import pickle
 from collections import Counter
 from dataclasses import Field, dataclass, field, fields
-from typing import (
-    TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, NamedTuple, Optional, Sequence,
-    TypeVar,
-)
+from typing import BinaryIO, Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +45,6 @@ from .production import (
     production_rows,
     train_positional,
 )
-
-if TYPE_CHECKING:  # imported where a thread is started, see _comprehension_stage
-    from concurrent.futures import Executor
-
-T = TypeVar("T")
 
 DEFAULT_THETA = {
     ("phone", 2): 0.05,
@@ -279,13 +271,16 @@ class PipelineState:
     solved_f: Optional[Mapping] = None
     # the positional model's inputs for production_ids(split), in that order
     production_inputs: Optional[np.ndarray] = None
+    # every entry's comprehension scores under F, where _production_stage scored them
+    scores: Optional[list[comp.ItemScore]] = None
 
     @property
     def F(self) -> Mapping:
-        """The end-state comprehension mapping on the train rows.  A stage
-        with production solves it beside G; otherwise it is solved here
-        when first read, so a run reads it only where it is needed (the
-        incremental baseline reads it in a forked child)."""
+        """The end-state comprehension mapping on the train rows.  With
+        production, a forked child solves it beside G and its weights are
+        read from the shared array it wrote (_production_stage); otherwise
+        it is solved here when first read, so a run reads it only where it
+        is needed (the incremental baseline reads it in a forked child)."""
         if self.solved_f is None:
             train_ids = list(self.split.train_ids)
             self.solved_f = solve_endstate(self.C.rows[train_ids], self.space.S[train_ids])
@@ -333,47 +328,51 @@ def _comprehension_stage(
     split: lexicon.SplitResult,
     cue_cfg: CueConfig,
     space: Optional[semantics.SemanticSpace] = None,
-    with_production: bool = False,
 ) -> PipelineState:
     """The stage every verb shares: the inventory of the training forms,
     the cue matrix of every form and the simulated space (unless space is
-    given).  Without production, F is left to PipelineState.F, which
-    solves it on the train rows when first read.
-
-    With production, F is solved on one worker thread while this thread
-    fits G to the same train rows; the worker then computes the
-    production inputs and half of the positional solves
-    (_production_model).  Neither side writes what the other reads, and
-    numpy's LAPACK and BLAS calls release the GIL, so the two run on two
-    CPUs and give the bits of a serial run.  The worker takes the smaller
-    fit because glibc gives it its own malloc arena, whose freed memory
-    this thread does not reuse: with G and the positional model there,
-    endstate-1k's peak RSS rose from ~158 to ~188 MB.  The worker is
-    joined before the stage returns, also when either side raises."""
+    given).  F is left to PipelineState.F, which solves it on the train
+    rows when first read."""
     d = split.dataset
     inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
     C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
     if space is None:
         space = _simulated_space(cfg, d, inv)
-    if not with_production:
-        return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space)
+    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space)
 
-    # imported here, so that runs which start no thread (and the CLI's
-    # start-up) skip its ~4 ms import
-    from concurrent.futures import ThreadPoolExecutor
 
+def _production_stage(state: PipelineState) -> None:
+    """Fill in state's F, its comprehension scores, G, the positional
+    model and the production inputs, on two CPUs.
+
+    A child forked with _fork before G (state.pool is built by then)
+    solves F on the train rows, writes its weights into an array shared
+    with this process (_shared_array) and sends back the scores of every
+    entry under F.  Meanwhile this process fits G and the positional
+    model (_production_model).  Each product is the same single-thread
+    BLAS call on the same values as in a serial run, so every bit is
+    that of one.  On any error here the child is killed and reaped."""
+    C, S, split = state.C, state.space.S, state.split
     train_ids = list(split.train_ids)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        # Each fit gets its own copies of the train rows, which it alone
-        # holds, so that they are freed once it no longer needs them.
-        comprehension = worker.submit(solve_endstate, C.rows[train_ids], space.S[train_ids])
-        G, positional, X = _production_model(
-            cfg, inv, space.S[train_ids], C.rows[train_ids],
-            [cue_cfg.cue_string(e) for e in split.train], worker, space.S, production_ids(split),
+    F_W = _shared_array((C.rows.shape[1], S.shape[1]))
+
+    def solve_and_score() -> list[comp.ItemScore]:
+        F = solve_endstate(C.rows[train_ids], S[train_ids])
+        np.copyto(F_W, F.W)
+        return comprehension_scores(state, F)
+
+    child = _fork("solving and scoring the end-state F", solve_and_score)
+    try:
+        # G's fit gets its own copies of the train rows, which
+        # _production_model lets go of before the positional solves.
+        state.G, state.positional, state.production_inputs = _production_model(
+            state.cfg, C.inventory, S[train_ids], C.rows[train_ids],
+            [state.cue_cfg.cue_string(e) for e in split.train], S, production_ids(split),
         )
-        F = comprehension.result()
-    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space,
-                         G=G, positional=positional, solved_f=F, production_inputs=X)
+        state.scores = _join(child)
+    finally:
+        _kill(child)
+    state.solved_f = Mapping(W=F_W)
 
 
 def _predict_cues(S: np.ndarray, rows: Sequence[int], W: np.ndarray, out: np.ndarray) -> None:
@@ -386,46 +385,54 @@ def _predict_cues(S: np.ndarray, rows: Sequence[int], W: np.ndarray, out: np.nda
 
 def _production_model(
     cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
-    forms: Sequence[str], worker: Executor, targets: np.ndarray, rows: Sequence[int],
+    forms: Sequence[str], targets: np.ndarray, rows: Sequence[int],
 ) -> tuple[Mapping, PositionalSupportModel, np.ndarray]:
     """The production mapping G (S to cue_rows), the positional model
     trained on forms, the cue strings of the rows of S, and the
     positional model's inputs for the meanings targets[rows], which are
     to be produced.
 
-    G is solved on this thread.  Then worker, an executor with one
-    thread (which may still be busy with earlier work), computes the
-    inputs of targets[rows] into an array allocated here, while this
-    thread computes the pseudo-inverse of the positional model's
-    training inputs; the positional solves are then split between the
-    two threads (train_positional).  S and cue_rows are let go once G
-    and the training inputs are computed: a caller that holds no other
-    reference to them has them freed before the positional solves."""
+    G is solved here.  Then a child forked with _fork computes the inputs
+    of targets[rows] into an array shared with this process
+    (_shared_array), while this process computes the positional model's
+    training inputs, their pseudo-inverse and every positional solve
+    (train_positional).  S and cue_rows are let go once G and the
+    training inputs are computed: a caller that holds no other reference
+    to them has them freed before the positional solves.  On any error
+    here the child is killed and reaped."""
     cue_cfg = cfg.cue_config()
     G = solve_endstate(S, cue_rows)
+    predicted = None
     if cfg.production_input == "predicted_cues":
-        X = np.empty((len(rows), G.W.shape[1]))
-        predicted = worker.submit(_predict_cues, targets, rows, G.W, X)
-        inputs = S @ G.W
+        X = _shared_array((len(rows), G.W.shape[1]))
+        predicted = _fork("predicting the production inputs",
+                          lambda: _predict_cues(targets, rows, G.W, X))
     else:
-        X, predicted, inputs = targets[rows], None, S
-    del S, cue_rows
-    max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-    positional = train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
-                                  inv, cue_cfg, worker)
-    if predicted is not None:
-        predicted.result()
+        X = targets[rows]
+    try:
+        inputs = S if predicted is None else S @ G.W
+        del S, cue_rows
+        max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
+        positional = train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
+                                      inv, cue_cfg)
+        if predicted is not None:
+            _join(predicted)
+    finally:
+        if predicted is not None:
+            _kill(predicted)
     return G, positional, X
 
 
 def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
-    """Assemble split, cue matrix, semantic space, and trained mappings.
+    """Assemble split, cue matrix, semantic space, gold pool and trained
+    mappings.
 
     With production (cfg.production_enabled unless with_production says
-    otherwise), F, G, the positional model and the production inputs
-    are computed on two threads (see _comprehension_stage); the state
-    returned holds them as plain fields, and every bit is that of a serial
-    run.  Without production, F is solved when first read."""
+    otherwise), F with its comprehension scores, G, the positional model
+    and the production inputs are computed by this process and two forked
+    children (_production_stage); the state returned holds them as plain
+    fields, and every bit is that of a serial run.  Without production,
+    F is solved when first read."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -442,10 +449,12 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
 
     if with_production is None:
         with_production = cfg.production_enabled
-    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space, with_production)
+    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
     state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
     pool_ids = None if cfg.gold_pool == "all" else list(state.split.train_ids)
     state.pool = comp.GoldPool.build(state.space, d, cue_cfg, restrict_ids=pool_ids)
+    if with_production:
+        _production_stage(state)
     return state
 
 
@@ -511,29 +520,25 @@ def production_ids(split: lexicon.SplitResult) -> list[int]:
 
 def _produce_in_two(
     S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
-    params: ProductionParams, X: np.ndarray, meanwhile: Callable[[], T] = lambda: None,
-) -> tuple[T, list[ProductionResult]]:
-    """meanwhile() and produce_items(S_targets, ...), with X the rows'
-    inputs to m, on two CPUs: a child forked with _fork produces the
-    second half of the rows while this process calls meanwhile() and
-    produces the first half.  Returns what meanwhile returned and the
-    results in row order.
+    params: ProductionParams, X: np.ndarray,
+) -> list[ProductionResult]:
+    """produce_items(S_targets, ...), with X the rows' inputs to m, on two
+    CPUs: a child forked with _fork produces the second half of the rows
+    while this process produces the first half.  Returns the results in
+    row order.
 
     search_supports makes an item's candidates independent of the batch
-    it is computed in, so the results are those of one serial batch.
-    The fork must come when no other thread runs: a thread holding a
-    lock at the fork would leave it held in the child.  On any error
-    here the child is killed and reaped."""
+    it is computed in, so the results are those of one serial batch.  On
+    any error here the child is killed and reaped."""
     half = len(S_targets) // 2
     child = _fork(f"the production of items [{half}, {len(S_targets)})",
                   lambda: produce_items(S_targets[half:], G, m, F, params, X[half:]))
     try:
-        done = meanwhile()
         first = produce_items(S_targets[:half], G, m, F, params, X[:half])
     except BaseException:
         _kill(child)
         raise
-    return done, first + _join(child)
+    return first + _join(child)
 
 
 def production_accuracies(
@@ -554,10 +559,10 @@ def _check_production(cfg: ExperimentConfig) -> None:
     """Production needs cues of two or more units, since a unigram
     boundary cue both opens and closes a path, so every search would find
     the path of that one cue, which spells the empty form; and it needs
-    os.fork (_produce_in_two)."""
+    os.fork (_production_model, _produce_in_two)."""
     if cfg.cue_n < 2:
         raise ConfigError(f"{_key_of('cue_n')} must be >= 2 where production runs, got {cfg.cue_n}")
-    _check_fork("production runs half its items in a forked process")
+    _check_fork("production computes its inputs and half its items in forked processes")
 
 
 def _check_fork(why: str) -> None:
@@ -574,11 +579,11 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
     state = build_pipeline(cfg)
     if cfg.production_enabled:
         ids = production_ids(state.split)
-        results, produced = _produce_in_two(
+        prod = dict(zip(ids, _produce_in_two(
             state.space.S[ids], state.G, state.positional, state.F, cfg.production_params(),
-            state.production_inputs, meanwhile=lambda: comprehension_scores(state),
-        )
-        prod = dict(zip(ids, produced))
+            state.production_inputs,
+        )))
+        results = state.scores
     else:
         results = comprehension_scores(state)
     comp_acc = comprehension_accuracies(state, results)
@@ -650,7 +655,12 @@ def _fork_serving(what: str, serve: Callable[[BinaryIO], object]) -> _Child:
     os._exit, so it never returns into the caller, runs no exit handler
     and flushes no inherited buffer."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid:
         os.close(write_fd)
         return _Child(pid, open(read_fd, "rb"), what)
@@ -711,6 +721,14 @@ def _reap(child: _Child) -> int:
     return os.waitpid(child.pid, 0)[1]
 
 
+def _shared_array(shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array of zeros in a shared anonymous mmap: what a child
+    forked after it is made writes there, this process reads."""
+    import mmap  # imported here, as signal is in _kill
+
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1]))
+
+
 def _kill(child: _Child) -> None:
     """Kill and reap a child that will not be joined, unless it was
     reaped already."""
@@ -743,16 +761,15 @@ def _train_and_score(
       each checkpoint the loop collects the previous checkpoint's result,
       copies W into one W-sized shared anonymous mmap and writes the
       token count down the scorer's request pipe.  So at most one
-      checkpoint is in flight, and the buffer is its only snapshot.  The
-      scorer ends when its request pipe does.
+      checkpoint is in flight, and the buffer (_shared_array) is its only
+      snapshot.  The scorer ends when its request pipe does.
     Only a checkpoint at the stream's end sends its item scores back, the
     others their accuracies; without one, the final weights are scored
     here.  Each product is the same single-thread BLAS call on the same
     values as in a serial run, so the bits are the same.  A child's
     exception is raised here, and on every path out any child still
     running is killed and reaped."""
-    import mmap  # imported here, as signal is in _kill
-    import select
+    import select  # imported here, as signal is in _kill
 
     baseline: Optional[_Child] = None
     scorer: Optional[_Child] = None
@@ -803,7 +820,7 @@ def _train_and_score(
         baseline = _fork("scoring the end-state baseline", lambda: comprehension_scores(state))
         if checkpoints:
             shape = (state.C.rows.shape[1], state.space.S.shape[1])
-            snapshot = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1]))
+            snapshot = _shared_array(shape)
             requests, to_scorer = os.pipe()
             try:
                 scorer = _fork_serving("the checkpoint scorer", serve)
@@ -984,16 +1001,11 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     S_nonce_sg = C_nonce @ F.W
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
 
-    # imported here, as in _comprehension_stage
-    from concurrent.futures import ThreadPoolExecutor
-
-    # The worker is joined before the fork in _produce_in_two.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        G, posmodel, X = _production_model(
-            cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
-            [cue_cfg.cue_string(e) for e in d] + usable, worker, S_pl, range(len(S_pl)),
-        )
-    _, results = _produce_in_two(S_pl, G, posmodel, F, cfg.production_params(), X)
+    G, posmodel, X = _production_model(
+        cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
+        [cue_cfg.cue_string(e) for e in d] + usable, S_pl, range(len(S_pl)),
+    )
+    results = _produce_in_two(S_pl, G, posmodel, F, cfg.production_params(), X)
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
     candidate_rows = [["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"]]

@@ -64,9 +64,8 @@ def solve_endstate(X: np.ndarray, Y: np.ndarray) -> Mapping:
     before solving.  When the distinct rows of X are linearly
     independent the solution interpolates the targets exactly.
 
-    It reads X and Y and writes nothing shared, so two calls may run at
-    once: experiments.build_pipeline solves F on a worker thread while
-    the calling thread solves G (numpy's lstsq releases the GIL).
+    With production, experiments.build_pipeline solves F in a forked
+    child while the calling process solves G.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

@@ -34,15 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .cues import CueConfig, CueInventory, extract_grams
 from .mappings import Mapping
-
-if TYPE_CHECKING:  # concurrent.futures is imported only by the runs that start a thread
-    from concurrent.futures import Executor
 
 
 _EPS = np.finfo(np.float64).eps
@@ -243,7 +240,6 @@ def train_positional(
     targets: PositionalTargets,
     inv: CueInventory,
     cfg: CueConfig,
-    worker: Optional[Executor] = None,
 ) -> PositionalSupportModel:
     """Least-squares positional support model.
 
@@ -252,15 +248,8 @@ def train_positional(
     per-position minimum-norm solutions.  Only the (position, cue)
     columns that some training form fills are solved for: the
     minimum-norm weights of an all-zero target column are zero, so a
-    position no form fills is not solved at all.
-
-    Given a worker (an executor with one thread, which may still be busy
-    with work submitted before), every other filled position is solved
-    there while this thread computes the rest.  Each position's product
-    is the same BLAS call on either thread, so the weights have the bits
-    of a serial solve.  Every array the worker fills is allocated here:
-    glibc gives it a malloc arena of its own, whose memory this thread
-    does not reuse.
+    position no form fills is not solved at all.  Every position's
+    targets and product go through one pair of buffers.
     """
     if targets.n_items == 0:
         raise ProductionError("empty training set")
@@ -271,26 +260,17 @@ def train_positional(
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
     ends = _position_ends(columns, max_len, n_cues)
     weights = np.empty((pinv.shape[0], columns.size))
-    filled = [p for p in range(max_len) if ends[p] < ends[p + 1]]
-
-    def solve(positions: Sequence[int], dense: np.ndarray, product: np.ndarray) -> None:
+    dense = np.empty((targets.n_items, n_cues))
+    product = np.empty((pinv.shape[0], n_cues))
+    for p in range(max_len):
+        a, b = ends[p], ends[p + 1]
+        if a == b:
+            continue
         # Each position's product runs over all its cues, so every stored
         # column has the bits of the dense per-position solve
         # pinv @ targets.position(p).
-        for p in positions:
-            a, b = ends[p], ends[p + 1]
-            np.matmul(pinv, targets.position(p, out=dense), out=product)
-            weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
-
-    def buffers() -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((targets.n_items, n_cues)), np.empty((pinv.shape[0], n_cues))
-
-    if worker is None:
-        solve(filled, *buffers())
-    else:
-        odd = worker.submit(solve, filled[1::2], *buffers())
-        solve(filled[::2], *buffers())
-        odd.result()
+        np.matmul(pinv, targets.position(p, out=dense), out=product)
+        weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
     return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
                                   inventory=inv, cfg=cfg)
 

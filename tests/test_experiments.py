@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -73,6 +74,18 @@ def base_config(data_path, tmp_path, **overrides):
     }
     pairs.update({k: str(v) for k, v in overrides.items()})
     return resolve_config(pairs)
+
+
+# Each verb, its demo config and the arguments it needs besides its
+# output, for runs from the repository's root.
+VERB_ARGS = [
+    ("inspect", "demo.config", ""),
+    ("split", "demo.config", ""),
+    ("endstate", "demo.config", ""),
+    ("incremental", "demo.config", " --set learning.eta=0.01"),
+    ("wug", "demo-wug.config", " --nonce data/nonce.txt"),
+    ("prune", "demo.config", ""),
+]
 
 
 class CallLog:
@@ -651,30 +664,34 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb,where", [
-        pytest.param("endstate", "worker", id="worker"),
+        pytest.param("endstate", "f-child", id="f-child"),
+        pytest.param("endstate", "prediction-child", id="prediction-child"),
         pytest.param("endstate", "caller", id="caller"),
-        pytest.param("incremental", "worker", id="incremental-worker"),
+        pytest.param("incremental", "scorer", id="incremental-scorer"),
         pytest.param("incremental", "caller", id="incremental-caller"),
     ])
-    def test_error_on_either_thread_exits_2_and_leaves_no_thread(self, data_path, tmp_path, capsys,
-                                                                 monkeypatch, verb, where):
-        # endstate: the worker thread solves F while the calling thread runs
-        # train_positional.  incremental: a forked child scores each
-        # checkpoint while the calling process runs the token loop.
+    def test_error_in_any_process_exits_2_no_child_left(self, data_path, tmp_path, capsys,
+                                                         monkeypatch, verb, where):
+        # endstate: one forked child solves F and another predicts the
+        # production inputs while the calling process runs train_positional.
+        # incremental: a forked child scores each checkpoint while the
+        # calling process runs the token loop.
         log = CallLog(tmp_path / "raised.jsonl")
         error = ProductionError if verb == "endstate" else MappingError
         caller = os.getpid()
 
         def fail(*args, **kwargs):
-            log.add(main_thread=threading.current_thread() is threading.main_thread())
+            log.add()
             raise error("fit failed")
 
-        if verb == "endstate" and where == "worker":
+        if where == "f-child":
             monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
                 fail() if solves_f(X) else solve_endstate(X, Y)))
+        elif where == "prediction-child":
+            monkeypatch.setattr(ex, "_predict_cues", fail)
         elif verb == "endstate":
             monkeypatch.setattr(ex, "train_positional", fail)
-        elif where == "worker":
+        elif where == "scorer":
             # every checkpoint's scoring fails; the baseline's does not
             scores = ex.comprehension_scores
             monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
@@ -689,7 +706,6 @@ class TestCli:
                 return fail() if len(segments) == 2 else run_stream(*args)
 
             monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
-        before = set(threading.enumerate())
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
         rc = cli.main([verb, "--config", str(p)])
@@ -699,10 +715,44 @@ class TestCli:
             {"error": "fit failed", "type": error.__name__}
         ]
         [raised] = log.records()
-        on_caller = raised["pid"] == caller and raised["main_thread"]
-        assert on_caller == (where == "caller")
+        assert (raised["pid"] == caller) == (where == "caller")
         assert not (tmp_path / "out").exists()
-        assert set(threading.enumerate()) == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n, what", [
+        pytest.param(1, "solving and scoring the end-state F", id="f-child"),
+        pytest.param(2, "predicting the production inputs", id="prediction-child"),
+        pytest.param(3, "the production of items", id="production-child"),
+    ])
+    def test_a_failed_fork_exits_2_and_leaks_no_descriptor(self, data_path, tmp_path, capsys,
+                                                           monkeypatch, n, what):
+        # The n-th fork of an endstate run raises, as os.fork does when the
+        # system is out of processes; the forks before it succeed.
+        fork, forking = os.fork, []
+        fork_work = ex._fork
+
+        def recording_fork(work_what, work):
+            forking.append(work_what)
+            return fork_work(work_what, work)
+
+        def nth_fork_fails():
+            if len(forking) == n:
+                raise OSError(errno.EAGAIN, "fork failed")
+            return fork()
+
+        monkeypatch.setattr(ex, "_fork", recording_fork)
+        monkeypatch.setattr(os, "fork", nth_fork_fails)
+        argv = self.production_argv("endstate", data_path, tmp_path)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        rc = cli.main(argv)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": str(OSError(errno.EAGAIN, "fork failed")), "type": "BlockingIOError"}
+        ]
+        assert len(forking) == n and forking[-1].startswith(what)
+        assert not (tmp_path / "out").exists()
         assert_no_child_left()
 
     @pytest.mark.parametrize("dies_in", ["baseline", "checkpoint", "idle-scorer"])
@@ -907,8 +957,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         [err] = [json.loads(line) for line in captured.err.splitlines()]
-        assert err == {"error": "production runs half its items in a forked process, "
-                                "and os.fork is missing on this platform", "type": "ConfigError"}
+        assert err == {"error": "production computes its inputs and half its items in forked "
+                                "processes, and os.fork is missing on this platform",
+                       "type": "ConfigError"}
         assert not (tmp_path / "out").exists()
 
     def test_without_fork_endstate_runs_without_production(self, data_path, tmp_path, capsys,
@@ -1037,71 +1088,58 @@ class TestOverlappedFits:
         assert np.array_equal(state.production_inputs, state.space.S[ids])
 
     @pytest.mark.parametrize("with_production", [True, False])
-    def test_f_runs_on_a_worker_only_beside_production(self, data_path, tmp_path, monkeypatch,
-                                                        with_production):
-        threads = {}
-
-        def recording_solve(X, Y):
-            threads["F" if solves_f(X) else "G"] = threading.current_thread()
-            return solve_endstate(X, Y)
-
-        monkeypatch.setattr(ex, "solve_endstate", recording_solve)
-        before = set(threading.enumerate())
-        state = ex.build_pipeline(base_config(data_path, tmp_path),
-                                  with_production=with_production)
-        # without production, F is solved where it is first read
-        assert ("F" in threads) == with_production
-        assert state.F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
-        assert (threads.pop("F") is threading.main_thread()) != with_production
-        if with_production:
-            assert threads.pop("G") is threading.main_thread()
-        assert not threads
-        assert set(threading.enumerate()) == before
-
-    def test_predictions_and_half_the_positions_run_on_the_worker(self, data_path, tmp_path,
-                                                                   monkeypatch):
-        calls = []
+    def test_f_and_inputs_run_in_children_with_production(self, data_path, tmp_path,
+                                                          monkeypatch, with_production):
+        log = CallLog(tmp_path / "calls.jsonl")
+        solve, scores = ex.solve_endstate, ex.comprehension_scores
         predict, pinv, position = ex._predict_cues, np.linalg.pinv, PositionalTargets.position
 
         def recording(name, f):
             def call(*args, **kwargs):
-                on_main = threading.current_thread() is threading.main_thread()
-                calls.append((name, args[1] if name == "position" else None, on_main))
+                log.add(call=name, p=args[1] if name == "position" else None)
                 return f(*args, **kwargs)
             return call
 
+        monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
+            recording("F" if solves_f(X) else "G", solve)(X, Y)))
+        monkeypatch.setattr(ex, "comprehension_scores", recording("score", scores))
         monkeypatch.setattr(ex, "_predict_cues", recording("predict", predict))
         monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
         monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
-        before = set(threading.enumerate())
-        state = ex.build_pipeline(base_config(data_path, tmp_path))
-        assert set(threading.enumerate()) == before
-        # the two threads run at once, so their calls interleave in any order
-        assert sorted(c for c in calls if c[0] != "position") == [("pinv", None, True),
-                                                                 ("predict", None, False)]
+        caller = os.getpid()
+        state = ex.build_pipeline(base_config(data_path, tmp_path),
+                                  with_production=with_production)
+        assert_no_child_left()
+        assert state.F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
+        calls = log.records()
+        pids = {r["call"]: r["pid"] for r in calls if r["call"] != "position"}
+        if not with_production:
+            # F is solved here, where it is first read, and nothing else is fitted
+            assert [(r["call"], r["pid"]) for r in calls] == [("F", caller)]
+            return
+        assert sorted(r["call"] for r in calls if r["call"] != "position") == [
+            "F", "G", "pinv", "predict", "score"]
+        # one child solves and scores F, another predicts the inputs, and
+        # this process fits G, the pseudo-inverse and every position
+        assert pids["F"] == pids["score"] != caller
+        assert pids["predict"] not in (caller, pids["F"])
+        assert pids["G"] == pids["pinv"] == caller
         m = state.positional
         filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
         assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
-        solved = sorted((p, on_main) for name, p, on_main in calls if name == "position")
-        assert solved == [(p, i % 2 == 0) for i, p in enumerate(filled)]
-        # every position's solve and every prediction gives the serial bits
-        _, positional, X = serial_production_model(state)
-        assert np.array_equal(m.weights, positional.weights)
-        assert np.array_equal(state.production_inputs, X)
+        assert [(r["p"], r["pid"]) for r in calls if r["call"] == "position"] == [
+            (p, caller) for p in filled]
+        # the scores sent back are those of F
+        assert [r.r_target for r in state.scores] == [r.r_target for r in scores(state)]
 
-    @pytest.mark.parametrize("verb", ["endstate", "wug"])
-    def test_one_thread_is_alive_at_the_production_fork(self, data_path, tmp_path, monkeypatch,
-                                                        capsys, verb):
-        alive = []
-        fork = ex._fork
+    @pytest.mark.parametrize("verb, config, extra", VERB_ARGS, ids=[v for v, _, _ in VERB_ARGS])
+    def test_no_verb_starts_a_thread(self, tmp_path, monkeypatch, capsys, verb, config, extra):
+        def no_thread(self):
+            raise RuntimeError("a thread was started")
 
-        def counting_fork(what, work):
-            alive.append(threading.active_count())
-            return fork(what, work)
-
-        monkeypatch.setattr(ex, "_fork", counting_fork)
-        assert cli.main(TestCli.production_argv(verb, data_path, tmp_path)) == 0
-        assert alive == [1]
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        argv = [verb, "--config", f"data/{config}", "--set", f"output={tmp_path / 'out'}"]
+        assert cli.main(argv + extra.split()) == 0, capsys.readouterr().err
         assert_no_child_left()
 
 
@@ -1143,9 +1181,7 @@ class TestProductionInTwo:
 
         monkeypatch.setattr(ex, "produce", recording_produce)
         caller = os.getpid()
-        done, results = ex._produce_in_two(S, state.G, state.positional, state.F, params, X,
-                                           meanwhile=lambda: os.getpid())
-        assert done == caller
+        results = ex._produce_in_two(S, state.G, state.positional, state.F, params, X)
         assert production_summary(results) == production_summary(expected)
         assert_no_child_left()
         rows = {r["row"]: r["pid"] for r in log.records()}
@@ -1338,14 +1374,19 @@ class TestOverlappedScoring:
 
 
 def test_incremental_imports_no_thread_pool(tmp_path):
+    # Every verb, one after the other in one process, so that the first
+    # verb to print True is the one that imported it.
     proc = run_python(
         "import sys\nfrom ldlkit import cli\n"
-        "rc = cli.main(sys.argv[1:])\n"
-        "print(rc, 'concurrent.futures' in sys.modules)",
-        "incremental", "--config", "data/demo.config", "--set", f"output={tmp_path}",
+        "for argv in sys.argv[1:]:\n"
+        "    rc = cli.main(argv.split())\n"
+        "    print(argv.split()[0], rc, 'concurrent.futures' in sys.modules)",
+        *(f"{verb} --config data/{config} --set output={tmp_path / verb}{extra}"
+          for verb, config, extra in VERB_ARGS),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert [line for line in proc.stdout.splitlines() if not line.startswith("{")] == [
+        f"{verb} 0 False" for verb, _, _ in VERB_ARGS]
 
 
 # Runs the CLI with scipy unimportable: a None entry in sys.modules makes
