@@ -178,10 +178,14 @@ def _coerce(f: Field, raw: str):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; # starts a comment."""
+    """Flat `key = value` lines.  A # starts a comment at the start of a
+    line or after whitespace; elsewhere it is part of the value, so that
+    a path such as demo#1.tsv, as written to config.resolved, reads back."""
+    import re  # imported here: re is used by this function only
+
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|(?<=\s))#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -255,7 +259,8 @@ def write_outputs(
 
 @dataclass
 class PipelineState:
-    """All artifacts shared by the runners."""
+    """The inputs every verb shares.  It holds no fitted model: each stage
+    returns what it fits (solve_f, _production_stage)."""
 
     cfg: ExperimentConfig
     dataset: lexicon.Dataset
@@ -263,28 +268,15 @@ class PipelineState:
     cue_cfg: CueConfig
     C: CueMatrix
     space: semantics.SemanticSpace
-    G: Optional[Mapping] = None
-    positional: Optional[PositionalSupportModel] = None
     pool: Optional[comp.GoldPool] = None
     dropped_entries: int = 0
     analytical_corr_mean: Optional[float] = None
-    solved_f: Optional[Mapping] = None
-    # the positional model's inputs for production_ids(split), in that order
-    production_inputs: Optional[np.ndarray] = None
-    # every entry's comprehension scores under F, where _production_stage scored them
-    scores: Optional[list[comp.ItemScore]] = None
 
-    @property
-    def F(self) -> Mapping:
-        """The end-state comprehension mapping on the train rows.  With
-        production, a forked child solves it beside G and its weights are
-        read from the shared array it wrote (_production_stage); otherwise
-        it is solved here when first read, so a run reads it only where it
-        is needed (the incremental baseline reads it in a forked child)."""
-        if self.solved_f is None:
-            train_ids = list(self.split.train_ids)
-            self.solved_f = solve_endstate(self.C.rows[train_ids], self.space.S[train_ids])
-        return self.solved_f
+
+def solve_f(state: PipelineState) -> Mapping:
+    """The end-state comprehension mapping F, solved on the train rows."""
+    train_ids = list(state.split.train_ids)
+    return solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
 
 
 def _prepare_dataset(cfg: ExperimentConfig) -> lexicon.Dataset:
@@ -331,8 +323,7 @@ def _comprehension_stage(
 ) -> PipelineState:
     """The stage every verb shares: the inventory of the training forms,
     the cue matrix of every form and the simulated space (unless space is
-    given).  F is left to PipelineState.F, which solves it on the train
-    rows when first read."""
+    given).  A verb that needs F solves it (solve_f)."""
     d = split.dataset
     inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
     C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
@@ -341,98 +332,82 @@ def _comprehension_stage(
     return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space)
 
 
-def _production_stage(state: PipelineState) -> None:
-    """Fill in state's F, its comprehension scores, G, the positional
-    model and the production inputs, on two CPUs.
+def _production_stage(
+    state: PipelineState,
+) -> tuple[Mapping, list[comp.ItemScore], Mapping, PositionalSupportModel, np.ndarray]:
+    """F, every entry's comprehension scores under F, G, the positional
+    model and its inputs X for every entry in id order, on two CPUs.
 
-    A child forked with _fork before G (state.pool is built by then)
-    solves F on the train rows, writes its weights into an array shared
-    with this process (_shared_array) and sends back the scores of every
-    entry under F.  Meanwhile this process fits G and the positional
-    model (_production_model).  Each product is the same single-thread
-    BLAS call on the same values as in a serial run, so every bit is
-    that of one.  On any error here the child is killed and reaped."""
+    A child forked beside the production fits (_beside) solves F on the
+    train rows, writes its weights into an array shared with this process
+    (_shared_array) and sends back the scores.  Meanwhile this process
+    fits G and the positional model (_production_model) on its own copies
+    of the train rows, which _production_model lets go of before the
+    positional solves.  Each product is the same single-thread BLAS call
+    on the same values as in a serial run, so every bit is that of one."""
     C, S, split = state.C, state.space.S, state.split
     train_ids = list(split.train_ids)
     F_W = _shared_array((C.rows.shape[1], S.shape[1]))
 
     def solve_and_score() -> list[comp.ItemScore]:
-        F = solve_endstate(C.rows[train_ids], S[train_ids])
+        F = solve_f(state)
         np.copyto(F_W, F.W)
         return comprehension_scores(state, F)
 
-    child = _fork("solving and scoring the end-state F", solve_and_score)
-    try:
-        # G's fit gets its own copies of the train rows, which
-        # _production_model lets go of before the positional solves.
-        state.G, state.positional, state.production_inputs = _production_model(
-            state.cfg, C.inventory, S[train_ids], C.rows[train_ids],
-            [state.cue_cfg.cue_string(e) for e in split.train], S, production_ids(split),
-        )
-        state.scores = _join(child)
-    finally:
-        _kill(child)
-    state.solved_f = Mapping(W=F_W)
+    scores, (G, positional, X) = _beside(
+        "solving and scoring the end-state F", solve_and_score,
+        lambda: _production_model(state.cfg, C.inventory, S[train_ids], C.rows[train_ids],
+                                  [state.cue_cfg.cue_string(e) for e in split.train], S),
+    )
+    return Mapping(W=F_W), scores, G, positional, X
 
 
-def _predict_cues(S: np.ndarray, rows: Sequence[int], W: np.ndarray, out: np.ndarray) -> None:
-    """out[r] = S[rows[r]] @ W, one vector-matrix product per row, as
-    produce() computes it: a row of a matrix product may round
-    differently."""
-    for r, i in enumerate(rows):
-        np.matmul(S[i], W, out=out[r])
+def _predict_cues(S: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = S[i] @ W, one vector-matrix product per row, as produce()
+    computes it: a row of a matrix product may round differently."""
+    for s, row in zip(S, out):
+        np.matmul(s, W, out=row)
 
 
 def _production_model(
     cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
-    forms: Sequence[str], targets: np.ndarray, rows: Sequence[int],
+    forms: Sequence[str], targets: np.ndarray,
 ) -> tuple[Mapping, PositionalSupportModel, np.ndarray]:
     """The production mapping G (S to cue_rows), the positional model
     trained on forms, the cue strings of the rows of S, and the
-    positional model's inputs for the meanings targets[rows], which are
-    to be produced.
+    positional model's inputs for the meanings targets, which are to be
+    produced: the targets themselves, or their predicted cues.
 
-    G is solved here.  Then a child forked with _fork computes the inputs
-    of targets[rows] into an array shared with this process
-    (_shared_array), while this process computes the positional model's
-    training inputs, their pseudo-inverse and every positional solve
-    (train_positional).  S and cue_rows are let go once G and the
-    training inputs are computed: a caller that holds no other reference
-    to them has them freed before the positional solves.  On any error
-    here the child is killed and reaped."""
+    G and the positional training inputs are computed here, and S and
+    cue_rows are let go: a caller that holds no other reference to them
+    has them freed before the positional solves.  With predicted cues, a
+    child forked after that (_beside), so holding no train copies,
+    computes the inputs of targets into an array shared with this process
+    (_shared_array), while this process computes the training inputs'
+    pseudo-inverse and every positional solve (train_positional)."""
     cue_cfg = cfg.cue_config()
     G = solve_endstate(S, cue_rows)
-    predicted = None
-    if cfg.production_input == "predicted_cues":
-        X = _shared_array((len(rows), G.W.shape[1]))
-        predicted = _fork("predicting the production inputs",
-                          lambda: _predict_cues(targets, rows, G.W, X))
-    else:
-        X = targets[rows]
-    try:
-        inputs = S if predicted is None else S @ G.W
-        del S, cue_rows
-        max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-        positional = train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
-                                      inv, cue_cfg)
-        if predicted is not None:
-            _join(predicted)
-    finally:
-        if predicted is not None:
-            _kill(predicted)
+    predicted = cfg.production_input == "predicted_cues"
+    inputs = S @ G.W if predicted else S
+    del S, cue_rows
+    max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
+
+    def fit() -> PositionalSupportModel:
+        return train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
+                                inv, cue_cfg)
+
+    if not predicted:
+        return G, fit(), targets
+    X = _shared_array((len(targets), G.W.shape[1]))
+    _, positional = _beside("predicting the production inputs",
+                            lambda: _predict_cues(targets, G.W, X), fit)
     return G, positional, X
 
 
-def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None) -> PipelineState:
-    """Assemble split, cue matrix, semantic space, gold pool and trained
-    mappings.
-
-    With production (cfg.production_enabled unless with_production says
-    otherwise), F with its comprehension scores, G, the positional model
-    and the production inputs are computed by this process and two forked
-    children (_production_stage); the state returned holds them as plain
-    fields, and every bit is that of a serial run.  Without production,
-    F is solved when first read."""
+def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
+    """Assemble the split, cue matrix, semantic space and gold pool.
+    Nothing is fitted here: a verb fits what it needs (solve_f,
+    _production_stage)."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -447,22 +422,17 @@ def build_pipeline(cfg: ExperimentConfig, with_production: Optional[bool] = None
             _, space, corr = semantics.reconstruct_analytical(space, d)
             corr_mean = float(np.nanmean(corr))
 
-    if with_production is None:
-        with_production = cfg.production_enabled
     state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
     state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
     pool_ids = None if cfg.gold_pool == "all" else list(state.split.train_ids)
     state.pool = comp.GoldPool.build(state.space, d, cue_cfg, restrict_ids=pool_ids)
-    if with_production:
-        _production_stage(state)
     return state
 
 
-def comprehension_scores(state: PipelineState, F: Optional[Mapping] = None) -> list[comp.ItemScore]:
-    """Score every entry's prediction under F (state.F by default); the
-    fresh product is centred in place, so it is the scoring's only copy of
-    the predictions."""
-    F = F or state.F
+def comprehension_scores(state: PipelineState, F: Mapping) -> list[comp.ItemScore]:
+    """Score every entry's prediction under F; the fresh product is
+    centred in place, so it is the scoring's only copy of the
+    predictions."""
     S_hat = state.C.rows @ F.W
     preds = comp.centre(S_hat, out=S_hat)
     return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg)
@@ -496,7 +466,7 @@ def produce_items(
     before; otherwise they are computed here."""
     if X is None and params.input_space == "predicted_cues":
         X = np.empty((len(S_targets), G.W.shape[1]))
-        _predict_cues(S_targets, range(len(S_targets)), G.W, X)
+        _predict_cues(S_targets, G.W, X)
     elif X is None:
         X = S_targets
     return [
@@ -513,41 +483,32 @@ def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
     }
 
 
-def production_ids(split: lexicon.SplitResult) -> list[int]:
-    """The items endstate produces: every train and validation item, in id order."""
-    return sorted(set(split.train_ids) | set(split.validation_ids))
-
-
 def _produce_in_two(
     S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
     params: ProductionParams, X: np.ndarray,
 ) -> list[ProductionResult]:
     """produce_items(S_targets, ...), with X the rows' inputs to m, on two
-    CPUs: a child forked with _fork produces the second half of the rows
-    while this process produces the first half.  Returns the results in
-    row order.
+    CPUs: a child forked beside this process (_beside) produces the second
+    half of the rows while this process produces the first half.  Returns
+    the results in row order.
 
     search_supports makes an item's candidates independent of the batch
-    it is computed in, so the results are those of one serial batch.  On
-    any error here the child is killed and reaped."""
+    it is computed in, so the results are those of one serial batch."""
     half = len(S_targets) // 2
-    child = _fork(f"the production of items [{half}, {len(S_targets)})",
-                  lambda: produce_items(S_targets[half:], G, m, F, params, X[half:]))
-    try:
-        first = produce_items(S_targets[:half], G, m, F, params, X[:half])
-    except BaseException:
-        _kill(child)
-        raise
-    return first + _join(child)
+    second, first = _beside(f"the production of items [{half}, {len(S_targets)})",
+                            lambda: produce_items(S_targets[half:], G, m, F, params, X[half:]),
+                            lambda: produce_items(S_targets[:half], G, m, F, params, X[:half]))
+    return first + second
 
 
 def production_accuracies(
-    state: PipelineState, results: dict[int, ProductionResult]
+    state: PipelineState, results: Sequence[ProductionResult]
 ) -> dict[str, float]:
-    targets = {i: state.cue_cfg.cue_string(state.dataset[i]) for i in results}
-    correct = {
-        i: res.best is not None and res.best.surface == targets[i] for i, res in results.items()
-    }
+    """Production accuracy per scheme, results being every entry's in id order."""
+    correct = [
+        res.best is not None and res.best.surface == state.cue_cfg.cue_string(e)
+        for e, res in zip(state.dataset, results)
+    ]
     out = {}
     for scheme in comp.SCHEMES:
         ids = comp.scheme_ids(state.split, scheme)
@@ -578,14 +539,10 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
         _check_production(cfg)
     state = build_pipeline(cfg)
     if cfg.production_enabled:
-        ids = production_ids(state.split)
-        prod = dict(zip(ids, _produce_in_two(
-            state.space.S[ids], state.G, state.positional, state.F, cfg.production_params(),
-            state.production_inputs,
-        )))
-        results = state.scores
+        F, results, G, positional, X = _production_stage(state)
+        prod = _produce_in_two(state.space.S, G, positional, F, cfg.production_params(), X)
     else:
-        results = comprehension_scores(state)
+        results = comprehension_scores(state, solve_f(state))
     comp_acc = comprehension_accuracies(state, results)
     report = {
         "n_entries": len(state.dataset),
@@ -607,9 +564,9 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
     tables = {"items.csv": comp.item_score_rows(results, state.split)}
     if cfg.production_enabled:
         report["production"] = production_accuracies(state, prod)
-        report.update(production_counts(prod.values()))
+        report.update(production_counts(prod))
         tables["production.csv"] = production_rows(
-            (state.cue_cfg.cue_string(state.dataset[i]), prod[i]) for i in ids
+            (state.cue_cfg.cue_string(e), res) for e, res in zip(state.dataset, prod)
         )
         tables["summary.csv"] = _summary_rows(report)
     write_outputs(cfg, report, tables)
@@ -644,6 +601,18 @@ def _fork(what: str, work: Callable[[], object]) -> _Child:
     """Run work() in a forked child process that sends back its outcome
     (_send) and ends; _join collects it."""
     return _fork_serving(what, lambda out: _send(out, work))
+
+
+def _beside(what: str, theirs: Callable[[], object], ours: Callable[[], object]) -> tuple:
+    """(theirs(), ours()): theirs runs in a child forked with _fork while
+    this process runs ours.  On any error here the child is killed and
+    reaped."""
+    child = _fork(what, theirs)
+    try:
+        mine = ours()
+        return _join(child), mine
+    finally:
+        _kill(child)
 
 
 def _fork_serving(what: str, serve: Callable[[BinaryIO], object]) -> _Child:
@@ -752,10 +721,9 @@ def _train_and_score(
     order, then the incremental and the end-state scores.  This process
     runs the loop; before the first token, and so before W exists (the
     loop's writes to W then take no copy-on-write faults), it forks
-    - the baseline's child (_fork), which solves F (state.F is read
-      there first) and scores it.  F takes longer than the first stream
-      segments, so it has a process of its own rather than holding up
-      the checkpoints.  It is collected at the first checkpoint after
+    - the baseline's child (_fork), which solves F (solve_f) and scores
+      it.  F takes longer than the first stream segments, so it has a
+      process of its own rather than holding up the checkpoints.  It is collected at the first checkpoint after
       its result is waiting, so it does not outlive its work.
     - with checkpoints, one scorer (_fork_serving) for all of them.  At
       each checkpoint the loop collects the previous checkpoint's result,
@@ -817,7 +785,8 @@ def _train_and_score(
         in_flight = True
 
     try:
-        baseline = _fork("scoring the end-state baseline", lambda: comprehension_scores(state))
+        baseline = _fork("scoring the end-state baseline",
+                         lambda: comprehension_scores(state, solve_f(state)))
         if checkpoints:
             shape = (state.C.rows.shape[1], state.space.S.shape[1])
             snapshot = _shared_array(shape)
@@ -852,7 +821,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     byte-identical to a serial run.  It needs os.fork, which POSIX
     systems have; it is tested on Linux only."""
     _check_fork("incremental scores its checkpoints in forked processes")
-    state = build_pipeline(cfg, with_production=False)
+    state = build_pipeline(cfg)
     d, split = state.dataset, state.split
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
@@ -987,7 +956,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     state = _comprehension_stage(
         cfg, lexicon._split_ids(d, cue_cfg.cue_string, range(len(d)), ()), cue_cfg
     )
-    inv, space, F = state.C.inventory, state.space, state.F
+    inv, space, F = state.C.inventory, state.space, solve_f(state)
 
     usable, skipped, novel_counts = [], [], {}
     for w in nonce_words:
@@ -1003,7 +972,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
 
     G, posmodel, X = _production_model(
         cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
-        [cue_cfg.cue_string(e) for e in d] + usable, S_pl, range(len(S_pl)),
+        [cue_cfg.cue_string(e) for e in d] + usable, S_pl,
     )
     results = _produce_in_two(S_pl, G, posmodel, F, cfg.production_params(), X)
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
@@ -1036,8 +1005,9 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
 
 def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = None) -> dict:
     """Sweep magnitude-pruning thresholds and track train comprehension."""
-    state = build_pipeline(cfg, with_production=False)
-    W = state.F.W
+    state = build_pipeline(cfg)
+    F = solve_f(state)
+    W = F.W
     if thresholds is None:
         qs = np.linspace(0.0, 1.0, 11)
         thresholds = [0.0] + [float(np.quantile(np.abs(W), q)) for q in qs[1:]]
@@ -1045,7 +1015,7 @@ def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = N
 
     rows = []
     for theta_p in thresholds:
-        pruned, fraction = prune(state.F, theta_p)
+        pruned, fraction = prune(F, theta_p)
         results = comprehension_scores(state, pruned)
         acc = comp.evaluate(results, state.split, "train")
         rows.append((float(theta_p), fraction, acc))

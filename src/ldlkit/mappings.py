@@ -64,7 +64,7 @@ def solve_endstate(X: np.ndarray, Y: np.ndarray) -> Mapping:
     before solving.  When the distinct rows of X are linearly
     independent the solution interpolates the targets exactly.
 
-    With production, experiments.build_pipeline solves F in a forked
+    With production, experiments._production_stage solves F in a forked
     child while the calling process solves G.
     """
     X = np.asarray(X, dtype=np.float64)

@@ -111,6 +111,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def production_firsts(run_dir):
+    """The first production.csv row of each item of the endstate run whose
+    output is run_dir/out: one item per run of rows starting at rank 1 (or
+    at no rank when it has no candidate)."""
+    with open(run_dir / "out" / "production.csv", encoding="utf-8", newline="") as fh:
+        return [r for r in csv.DictReader(fh) if r["rank"] in ("1", "")]
+
+
+def entry_cue_strings(data_path, tmp_path):
+    """Every entry's cue string under base_config, in id order."""
+    cfg = base_config(data_path, tmp_path)
+    return [cfg.cue_config().cue_string(e) for e in ex._prepare_dataset(cfg)]
+
+
 class TestConfig:
     def test_parse_flat_keys(self):
         text = "# comment\ncues.n = 3\n\ndata=corpus.tsv # trailing\n"
@@ -203,6 +217,13 @@ class TestConfig:
         assert cfg.cue_n == 2
         assert cfg.seed_split == 9
 
+    def test_written_config_with_hash_in_paths_reads_back_equal(self, tmp_path):
+        # A # inside a value is part of it: a comment starts only at the
+        # start of a line or after whitespace.
+        cfg = ExperimentConfig(data=str(tmp_path / "demo#1.tsv"), output=str(tmp_path / "o#3"))
+        ex.write_outputs(cfg)
+        assert load_config(tmp_path / "o#3" / "config.resolved") == cfg
+
 
 class TestRunEndstate:
     def test_report_structure(self, data_path, tmp_path):
@@ -224,11 +245,9 @@ class TestRunEndstate:
         capped = run_endstate(base_config(data_path, tmp_path / "a", **{"production.max_paths": 1}))
         assert capped["truncated_items"] > 0
         assert capped["zero_candidate_items"] == 0
-        with open(tmp_path / "a" / "out" / "production.csv", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        # one item per run of rows starting at rank 1 (or at no rank when empty)
-        firsts = [r for r in rows if r["rank"] in ("1", "")]
+        firsts = production_firsts(tmp_path / "a")
         assert len(firsts) == capped["n_train"] + capped["n_validation"]
+        assert [r["target"] for r in firsts] == entry_cue_strings(data_path, tmp_path)
         assert sum(int(r["truncated"]) for r in firsts) == capped["truncated_items"]
         empty = run_endstate(base_config(data_path, tmp_path / "b", **{"production.theta": 1e9}))
         assert empty["truncated_items"] == 0
@@ -257,10 +276,13 @@ class TestRunEndstate:
         assert a["n_train"] == b["n_train"]
 
     def test_no_novel_cue_split_mode(self, data_path, tmp_path):
-        cfg = base_config(data_path, tmp_path, **{"split.mode": "no_novel_cues",
-                                                  "production.enabled": "false"})
+        cfg = base_config(data_path, tmp_path, **{"split.mode": "no_novel_cues"})
         report = run_endstate(cfg)
         assert report["novel_grams_dropped"] == 0
+        # every entry is produced, in id order, under this split too
+        firsts = production_firsts(tmp_path)
+        assert len(firsts) == report["n_train"] + report["n_validation"]
+        assert [r["target"] for r in firsts] == entry_cue_strings(data_path, tmp_path)
 
 
 class TestRunIncremental:
@@ -694,8 +716,8 @@ class TestCli:
         elif where == "scorer":
             # every checkpoint's scoring fails; the baseline's does not
             scores = ex.comprehension_scores
-            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
-                fail() if F is not None and F.trained_tokens else scores(state, F)))
+            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F: (
+                fail() if F.trained_tokens else scores(state, F)))
         else:
             # the second stream segment fails, with the first checkpoint in flight
             run_stream = _wh_numpy.run_stream
@@ -788,8 +810,8 @@ class TestCli:
             what = "scoring the checkpoint at "
         else:
             scores = ex.comprehension_scores
-            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F=None: (
-                die() if F is not None and F.trained_tokens else scores(state, F)))
+            monkeypatch.setattr(ex, "comprehension_scores", lambda state, F: (
+                die() if F.trained_tokens else scores(state, F)))
             what = "scoring the checkpoint at "
         p = tmp_path / "exp.config"
         p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
@@ -876,8 +898,8 @@ class TestCli:
             time.sleep(60)
             return solve_endstate(X, Y)
 
-        def slow_scores(state, F=None):
-            if F is not None:
+        def slow_scores(state, F):
+            if F.trained_tokens:
                 log.add(tokens=F.trained_tokens)
                 time.sleep(60)
             return scores(state, F)
@@ -914,8 +936,8 @@ class TestCli:
         log = CallLog(tmp_path / "scorings.jsonl")
         scores = ex.comprehension_scores
 
-        def second_checkpoint_fails(state, F=None):
-            if F is not None and F.trained_tokens:
+        def second_checkpoint_fails(state, F):
+            if F.trained_tokens:
                 log.add(tokens=F.trained_tokens)
                 if len(log.records()) == 2:
                     raise MappingError("scoring failed")
@@ -1053,9 +1075,9 @@ class TestCli:
 
 
 def serial_production_model(state):
-    """The serial oracle of the production fits in build_pipeline: G, the
-    positional model and its inputs for production_ids, each computed as
-    it was on one thread."""
+    """The serial oracle of ex._production_stage's production fits: G, the
+    positional model and its inputs for every entry, each computed as it
+    was on one thread."""
     cfg, inv = state.cfg, state.C.inventory
     train_ids = list(state.split.train_ids)
     S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
@@ -1064,7 +1086,7 @@ def serial_production_model(state):
     max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
     targets = positional_targets(forms, inv, state.cue_cfg, max_len)
     positional = train_positional(S @ G.W, targets, inv, state.cue_cfg)
-    X = np.array([s @ G.W for s in state.space.S[ex.production_ids(state.split)]])
+    X = np.array([s @ G.W for s in state.space.S])
     return G, positional, X
 
 
@@ -1072,25 +1094,27 @@ class TestOverlappedFits:
     def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path):
         cfg = base_config(data_path, tmp_path)
         state = ex.build_pipeline(cfg)
+        got_F, scores, got_G, got_positional, got_X = ex._production_stage(state)
         train_ids = list(state.split.train_ids)
         F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
         G, positional, X = serial_production_model(state)
-        assert np.array_equal(state.F.W, F.W)
-        assert np.array_equal(state.G.W, G.W)
-        assert np.array_equal(state.positional.columns, positional.columns)
-        assert np.array_equal(state.positional.weights, positional.weights)
-        assert np.array_equal(state.production_inputs, X)
+        assert np.array_equal(got_F.W, F.W)
+        assert np.array_equal(got_G.W, G.W)
+        assert np.array_equal(got_positional.columns, positional.columns)
+        assert np.array_equal(got_positional.weights, positional.weights)
+        assert np.array_equal(got_X, X)
 
     def test_semantic_inputs_are_the_targets_meanings(self, data_path, tmp_path):
         state = ex.build_pipeline(base_config(data_path, tmp_path,
                                               **{"production.input": "semantics"}))
-        ids = ex.production_ids(state.split)
-        assert np.array_equal(state.production_inputs, state.space.S[ids])
+        *_, X = ex._production_stage(state)
+        assert np.array_equal(X, state.space.S)
+        assert X is state.space.S  # read in place, not copied
 
-    @pytest.mark.parametrize("with_production", [True, False])
-    def test_f_and_inputs_run_in_children_with_production(self, data_path, tmp_path,
-                                                          monkeypatch, with_production):
-        log = CallLog(tmp_path / "calls.jsonl")
+    @staticmethod
+    def record_fits(log, monkeypatch):
+        """Log each call to F's and G's solve, F's scoring, the input
+        prediction, the pseudo-inverse and each positional solve."""
         solve, scores = ex.solve_endstate, ex.comprehension_scores
         predict, pinv, position = ex._predict_cues, np.linalg.pinv, PositionalTargets.position
 
@@ -1106,17 +1130,30 @@ class TestOverlappedFits:
         monkeypatch.setattr(ex, "_predict_cues", recording("predict", predict))
         monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
         monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
-        caller = os.getpid()
-        state = ex.build_pipeline(base_config(data_path, tmp_path),
-                                  with_production=with_production)
+
+    def test_build_pipeline_fits_nothing(self, data_path, tmp_path, monkeypatch):
+        log = CallLog(tmp_path / "calls.jsonl")
+        self.record_fits(log, monkeypatch)
+        state = ex.build_pipeline(base_config(data_path, tmp_path))
+        assert log.records() == []
+        # F is solved here, where it is asked for, and nothing else is fitted
+        F = ex.solve_f(state)
         assert_no_child_left()
-        assert state.F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
+        assert F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
+        assert [(r["call"], r["pid"]) for r in log.records()] == [("F", os.getpid())]
+
+    def test_f_and_inputs_run_in_children_with_production(self, data_path, tmp_path,
+                                                          monkeypatch):
+        log = CallLog(tmp_path / "calls.jsonl")
+        scores = ex.comprehension_scores
+        self.record_fits(log, monkeypatch)
+        caller = os.getpid()
+        state = ex.build_pipeline(base_config(data_path, tmp_path))
+        F, results, G, m, X = ex._production_stage(state)
+        assert_no_child_left()
+        assert F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
         calls = log.records()
         pids = {r["call"]: r["pid"] for r in calls if r["call"] != "position"}
-        if not with_production:
-            # F is solved here, where it is first read, and nothing else is fitted
-            assert [(r["call"], r["pid"]) for r in calls] == [("F", caller)]
-            return
         assert sorted(r["call"] for r in calls if r["call"] != "position") == [
             "F", "G", "pinv", "predict", "score"]
         # one child solves and scores F, another predicts the inputs, and
@@ -1124,13 +1161,12 @@ class TestOverlappedFits:
         assert pids["F"] == pids["score"] != caller
         assert pids["predict"] not in (caller, pids["F"])
         assert pids["G"] == pids["pinv"] == caller
-        m = state.positional
         filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
         assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
         assert [(r["p"], r["pid"]) for r in calls if r["call"] == "position"] == [
             (p, caller) for p in filled]
         # the scores sent back are those of F
-        assert [r.r_target for r in state.scores] == [r.r_target for r in scores(state)]
+        assert [r.r_target for r in results] == [r.r_target for r in scores(state, F)]
 
     @pytest.mark.parametrize("verb, config, extra", VERB_ARGS, ids=[v for v, _, _ in VERB_ARGS])
     def test_no_verb_starts_a_thread(self, tmp_path, monkeypatch, capsys, verb, config, extra):
@@ -1152,10 +1188,14 @@ def production_summary(results):
 
 @pytest.fixture(scope="module")
 def production_state(tmp_path_factory):
+    """The demo state, then F, G, the positional model and the production
+    inputs of _production_stage."""
     tmp_path = tmp_path_factory.mktemp("production")
     data_path = tmp_path / "corpus.tsv"
     save_dataset(paradigm_lexicon(25, seed=21), data_path)
-    return ex.build_pipeline(base_config(data_path, tmp_path))
+    state = ex.build_pipeline(base_config(data_path, tmp_path))
+    F, _, G, m, X = ex._production_stage(state)
+    return state, F, G, m, X
 
 
 class TestProductionInTwo:
@@ -1165,11 +1205,10 @@ class TestProductionInTwo:
     @pytest.mark.parametrize("n", [0, 1, 2, 15])
     def test_results_equal_one_serial_batch_bit_for_bit(self, production_state, tmp_path,
                                                         monkeypatch, tolerance, n):
-        state = production_state
+        state, F, G, m, X = production_state
         params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance)
-        ids = ex.production_ids(state.split)[:n]
-        S, X = state.space.S[ids], state.production_inputs[:n]
-        expected = ex.produce_items(S, state.G, state.positional, state.F, params)
+        S, X = state.space.S[:n], X[:n]
+        expected = ex.produce_items(S, G, m, F, params)
         assert len(expected) == n
 
         log = CallLog(tmp_path / "produced.jsonl")
@@ -1181,7 +1220,7 @@ class TestProductionInTwo:
 
         monkeypatch.setattr(ex, "produce", recording_produce)
         caller = os.getpid()
-        results = ex._produce_in_two(S, state.G, state.positional, state.F, params, X)
+        results = ex._produce_in_two(S, G, m, F, params, X)
         assert production_summary(results) == production_summary(expected)
         assert_no_child_left()
         rows = {r["row"]: r["pid"] for r in log.records()}
@@ -1244,8 +1283,8 @@ class TestOverlappedScoring:
         log = CallLog(tmp_path / "calls.jsonl")
         scores = ex.comprehension_scores
 
-        def recording_scores(state, F=None):
-            log.add(scored="baseline" if F is None else F.trained_tokens)
+        def recording_scores(state, F):
+            log.add(scored=F.trained_tokens or "baseline")
             return scores(state, F)
 
         def recording_solve(X, Y):
@@ -1274,9 +1313,8 @@ class TestOverlappedScoring:
         log = CallLog(tmp_path / "scorings.jsonl")
         scores = ex.comprehension_scores
 
-        def slow_scores(state, F=None):
+        def slow_scores(state, F):
             start = time.monotonic()
-            F = F or state.F
             seen = F.W.copy()
             time.sleep(0.05)  # longer than a demo stream segment
             results = scores(state, F)
@@ -1312,8 +1350,8 @@ class TestOverlappedScoring:
         log = CallLog(tmp_path / "calls.jsonl")
         scores = ex.comprehension_scores
 
-        def recording_scores(state, F=None):
-            log.add(scored="baseline" if F is None else F.trained_tokens)
+        def recording_scores(state, F):
+            log.add(scored=F.trained_tokens or "baseline")
             return scores(state, F)
 
         monkeypatch.setattr(os, "fork", counting_fork)
@@ -1347,8 +1385,8 @@ class TestOverlappedScoring:
         log = CallLog(tmp_path / "baseline.jsonl")
         scores = ex.comprehension_scores
 
-        def recording_scores(state, F=None):
-            if F is None:
+        def recording_scores(state, F):
+            if not F.trained_tokens:
                 log.add()
             return scores(state, F)
 
@@ -1470,7 +1508,7 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
     n, dims = state.space.S.shape
     n_pool = len(state.pool.entry_ids)
     bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
-    F = state.F  # solved when first read, so before the trace starts
+    F = ex.solve_f(state)  # before the trace starts
     tracemalloc.start()
     try:
         results = ex.comprehension_scores(state, F)

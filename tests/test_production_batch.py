@@ -76,15 +76,15 @@ def check_dense_top_k(got, support, k, theta, tolerance):
     assert all(support[j] == kth and weak == bool(kth < theta) for j, weak in tied)
 
 
-def dense_solve(state):
+def dense_solve(state, G, max_len):
     """Reference: the dense tensor, one solve per position over every cue."""
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
-    t = positional_targets(forms, state.C.inventory, cfg, state.positional.max_len)
+    t = positional_targets(forms, state.C.inventory, cfg, max_len)
     targets = np.zeros((t.n_items, t.max_len * t.n_cues))
     targets[t.items, t.columns] = 1.0
     targets = targets.reshape(t.n_items, t.max_len, t.n_cues)
-    pinv = np.linalg.pinv(state.space.S[list(state.split.train_ids)] @ state.G.W)
+    pinv = np.linalg.pinv(state.space.S[list(state.split.train_ids)] @ G.W)
     return np.stack([pinv @ targets[:, p, :] for p in range(targets.shape[1])])
 
 
@@ -235,13 +235,14 @@ def pipeline(request, tmp_path_factory):
         every = 8  # the dense per-item reference takes ~14 ms an item at 1,092 cues
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
     state = ex.build_pipeline(cfg)
+    F, _, G, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
-    return state, ids, dense_solve(state)
+    # the state, F, G and the positional model, the items, the dense weights
+    return state, (F, G, m), ids, dense_solve(state, G, m.max_len)
 
 
 def test_compact_weights_are_the_attested_dense_columns(pipeline):
-    state, _, W = pipeline
-    m = state.positional
+    _, (_, _, m), _, W = pipeline
     dense = model_from_dense(W, m.inventory, m.cfg)
     assert np.array_equal(dense.columns, m.columns)
     assert np.array_equal(dense.weights, m.weights)
@@ -254,9 +255,8 @@ def summary(res):
 
 @pytest.mark.parametrize("tolerance", [False, True])
 def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
-    state, ids, W = pipeline
+    state, (F, G, m), ids, W = pipeline
     params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance, top_n=10**9)
-    m, G, F = state.positional, state.G, state.F
     with mock.patch.object(ex, "SUPPORT_CHUNK_BYTES", chunk_budget(m, 50)):
         batched = ex.produce_items(state.space.S[ids], G, m, F, params)
     assert sum(r.n_candidates for r in batched) > len(ids) // 2
@@ -271,7 +271,7 @@ def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
 
 
 def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch):
-    state, ids, _ = pipeline
+    state, (F, G, m), ids, _ = pipeline
     params = dataclasses.replace(state.cfg.production_params(), tolerance=True)
     built = []
 
@@ -280,7 +280,7 @@ def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch
         return CandidatePath(*args, **kwargs)
 
     monkeypatch.setattr(production, "CandidatePath", counted)
-    results = ex.produce_items(state.space.S[ids], state.G, state.positional, state.F, params)
+    results = ex.produce_items(state.space.S[ids], G, m, F, params)
     kept = sum(len(r.top_n) for r in results)
     assert sum(r.n_candidates for r in results) > kept
     assert len(built) == kept
@@ -291,11 +291,12 @@ def test_production_allocates_no_dense_support_block(tmp_path):
     save_dataset(paradigm_lexicon(40), data)
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
     state = ex.build_pipeline(cfg)
-    m, S = state.positional, state.space.S
+    F, _, G, m, _ = ex._production_stage(state)
+    S = state.space.S
     dense_bytes = S.shape[0] * m.max_len * len(m.inventory) * 8
     tracemalloc.start()
     try:
-        results = ex.produce_items(S, state.G, m, state.F, cfg.production_params())
+        results = ex.produce_items(S, G, m, F, cfg.production_params())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,8 +344,8 @@ def check_synthesis_against_dense(cands, F, target, m):
 
 
 def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):
-    state, _, _ = pipeline
-    m, F, cfg = state.positional, state.F, state.cue_cfg
+    state, (F, _, m), _, _ = pipeline
+    cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train][:20]
     cands = [CandidatePath(grams=tuple(extract_grams(f, cfg)), surface=f) for f in dict.fromkeys(forms)]
     target = state.space.S[state.split.train_ids[0]]
