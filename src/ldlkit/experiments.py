@@ -18,7 +18,8 @@ import operator
 import os
 import pickle
 from collections import Counter
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
+from functools import cached_property
 from typing import BinaryIO, Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -260,7 +261,12 @@ def write_outputs(
 @dataclass
 class PipelineState:
     """The inputs every verb shares.  It holds no fitted model: each stage
-    returns what it fits (solve_f, _production_stage)."""
+    returns what it fits (solve_f, _production_stage).
+
+    A process holds only what its own stages read: the gold pool is built
+    by the first read of pool in each process, and _production_stage
+    releases C.rows (leaving None) once the F child, forked before, has
+    them, keeping the inventory and drop counts that the report reads."""
 
     cfg: ExperimentConfig
     dataset: lexicon.Dataset
@@ -268,9 +274,19 @@ class PipelineState:
     cue_cfg: CueConfig
     C: CueMatrix
     space: semantics.SemanticSpace
-    pool: Optional[comp.GoldPool] = None
     dropped_entries: int = 0
     analytical_corr_mean: Optional[float] = None
+
+    @cached_property
+    def pool(self) -> comp.GoldPool:
+        """The gold pool that scoring reads (semantics.pool: every entry's
+        row or the train rows only), built on the first read in each
+        process.  With production on, only the F child reads it; in
+        incremental, the baseline's child and the scorer each build their
+        own, and the calling process builds it only to score the final
+        weights itself or for the role error analysis."""
+        ids = None if self.cfg.gold_pool == "all" else list(self.split.train_ids)
+        return comp.GoldPool.build(self.space, self.dataset, self.cue_cfg, restrict_ids=ids)
 
 
 def solve_f(state: PipelineState) -> Mapping:
@@ -334,32 +350,45 @@ def _comprehension_stage(
 
 def _production_stage(
     state: PipelineState,
-) -> tuple[Mapping, list[comp.ItemScore], Mapping, PositionalSupportModel, np.ndarray]:
-    """F, every entry's comprehension scores under F, G, the positional
-    model and its inputs X for every entry in id order, on two CPUs.
+) -> tuple[Mapping, list[comp.ItemScore], PositionalSupportModel, np.ndarray]:
+    """F, every entry's comprehension scores under F, the positional model
+    and its inputs X for every entry in id order, on two CPUs.
 
     A child forked beside the production fits (_beside) solves F on the
-    train rows, writes its weights into an array shared with this process
-    (_shared_array) and sends back the scores.  Meanwhile this process
-    fits G and the positional model (_production_model) on its own copies
-    of the train rows, which _production_model lets go of before the
-    positional solves.  Each product is the same single-thread BLAS call
-    on the same values as in a serial run, so every bit is that of one."""
-    C, S, split = state.C, state.space.S, state.split
-    train_ids = list(split.train_ids)
-    F_W = _shared_array((C.rows.shape[1], S.shape[1]))
+    train rows, builds the gold pool, writes F's weights into an array
+    shared with this process (_shared_array) and sends back the scores.
+    Meanwhile this process takes G's train slice of the cue rows and
+    releases state.C.rows (_release_cue_rows), which the child keeps in
+    its own copy-on-write view, and fits G and the positional model
+    (_production_model), which lets go of the train rows and of G before
+    the positional solves.  Each product is the same single-thread BLAS
+    call on the same values as in a serial run, so every bit is that of
+    one."""
+    S, train_ids = state.space.S, list(state.split.train_ids)
+    F_W = _shared_array((len(state.C.inventory), S.shape[1]))
 
     def solve_and_score() -> list[comp.ItemScore]:
         F = solve_f(state)
         np.copyto(F_W, F.W)
         return comprehension_scores(state, F)
 
-    scores, (G, positional, X) = _beside(
+    scores, (positional, X) = _beside(
         "solving and scoring the end-state F", solve_and_score,
-        lambda: _production_model(state.cfg, C.inventory, S[train_ids], C.rows[train_ids],
-                                  [state.cue_cfg.cue_string(e) for e in split.train], S),
+        lambda: _production_model(state.cfg, state.C.inventory, S[train_ids],
+                                  _release_cue_rows(state, train_ids),
+                                  [state.cue_cfg.cue_string(e) for e in state.split.train], S),
     )
-    return Mapping(W=F_W), scores, G, positional, X
+    return Mapping(W=F_W), scores, positional, X
+
+
+def _release_cue_rows(state: PipelineState, ids: Sequence[int]) -> np.ndarray:
+    """state.C.rows[ids], after which state.C holds no rows (None): only
+    its inventory and drop counts are read later in this process.  Called
+    in _production_model's argument list, so that the slice reaches it as
+    a temporary, which it frees before the positional solves."""
+    rows = state.C.rows[ids]
+    state.C = replace(state.C, rows=None)
+    return rows
 
 
 def _predict_cues(S: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
@@ -372,18 +401,19 @@ def _predict_cues(S: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
 def _production_model(
     cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
     forms: Sequence[str], targets: np.ndarray,
-) -> tuple[Mapping, PositionalSupportModel, np.ndarray]:
-    """The production mapping G (S to cue_rows), the positional model
-    trained on forms, the cue strings of the rows of S, and the
-    positional model's inputs for the meanings targets, which are to be
-    produced: the targets themselves, or their predicted cues.
+) -> tuple[PositionalSupportModel, np.ndarray]:
+    """The positional model trained on forms, the cue strings of the rows
+    of S, and its inputs for the meanings targets, which are to be
+    produced: the targets themselves, or their cues predicted through the
+    production mapping G (S to cue_rows).
 
     G and the positional training inputs are computed here, and S and
     cue_rows are let go: a caller that holds no other reference to them
     has them freed before the positional solves.  With predicted cues, a
     child forked after that (_beside), so holding no train copies,
     computes the inputs of targets into an array shared with this process
-    (_shared_array), while this process computes the training inputs'
+    (_shared_array).  G is then released here, since only that child
+    reads it, and this process computes the training inputs'
     pseudo-inverse and every positional solve (train_positional)."""
     cue_cfg = cfg.cue_config()
     G = solve_endstate(S, cue_rows)
@@ -391,23 +421,26 @@ def _production_model(
     inputs = S @ G.W if predicted else S
     del S, cue_rows
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
+    X = _shared_array((len(targets), G.W.shape[1])) if predicted else targets
 
     def fit() -> PositionalSupportModel:
+        nonlocal G
+        del G  # read only by the prediction child, forked before this runs
         return train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
                                 inv, cue_cfg)
 
     if not predicted:
-        return G, fit(), targets
-    X = _shared_array((len(targets), G.W.shape[1]))
+        return fit(), X
     _, positional = _beside("predicting the production inputs",
                             lambda: _predict_cues(targets, G.W, X), fit)
-    return G, positional, X
+    return positional, X
 
 
 def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
-    """Assemble the split, cue matrix, semantic space and gold pool.
-    Nothing is fitted here: a verb fits what it needs (solve_f,
-    _production_stage)."""
+    """Assemble the split, cue matrix and semantic space.  Nothing is
+    fitted here, and the gold pool is not built: a verb fits what it
+    needs (solve_f, _production_stage), and each process that scores
+    builds the pool on its first read of PipelineState.pool."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -424,15 +457,14 @@ def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
 
     state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
     state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
-    pool_ids = None if cfg.gold_pool == "all" else list(state.split.train_ids)
-    state.pool = comp.GoldPool.build(state.space, d, cue_cfg, restrict_ids=pool_ids)
     return state
 
 
 def comprehension_scores(state: PipelineState, F: Mapping) -> list[comp.ItemScore]:
     """Score every entry's prediction under F; the fresh product is
     centred in place, so it is the scoring's only copy of the
-    predictions."""
+    predictions.  The first scoring in a process builds its gold pool
+    (PipelineState.pool)."""
     S_hat = state.C.rows @ F.W
     preds = comp.centre(S_hat, out=S_hat)
     return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg)
@@ -458,12 +490,13 @@ def _support_blocks(m: PositionalSupportModel, X: np.ndarray, params: Production
 
 
 def produce_items(
-    S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
+    S_targets: np.ndarray, G: Optional[Mapping], m: PositionalSupportModel, F: Mapping,
     params: ProductionParams, X: Optional[np.ndarray] = None,
 ) -> list[ProductionResult]:
     """produce() for every row of S_targets, with supports computed in
     chunks.  X holds the rows' inputs to m when they were computed
-    before; otherwise they are computed here."""
+    before; otherwise they are computed here, from G with predicted cues.
+    G is read only then, so it may be None when X is given."""
     if X is None and params.input_space == "predicted_cues":
         X = np.empty((len(S_targets), G.W.shape[1]))
         _predict_cues(S_targets, G.W, X)
@@ -484,20 +517,21 @@ def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
 
 
 def _produce_in_two(
-    S_targets: np.ndarray, G: Mapping, m: PositionalSupportModel, F: Mapping,
+    S_targets: np.ndarray, m: PositionalSupportModel, F: Mapping,
     params: ProductionParams, X: np.ndarray,
 ) -> list[ProductionResult]:
     """produce_items(S_targets, ...), with X the rows' inputs to m, on two
     CPUs: a child forked beside this process (_beside) produces the second
     half of the rows while this process produces the first half.  Returns
-    the results in row order.
+    the results in row order.  With X given, G is not read, so neither
+    process needs it.
 
     search_supports makes an item's candidates independent of the batch
     it is computed in, so the results are those of one serial batch."""
     half = len(S_targets) // 2
     second, first = _beside(f"the production of items [{half}, {len(S_targets)})",
-                            lambda: produce_items(S_targets[half:], G, m, F, params, X[half:]),
-                            lambda: produce_items(S_targets[:half], G, m, F, params, X[:half]))
+                            lambda: produce_items(S_targets[half:], None, m, F, params, X[half:]),
+                            lambda: produce_items(S_targets[:half], None, m, F, params, X[:half]))
     return first + second
 
 
@@ -520,7 +554,8 @@ def _check_production(cfg: ExperimentConfig) -> None:
     """Production needs cues of two or more units, since a unigram
     boundary cue both opens and closes a path, so every search would find
     the path of that one cue, which spells the empty form; and it needs
-    os.fork (_production_model, _produce_in_two)."""
+    os.fork (_production_stage, _production_model, _produce_in_two), by
+    which each process holds only the arrays its own stage reads."""
     if cfg.cue_n < 2:
         raise ConfigError(f"{_key_of('cue_n')} must be >= 2 where production runs, got {cfg.cue_n}")
     _check_fork("production computes its inputs and half its items in forked processes")
@@ -539,8 +574,8 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
         _check_production(cfg)
     state = build_pipeline(cfg)
     if cfg.production_enabled:
-        F, results, G, positional, X = _production_stage(state)
-        prod = _produce_in_two(state.space.S, G, positional, F, cfg.production_params(), X)
+        F, results, positional, X = _production_stage(state)
+        prod = _produce_in_two(state.space.S, positional, F, cfg.production_params(), X)
     else:
         results = comprehension_scores(state, solve_f(state))
     comp_acc = comprehension_accuracies(state, results)
@@ -970,11 +1005,11 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
     S_nonce_sg = C_nonce @ F.W
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
 
-    G, posmodel, X = _production_model(
+    posmodel, X = _production_model(
         cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
         [cue_cfg.cue_string(e) for e in d] + usable, S_pl,
     )
-    results = _produce_in_two(S_pl, G, posmodel, F, cfg.production_params(), X)
+    results = _produce_in_two(S_pl, posmodel, F, cfg.production_params(), X)
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
     candidate_rows = [["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"]]

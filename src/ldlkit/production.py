@@ -530,7 +530,7 @@ class ProductionResult:
 
 def produce(
     s_target: np.ndarray,
-    G: Mapping,
+    G: Optional[Mapping],
     m: PositionalSupportModel,
     F: Mapping,
     params: ProductionParams = ProductionParams(),
@@ -543,7 +543,8 @@ def produce(
     of either that vector or the raw meaning, and reranked by synthesis
     score.  support is the item's (n_attested,) row of
     m.search_supports when the caller has already computed supports for
-    a batch of items.  An empty candidate set is a production failure.
+    a batch of items; G is read only when it is not, so it may then be
+    None.  An empty candidate set is a production failure.
     """
     s_target = np.asarray(s_target, dtype=np.float64)
     if support is None:

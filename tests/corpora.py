@@ -1,4 +1,5 @@
-"""Deterministic toy corpora shared across the test modules."""
+"""Deterministic toy corpora, and serial oracles, shared across the test
+modules."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from ldlkit import (
     build_inventory,
     merge_grams,
 )
-from ldlkit.production import CandidatePaths
+from ldlkit.cues import extract_grams
+from ldlkit.mappings import solve_endstate
+from ldlkit.production import CandidatePaths, positional_targets, train_positional
 
 CONSONANTS = "bdfgklmnprstvz"
 VOWELS = "aeiou@"
@@ -179,3 +182,20 @@ def id_paths(cands, inv: CueInventory) -> CandidatePaths:
 def spell(paths: CandidatePaths, m: PositionalSupportModel) -> list[str]:
     """The surface of each of enumerate_paths' paths, merged from its grams."""
     return [merge_grams([m.inventory.cues[j] for j in ids], m.cfg) for ids, _ in paths]
+
+
+def serial_production_model(state):
+    """The serial oracle of experiments._production_stage's production
+    fits: G, the positional model and its inputs for every entry, each
+    computed as it was on one thread.  It reads state.C.rows, which
+    _production_stage releases, so it is called before that."""
+    cfg, inv = state.cfg, state.C.inventory
+    train_ids = list(state.split.train_ids)
+    S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
+    forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
+    G = solve_endstate(S, cue_rows)
+    max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
+    targets = positional_targets(forms, inv, state.cue_cfg, max_len)
+    positional = train_positional(S @ G.W, targets, inv, state.cue_cfg)
+    X = np.array([s @ G.W for s in state.space.S])
+    return G, positional, X

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -34,17 +35,11 @@ from ldlkit.experiments import (
     run_split,
     run_wug,
 )
-from ldlkit.cues import extract_grams
 from ldlkit.lexicon import Dataset, save_dataset
 from ldlkit.mappings import MappingError, solve_endstate, train_incremental
-from ldlkit.production import (
-    PositionalTargets,
-    ProductionError,
-    positional_targets,
-    train_positional,
-)
+from ldlkit.production import PositionalTargets, ProductionError
 
-from corpora import paradigm_lexicon
+from corpora import paradigm_lexicon, serial_production_model
 
 
 @pytest.fixture()
@@ -1074,30 +1069,23 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
-def serial_production_model(state):
-    """The serial oracle of ex._production_stage's production fits: G, the
-    positional model and its inputs for every entry, each computed as it
-    was on one thread."""
-    cfg, inv = state.cfg, state.C.inventory
-    train_ids = list(state.split.train_ids)
-    S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
-    forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
-    G = solve_endstate(S, cue_rows)
-    max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
-    targets = positional_targets(forms, inv, state.cue_cfg, max_len)
-    positional = train_positional(S @ G.W, targets, inv, state.cue_cfg)
-    X = np.array([s @ G.W for s in state.space.S])
-    return G, positional, X
-
-
 class TestOverlappedFits:
-    def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path):
+    def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path, monkeypatch):
         cfg = base_config(data_path, tmp_path)
         state = ex.build_pipeline(cfg)
-        got_F, scores, got_G, got_positional, got_X = ex._production_stage(state)
+        # the oracles read the cue rows, which _production_stage releases
         train_ids = list(state.split.train_ids)
         F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
         G, positional, X = serial_production_model(state)
+        solved = []  # the mappings solved in this process: G only, as F is solved in a child
+
+        def recording_solve(inputs, outputs):
+            solved.append(solve_endstate(inputs, outputs))
+            return solved[-1]
+
+        monkeypatch.setattr(ex, "solve_endstate", recording_solve)
+        got_F, scores, got_positional, got_X = ex._production_stage(state)
+        [got_G] = solved
         assert np.array_equal(got_F.W, F.W)
         assert np.array_equal(got_G.W, G.W)
         assert np.array_equal(got_positional.columns, positional.columns)
@@ -1113,9 +1101,11 @@ class TestOverlappedFits:
 
     @staticmethod
     def record_fits(log, monkeypatch):
-        """Log each call to F's and G's solve, F's scoring, the input
-        prediction, the pseudo-inverse and each positional solve."""
+        """Log each call to F's and G's solve, F's scoring, the gold pool's
+        build, the input prediction, the pseudo-inverse and each positional
+        solve."""
         solve, scores = ex.solve_endstate, ex.comprehension_scores
+        build_pool = comprehension.GoldPool.build
         predict, pinv, position = ex._predict_cues, np.linalg.pinv, PositionalTargets.position
 
         def recording(name, f):
@@ -1127,6 +1117,7 @@ class TestOverlappedFits:
         monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
             recording("F" if solves_f(X) else "G", solve)(X, Y)))
         monkeypatch.setattr(ex, "comprehension_scores", recording("score", scores))
+        monkeypatch.setattr(comprehension.GoldPool, "build", recording("pool", build_pool))
         monkeypatch.setattr(ex, "_predict_cues", recording("predict", predict))
         monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
         monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
@@ -1135,7 +1126,7 @@ class TestOverlappedFits:
         log = CallLog(tmp_path / "calls.jsonl")
         self.record_fits(log, monkeypatch)
         state = ex.build_pipeline(base_config(data_path, tmp_path))
-        assert log.records() == []
+        assert log.records() == []  # not even the gold pool
         # F is solved here, where it is asked for, and nothing else is fitted
         F = ex.solve_f(state)
         assert_no_child_left()
@@ -1148,25 +1139,58 @@ class TestOverlappedFits:
         scores = ex.comprehension_scores
         self.record_fits(log, monkeypatch)
         caller = os.getpid()
-        state = ex.build_pipeline(base_config(data_path, tmp_path))
-        F, results, G, m, X = ex._production_stage(state)
+        cfg = base_config(data_path, tmp_path)
+        state = ex.build_pipeline(cfg)
+        F, results, m, X = ex._production_stage(state)
         assert_no_child_left()
         assert F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
         calls = log.records()
         pids = {r["call"]: r["pid"] for r in calls if r["call"] != "position"}
         assert sorted(r["call"] for r in calls if r["call"] != "position") == [
-            "F", "G", "pinv", "predict", "score"]
-        # one child solves and scores F, another predicts the inputs, and
-        # this process fits G, the pseudo-inverse and every position
-        assert pids["F"] == pids["score"] != caller
+            "F", "G", "pinv", "pool", "predict", "score"]
+        # one child solves and scores F against the gold pool it builds,
+        # another predicts the inputs, and this process fits G, the
+        # pseudo-inverse and every position
+        assert pids["F"] == pids["score"] == pids["pool"] != caller
         assert pids["predict"] not in (caller, pids["F"])
         assert pids["G"] == pids["pinv"] == caller
         filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
         assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
         assert [(r["p"], r["pid"]) for r in calls if r["call"] == "position"] == [
             (p, caller) for p in filled]
-        # the scores sent back are those of F
-        assert [r.r_target for r in results] == [r.r_target for r in scores(state, F)]
+        # the scores sent back are those of F, scored on a state that
+        # still has the cue rows this process has released
+        assert [r.r_target for r in results] == [
+            r.r_target for r in scores(ex.build_pipeline(cfg), F)]
+
+    def test_the_caller_holds_no_cue_rows_or_g_at_the_positional_fit(self, data_path, tmp_path,
+                                                                     monkeypatch):
+        # The positional fit is the calling process's peak. By then only the
+        # F child reads the cue rows and only the prediction child reads G,
+        # each in its own copy, so this process has let go of both.
+        state = ex.build_pipeline(base_config(data_path, tmp_path))
+        rows = weakref.ref(state.C.rows)
+        inventory, novel_dropped = state.C.inventory, state.C.novel_dropped
+        g_weights, held = [], []
+        solve, fit = ex.solve_endstate, ex.train_positional
+
+        def recording_solve(X, Y):
+            mapping = solve(X, Y)
+            g_weights.append(weakref.ref(mapping.W))  # in this process, G's only
+            return mapping
+
+        def recording_fit(*args, **kwargs):
+            held.append((rows() is not None, g_weights[0]() is not None))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "solve_endstate", recording_solve)
+        monkeypatch.setattr(ex, "train_positional", recording_fit)
+        ex._production_stage(state)
+        assert len(g_weights) == 1
+        assert held == [(False, False)]
+        # the report's cue facts stay
+        assert state.C.rows is None
+        assert state.C.inventory is inventory and state.C.novel_dropped is novel_dropped
 
     @pytest.mark.parametrize("verb, config, extra", VERB_ARGS, ids=[v for v, _, _ in VERB_ARGS])
     def test_no_verb_starts_a_thread(self, tmp_path, monkeypatch, capsys, verb, config, extra):
@@ -1188,13 +1212,14 @@ def production_summary(results):
 
 @pytest.fixture(scope="module")
 def production_state(tmp_path_factory):
-    """The demo state, then F, G, the positional model and the production
-    inputs of _production_stage."""
+    """The demo state, then F, the serial oracle's G, and the positional
+    model and the production inputs of _production_stage."""
     tmp_path = tmp_path_factory.mktemp("production")
     data_path = tmp_path / "corpus.tsv"
     save_dataset(paradigm_lexicon(25, seed=21), data_path)
     state = ex.build_pipeline(base_config(data_path, tmp_path))
-    F, _, G, m, X = ex._production_stage(state)
+    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    F, _, m, X = ex._production_stage(state)
     return state, F, G, m, X
 
 
@@ -1220,7 +1245,7 @@ class TestProductionInTwo:
 
         monkeypatch.setattr(ex, "produce", recording_produce)
         caller = os.getpid()
-        results = ex._produce_in_two(S, G, m, F, params, X)
+        results = ex._produce_in_two(S, m, F, params, X)
         assert production_summary(results) == production_summary(expected)
         assert_no_child_left()
         rows = {r["row"]: r["pid"] for r in log.records()}
@@ -1304,6 +1329,21 @@ class TestOverlappedScoring:
         assert sorted(t for t in scored if t != "baseline") == checkpoints
         assert [r["solved"] for r in calls if "solved" in r] == ["F"]
         assert len(checkpoints) == 5 and os.getpid() not in {r["pid"] for r in calls}
+
+    def test_only_the_children_build_a_gold_pool(self, tmp_path, monkeypatch):
+        log = CallLog(tmp_path / "pools.jsonl")
+        build = comprehension.GoldPool.build
+
+        def recording_build(*args, **kwargs):
+            log.add()
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(comprehension.GoldPool, "build", recording_build)
+        incremental_outputs(tmp_path / "out")
+        assert_no_child_left()
+        # one pool in the baseline's child and one in the scorer
+        pids = [r["pid"] for r in log.records()]
+        assert len(pids) == len(set(pids)) == 2 and os.getpid() not in pids
 
     def test_a_slow_worker_changes_nothing(self, tmp_path, monkeypatch):
         # A scoring slower than a stream segment must make the loop wait at
@@ -1506,7 +1546,7 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
                                            "production.enabled=false"])
     state = ex.build_pipeline(cfg)
     n, dims = state.space.S.shape
-    n_pool = len(state.pool.entry_ids)
+    n_pool = len(state.pool.entry_ids)  # builds the pool before the trace starts
     bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
     F = ex.solve_f(state)  # before the trace starts
     tracemalloc.start()

@@ -25,7 +25,13 @@ from ldlkit.production import (
     synthesize_by_analysis,
 )
 
-from corpora import id_paths, model_from_dense, paradigm_lexicon, spelling_model
+from corpora import (
+    id_paths,
+    model_from_dense,
+    paradigm_lexicon,
+    serial_production_model,
+    spelling_model,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -235,7 +241,8 @@ def pipeline(request, tmp_path_factory):
         every = 8  # the dense per-item reference takes ~14 ms an item at 1,092 cues
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
     state = ex.build_pipeline(cfg)
-    F, _, G, m, _ = ex._production_stage(state)
+    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    F, _, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
     # the state, F, G and the positional model, the items, the dense weights
     return state, (F, G, m), ids, dense_solve(state, G, m.max_len)
@@ -291,7 +298,8 @@ def test_production_allocates_no_dense_support_block(tmp_path):
     save_dataset(paradigm_lexicon(40), data)
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
     state = ex.build_pipeline(cfg)
-    F, _, G, m, _ = ex._production_stage(state)
+    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    F, _, m, _ = ex._production_stage(state)
     S = state.space.S
     dense_bytes = S.shape[0] * m.max_len * len(m.inventory) * 8
     tracemalloc.start()
