@@ -161,13 +161,15 @@ class GoldPool:
         restrict_ids: Optional[Sequence[int]] = None,
     ) -> "GoldPool":
         ids = range(len(d)) if restrict_ids is None else restrict_ids
-        index: dict[bytes, int] = {}
+        # pool rows by the hash of their bytes, so that no key copies a row
+        index: dict[int, list[int]] = {}
         rows, keys, strings, first_key, entry_ids = [], [], [], [], []
         for i in ids:
             raw = space.S[i].tobytes()
-            at = index.get(raw)
+            same = index.setdefault(hash(raw), [])
+            at = next((r for r in same if rows[r].tobytes() == raw), None)
             if at is None:
-                index[raw] = len(rows)
+                same.append(len(rows))
                 rows.append(space.S[i])
                 keys.append({space.gold_keys[i]})
                 strings.append({cfg.cue_string(d[i])})

@@ -36,13 +36,15 @@ from .cues import (
     extract_grams,
 )
 from .mappings import Mapping, prune, solve_endstate, train_incremental
-from .production import (
+from .production import (  # produce: perfbench/trace.py wraps it here
     INPUT_SPACES,
     PositionalSupportModel,
     ProductionParams,
     ProductionResult,
     positional_targets,
     produce,
+    produce_batch,
+    production_inputs,
     production_rows,
     train_positional,
 )
@@ -54,13 +56,6 @@ DEFAULT_THETA = {
     ("syllable", 2): 0.005,
     ("letter", 3): 0.008,
 }
-
-
-# Support scores held at once while producing many items: items are
-# produced in chunks whose compact (chunk, n_attested) supports, with the
-# search's working arrays, fit this budget, so memory does not grow with
-# the number of items.
-SUPPORT_CHUNK_BYTES = 32 * 2**20
 
 
 # Code paths picked by config keys that experiments branches on itself.
@@ -359,9 +354,9 @@ def _production_stage(
     shared with this process (_shared_array) and sends back the scores.
     Meanwhile this process takes G's train slice of the cue rows and
     releases state.C.rows (_release_cue_rows), which the child keeps in
-    its own copy-on-write view, and fits G and the positional model
-    (_production_model), which lets go of the train rows and of G before
-    the positional solves.  Each product is the same single-thread BLAS
+    its own copy-on-write view, and fits the positional model
+    (_production_model), which lets go of the train rows, and of G with
+    predicted cues, before the positional solves.  Each product is the same single-thread BLAS
     call on the same values as in a serial run, so every bit is that of
     one."""
     S, train_ids = state.space.S, list(state.split.train_ids)
@@ -391,48 +386,45 @@ def _release_cue_rows(state: PipelineState, ids: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def _predict_cues(S: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = S[i] @ W, one vector-matrix product per row, as produce()
-    computes it: a row of a matrix product may round differently."""
-    for s, row in zip(S, out):
-        np.matmul(s, W, out=row)
-
-
 def _production_model(
     cfg: ExperimentConfig, inv: CueInventory, S: np.ndarray, cue_rows: np.ndarray,
     forms: Sequence[str], targets: np.ndarray,
 ) -> tuple[PositionalSupportModel, np.ndarray]:
     """The positional model trained on forms, the cue strings of the rows
-    of S, and its inputs for the meanings targets, which are to be
-    produced: the targets themselves, or their cues predicted through the
-    production mapping G (S to cue_rows).
+    of S, and its inputs X for the meanings targets (production_inputs).
 
-    G and the positional training inputs are computed here, and S and
-    cue_rows are let go: a caller that holds no other reference to them
-    has them freed before the positional solves.  With predicted cues, a
-    child forked after that (_beside), so holding no train copies,
-    computes the inputs of targets into an array shared with this process
-    (_shared_array).  G is then released here, since only that child
-    reads it, and this process computes the training inputs'
-    pseudo-inverse and every positional solve (train_positional)."""
+    With semantics, X is targets, no G is solved and cue_rows is let go
+    unread.  With predicted cues, G (S to cue_rows) and the training
+    inputs S @ G.W are computed here and S and cue_rows let go; then a
+    child forked beside the positional fit (_beside), so holding no train
+    copies, computes X into an array shared with this process
+    (_shared_array), and this process lets go of G, which only that child
+    reads.  A caller that holds no other reference to cue_rows thus has
+    them freed before the positional solves (train_positional)."""
     cue_cfg = cfg.cue_config()
-    G = solve_endstate(S, cue_rows)
-    predicted = cfg.production_input == "predicted_cues"
-    inputs = S @ G.W if predicted else S
-    del S, cue_rows
     max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
-    X = _shared_array((len(targets), G.W.shape[1])) if predicted else targets
 
-    def fit() -> PositionalSupportModel:
-        nonlocal G
-        del G  # read only by the prediction child, forked before this runs
+    def fit(inputs: np.ndarray) -> PositionalSupportModel:
         return train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
                                 inv, cue_cfg)
 
-    if not predicted:
-        return fit(), X
-    _, positional = _beside("predicting the production inputs",
-                            lambda: _predict_cues(targets, G.W, X), fit)
+    if cfg.production_input == "semantics":
+        del cue_rows
+        return fit(S), targets
+    G = solve_endstate(S, cue_rows)
+    inputs = S @ G.W
+    del S, cue_rows
+    X = _shared_array((len(targets), G.W.shape[1]))
+
+    def predict() -> None:  # into the shared X, so nothing is sent back
+        production_inputs(targets, G, cfg.production_input, out=X)
+
+    def fit_inputs() -> PositionalSupportModel:
+        nonlocal G
+        del G  # read only by the prediction child, forked before this runs
+        return fit(inputs)
+
+    _, positional = _beside("predicting the production inputs", predict, fit_inputs)
     return positional, X
 
 
@@ -476,38 +468,6 @@ def comprehension_accuracies(
     return {s: comp.evaluate(results, state.split, s) for s in comp.SCHEMES}
 
 
-def _support_blocks(m: PositionalSupportModel, X: np.ndarray, params: ProductionParams):
-    """Each row's (n_attested,) search support, one GEMM per chunk of rows.
-
-    Per row, search_supports holds two float64 copies of the input (its
-    absolute values and its transpose), the float64 supports and a bool
-    redo flag per attested column."""
-    input_dim, n_attested = m.weights.shape
-    per_row = 8 * (2 * input_dim + n_attested) + n_attested
-    step = max(1, SUPPORT_CHUNK_BYTES // per_row)
-    for start in range(0, X.shape[0], step):
-        yield from m.search_supports(X[start : start + step], params)
-
-
-def produce_items(
-    S_targets: np.ndarray, G: Optional[Mapping], m: PositionalSupportModel, F: Mapping,
-    params: ProductionParams, X: Optional[np.ndarray] = None,
-) -> list[ProductionResult]:
-    """produce() for every row of S_targets, with supports computed in
-    chunks.  X holds the rows' inputs to m when they were computed
-    before; otherwise they are computed here, from G with predicted cues.
-    G is read only then, so it may be None when X is given."""
-    if X is None and params.input_space == "predicted_cues":
-        X = np.empty((len(S_targets), G.W.shape[1]))
-        _predict_cues(S_targets, G.W, X)
-    elif X is None:
-        X = S_targets
-    return [
-        produce(s, G, m, F, params, support=sup)
-        for s, sup in zip(S_targets, _support_blocks(m, X, params))
-    ]
-
-
 def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
     """Items whose path search hit max_paths, and items with no candidate."""
     return {
@@ -517,21 +477,17 @@ def production_counts(results: Collection[ProductionResult]) -> dict[str, int]:
 
 
 def _produce_in_two(
-    S_targets: np.ndarray, m: PositionalSupportModel, F: Mapping,
-    params: ProductionParams, X: np.ndarray,
+    X: np.ndarray, S_targets: np.ndarray, m: PositionalSupportModel, F: Mapping,
+    params: ProductionParams,
 ) -> list[ProductionResult]:
-    """produce_items(S_targets, ...), with X the rows' inputs to m, on two
-    CPUs: a child forked beside this process (_beside) produces the second
-    half of the rows while this process produces the first half.  Returns
-    the results in row order.  With X given, G is not read, so neither
-    process needs it.
-
-    search_supports makes an item's candidates independent of the batch
-    it is computed in, so the results are those of one serial batch."""
+    """produce_batch(X, S_targets, ...) on two CPUs: a child forked beside
+    this process (_beside) produces the second half of the rows while this
+    process produces the first half.  Returns the results in row order,
+    which are those of one serial batch (produce_batch)."""
     half = len(S_targets) // 2
     second, first = _beside(f"the production of items [{half}, {len(S_targets)})",
-                            lambda: produce_items(S_targets[half:], None, m, F, params, X[half:]),
-                            lambda: produce_items(S_targets[:half], None, m, F, params, X[:half]))
+                            lambda: produce_batch(X[half:], S_targets[half:], m, F, params),
+                            lambda: produce_batch(X[:half], S_targets[:half], m, F, params))
     return first + second
 
 
@@ -568,6 +524,18 @@ def _check_fork(why: str) -> None:
         raise ConfigError(f"{why}, and os.fork is missing on this platform")
 
 
+def _split_counts(split: lexicon.SplitResult) -> dict:
+    """The sizes of a split's parts and its achieved train fraction."""
+    return {
+        "n_train": len(split.train_ids),
+        "n_validation": len(split.validation_ids),
+        "n_homophone_val": len(split.homophone_val_ids),
+        "n_newform_val": len(split.newform_val_ids),
+        "n_novel_lemma": len(split.novel_lemma_ids),
+        "achieved_train_fraction": split.achieved_train_fraction,
+    }
+
+
 def run_endstate(cfg: ExperimentConfig) -> dict:
     """Closed-form training plus the full evaluation grid."""
     if cfg.production_enabled:
@@ -575,20 +543,15 @@ def run_endstate(cfg: ExperimentConfig) -> dict:
     state = build_pipeline(cfg)
     if cfg.production_enabled:
         F, results, positional, X = _production_stage(state)
-        prod = _produce_in_two(state.space.S, positional, F, cfg.production_params(), X)
+        prod = _produce_in_two(X, state.space.S, positional, F, cfg.production_params())
     else:
         results = comprehension_scores(state, solve_f(state))
     comp_acc = comprehension_accuracies(state, results)
     report = {
         "n_entries": len(state.dataset),
-        "n_train": len(state.split.train_ids),
-        "n_validation": len(state.split.validation_ids),
-        "n_homophone_val": len(state.split.homophone_val_ids),
-        "n_newform_val": len(state.split.newform_val_ids),
-        "n_novel_lemma": len(state.split.novel_lemma_ids),
+        **_split_counts(state.split),
         "n_cues": len(state.C.inventory),
         "novel_grams_dropped": int(state.C.novel_dropped.sum()),
-        "achieved_train_fraction": state.split.achieved_train_fraction,
         "comprehension": comp_acc,
         "embedding_entries_dropped": state.dropped_entries,
         # a new form with several paradigm readings is credited for any of them
@@ -1009,7 +972,7 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
         [cue_cfg.cue_string(e) for e in d] + usable, S_pl,
     )
-    results = _produce_in_two(S_pl, posmodel, F, cfg.production_params(), X)
+    results = _produce_in_two(X, S_pl, posmodel, F, cfg.production_params())
     marker_counts = dict.fromkeys(PLURAL_MARKERS, 0)
     per_nonce = {}
     candidate_rows = [["nonce", "rank", "candidate", "score", "tolerated", "marker", "truncated"]]
@@ -1071,14 +1034,7 @@ def run_split(cfg: ExperimentConfig) -> dict:
     split = _split(cfg, d, cfg.cue_config())
     lexicon.save_split(split, cfg.output)
     write_outputs(cfg)
-    return {
-        "n_train": len(split.train_ids),
-        "n_validation": len(split.validation_ids),
-        "n_homophone_val": len(split.homophone_val_ids),
-        "n_newform_val": len(split.newform_val_ids),
-        "n_novel_lemma": len(split.novel_lemma_ids),
-        "achieved_train_fraction": split.achieved_train_fraction,
-    }
+    return _split_counts(split)
 
 
 def run_inspect(cfg: ExperimentConfig) -> dict:

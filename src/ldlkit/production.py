@@ -20,7 +20,7 @@ no token-by-token training path for them.  A model stores only the
 position has support exactly 0 there, so the model keeps one
 (input_dim, n_attested) weight matrix and the flat position-cue index of
 each column.  Supports stay in that compact form until the path search:
-they are computed for a batch of inputs with one matrix product, and the
+they are computed per chunk of items with one matrix product, and the
 search scatters one item's attested values into a (max_len, n_cues)
 block of zeros to pick every position's top k at once.  The few supports
 that can decide that choice are summed again in input order
@@ -528,6 +528,22 @@ class ProductionResult:
     truncated: bool = False  # max_paths stopped the path search
 
 
+def production_inputs(
+    S: np.ndarray, G: Optional[Mapping], input_space: str, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The positional model's inputs for the meanings S: S itself for
+    semantics (G unread); for predicted cues, out[i] = S[i] @ G.W, one
+    product per row, as a row of a matrix product may round differently,
+    into out (new when None).  Single items (produce) and batches get
+    their inputs here, so they agree bit for bit."""
+    if input_space == "semantics":
+        return S
+    out = np.empty((len(S), G.W.shape[1])) if out is None else out
+    for s, row in zip(S, out):
+        np.matmul(s, G.W, out=row)
+    return out
+
+
 def produce(
     s_target: np.ndarray,
     G: Optional[Mapping],
@@ -538,18 +554,18 @@ def produce(
 ) -> ProductionResult:
     """Synthesize the best-supported form for a target meaning.
 
-    The target meaning is mapped to a predicted cue vector through the
-    production matrix; paths are enumerated from the positional support
-    of either that vector or the raw meaning, and reranked by synthesis
-    score.  support is the item's (n_attested,) row of
-    m.search_supports when the caller has already computed supports for
-    a batch of items; G is read only when it is not, so it may then be
+    Paths are enumerated from the positional support of the target's
+    input to m (production_inputs: the meaning mapped through the
+    production matrix, or the meaning itself), and reranked by synthesis
+    score.  support is the item's (n_attested,) row of m.search_supports
+    when the caller has already computed supports for a batch of items
+    (produce_batch); G is read only when it is not, so it may then be
     None.  An empty candidate set is a production failure.
     """
     s_target = np.asarray(s_target, dtype=np.float64)
     if support is None:
-        x = s_target @ G.W if params.input_space == "predicted_cues" else s_target
-        support = m.search_supports(x[None, :], params)[0]
+        x = production_inputs(s_target[None, :], G, params.input_space)
+        support = m.search_supports(x, params)[0]
     candidates = enumerate_paths(
         m, support, k=params.k, theta=params.theta,
         tolerance=params.tolerance, max_tolerated=params.max_tolerated,
@@ -562,6 +578,31 @@ def produce(
         n_candidates=len(candidates),
         truncated=candidates.truncated,
     )
+
+
+# produce_batch computes supports for chunks of items whose compact
+# supports and search arrays fit this budget, so memory does not grow
+# with the number of items.
+SUPPORT_CHUNK_BYTES = 32 * 2**20
+
+
+def produce_batch(
+    X: np.ndarray, S_targets: np.ndarray, m: PositionalSupportModel, F: Mapping,
+    params: ProductionParams,
+) -> list[ProductionResult]:
+    """produce() for every row of S_targets, X holding the rows' inputs to
+    m (production_inputs).  search_supports, which makes an item's
+    candidates independent of its batch, runs on chunks of rows that fit
+    SUPPORT_CHUNK_BYTES: per row it holds two float64 copies of the input
+    (|x| and x transposed), float64 supports and a bool flag per column."""
+    input_dim, n_attested = m.weights.shape
+    step = max(1, SUPPORT_CHUNK_BYTES // (8 * (2 * input_dim + n_attested) + n_attested))
+    results = []
+    for a in range(0, len(X), step):
+        supports = m.search_supports(X[a : a + step], params)
+        results += [produce(s, None, m, F, params, support=sup)
+                    for s, sup in zip(S_targets[a : a + step], supports)]
+    return results
 
 
 def production_rows(rows: Iterable[tuple[str, ProductionResult]]):

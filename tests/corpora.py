@@ -187,8 +187,10 @@ def spell(paths: CandidatePaths, m: PositionalSupportModel) -> list[str]:
 def serial_production_model(state):
     """The serial oracle of experiments._production_stage's production
     fits: G, the positional model and its inputs for every entry, each
-    computed as it was on one thread.  It reads state.C.rows, which
-    _production_stage releases, so it is called before that."""
+    computed as it was on one thread, from the meanings mapped through G
+    or, with production.input=semantics, from the meanings themselves.
+    It reads state.C.rows, which _production_stage releases, so it is
+    called before that."""
     cfg, inv = state.cfg, state.C.inventory
     train_ids = list(state.split.train_ids)
     S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
@@ -196,6 +198,9 @@ def serial_production_model(state):
     G = solve_endstate(S, cue_rows)
     max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
     targets = positional_targets(forms, inv, state.cue_cfg, max_len)
-    positional = train_positional(S @ G.W, targets, inv, state.cue_cfg)
-    X = np.array([s @ G.W for s in state.space.S])
+    if cfg.production_input == "semantics":
+        inputs, X = S, state.space.S
+    else:
+        inputs, X = S @ G.W, np.array([s @ G.W for s in state.space.S])
+    positional = train_positional(inputs, targets, inv, state.cue_cfg)
     return G, positional, X

@@ -1,6 +1,7 @@
 """Nearest-gold scoring and the evaluation schemes."""
 
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -375,3 +376,35 @@ def test_gold_pool_keeps_no_copy_of_the_gold_matrix():
     arrays = [v for v in vars(pool).values() if isinstance(v, np.ndarray)]
     arrays += list(pool.centred)
     assert all(a.size < space.S.size for a in arrays)
+
+
+def test_gold_pool_build_copies_no_gold_row():
+    # Rows are deduplicated by the hash of their bytes, so while the pool
+    # is built nothing of the size of the gold rows is held beside it.
+    d = paradigm_lexicon(250)
+    cfg = CueConfig(unit="phone", n=3)
+    space = simulate_vectors(d, dim=1000, seed=4)
+    tracemalloc.start()
+    try:
+        pool = GoldPool.build(space, d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pool_bytes = pool.centred.rows.nbytes + pool.centred.sq.nbytes
+    assert pool_bytes > 7 * 2**20
+    assert peak < 1.5 * pool_bytes
+
+
+def test_gold_pool_rows_with_one_hash_stay_apart_unless_equal():
+    d = paradigm_lexicon(6, seed=5)
+    cfg = CueConfig(unit="phone", n=3)
+    space = simulate_vectors(d, dim=12, seed=4)
+    space = SemanticSpace(S=space.S[[0, 1, 0, 2, 1]], gold_keys=space.gold_keys[:5])
+    d = Dataset(list(d)[:5])
+    expected = GoldPool.build(space, d, cfg)
+    assert expected.entry_ids == [[0, 2], [1, 4], [3]]
+    with mock.patch.object(comprehension, "hash", lambda raw: 0, create=True):
+        colliding = GoldPool.build(space, d, cfg)
+    assert colliding.entry_ids == expected.entry_ids
+    assert colliding.first_key == expected.first_key
+    assert np.array_equal(colliding.centred.rows, expected.centred.rows)

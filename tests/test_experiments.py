@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ldlkit import _wh_numpy, cli, comprehension
+from ldlkit import _wh_numpy, cli, comprehension, production
 from ldlkit import experiments as ex
 from ldlkit.experiments import (
     ConfigError,
@@ -705,7 +705,7 @@ class TestCli:
             monkeypatch.setattr(ex, "solve_endstate", lambda X, Y: (
                 fail() if solves_f(X) else solve_endstate(X, Y)))
         elif where == "prediction-child":
-            monkeypatch.setattr(ex, "_predict_cues", fail)
+            monkeypatch.setattr(ex, "production_inputs", fail)
         elif verb == "endstate":
             monkeypatch.setattr(ex, "train_positional", fail)
         elif where == "scorer":
@@ -835,7 +835,7 @@ class TestCli:
                                                                      capsys, monkeypatch, verb,
                                                                      how):
         caller = os.getpid()
-        produce = ex.produce
+        produce = production.produce
 
         def produce_in_child_fails(*args, **kwargs):
             if os.getpid() != caller:
@@ -844,7 +844,7 @@ class TestCli:
                 raise ProductionError("production failed")
             return produce(*args, **kwargs)
 
-        monkeypatch.setattr(ex, "produce", produce_in_child_fails)
+        monkeypatch.setattr(production, "produce", produce_in_child_fails)
         rc = cli.main(self.production_argv(verb, data_path, tmp_path))
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
@@ -863,7 +863,7 @@ class TestCli:
                                                                monkeypatch, verb):
         # The child's half would take a minute; the run must not wait for it.
         caller = os.getpid()
-        produce = ex.produce
+        produce = production.produce
 
         def produce_fails_here(*args, **kwargs):
             if os.getpid() == caller:
@@ -871,7 +871,7 @@ class TestCli:
             time.sleep(60)
             return produce(*args, **kwargs)
 
-        monkeypatch.setattr(ex, "produce", produce_fails_here)
+        monkeypatch.setattr(production, "produce", produce_fails_here)
         start = time.monotonic()
         rc = cli.main(self.production_argv(verb, data_path, tmp_path))
         assert time.monotonic() - start < 30
@@ -1092,12 +1092,22 @@ class TestOverlappedFits:
         assert np.array_equal(got_positional.weights, positional.weights)
         assert np.array_equal(got_X, X)
 
-    def test_semantic_inputs_are_the_targets_meanings(self, data_path, tmp_path):
+    def test_semantic_inputs_are_the_targets_meanings(self, data_path, tmp_path, monkeypatch):
+        log = CallLog(tmp_path / "calls.jsonl")
+        self.record_fits(log, monkeypatch)
+        forked, fork = [], ex._fork
+        monkeypatch.setattr(ex, "_fork", lambda what, work: forked.append(what) or fork(what, work))
         state = ex.build_pipeline(base_config(data_path, tmp_path,
                                               **{"production.input": "semantics"}))
         *_, X = ex._production_stage(state)
         assert np.array_equal(X, state.space.S)
         assert X is state.space.S  # read in place, not copied
+        assert_no_child_left()
+        # no G is solved and nothing is predicted, in any process: only the
+        # F child is forked
+        calls = [r["call"] for r in log.records()]
+        assert sorted(set(calls)) == ["F", "pinv", "pool", "position", "score"]
+        assert forked == ["solving and scoring the end-state F"]
 
     @staticmethod
     def record_fits(log, monkeypatch):
@@ -1106,7 +1116,7 @@ class TestOverlappedFits:
         solve."""
         solve, scores = ex.solve_endstate, ex.comprehension_scores
         build_pool = comprehension.GoldPool.build
-        predict, pinv, position = ex._predict_cues, np.linalg.pinv, PositionalTargets.position
+        predict, pinv, position = ex.production_inputs, np.linalg.pinv, PositionalTargets.position
 
         def recording(name, f):
             def call(*args, **kwargs):
@@ -1118,7 +1128,7 @@ class TestOverlappedFits:
             recording("F" if solves_f(X) else "G", solve)(X, Y)))
         monkeypatch.setattr(ex, "comprehension_scores", recording("score", scores))
         monkeypatch.setattr(comprehension.GoldPool, "build", recording("pool", build_pool))
-        monkeypatch.setattr(ex, "_predict_cues", recording("predict", predict))
+        monkeypatch.setattr(ex, "production_inputs", recording("predict", predict))
         monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
         monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
 
@@ -1212,40 +1222,40 @@ def production_summary(results):
 
 @pytest.fixture(scope="module")
 def production_state(tmp_path_factory):
-    """The demo state, then F, the serial oracle's G, and the positional
-    model and the production inputs of _production_stage."""
+    """The demo state, then F, the serial oracle's production inputs, and
+    the positional model and the production inputs of _production_stage."""
     tmp_path = tmp_path_factory.mktemp("production")
     data_path = tmp_path / "corpus.tsv"
     save_dataset(paradigm_lexicon(25, seed=21), data_path)
     state = ex.build_pipeline(base_config(data_path, tmp_path))
-    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    _, _, serial_X = serial_production_model(state)  # before _production_stage releases the cue rows
     F, _, m, X = ex._production_stage(state)
-    return state, F, G, m, X
+    return state, F, serial_X, m, X
 
 
 class TestProductionInTwo:
-    """_produce_in_two against one serial produce_items batch."""
+    """_produce_in_two against one serial produce_batch."""
 
     @pytest.mark.parametrize("tolerance", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 2, 15])
     def test_results_equal_one_serial_batch_bit_for_bit(self, production_state, tmp_path,
                                                         monkeypatch, tolerance, n):
-        state, F, G, m, X = production_state
+        state, F, serial_X, m, X = production_state
         params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance)
         S, X = state.space.S[:n], X[:n]
-        expected = ex.produce_items(S, G, m, F, params)
+        expected = production.produce_batch(serial_X[:n], S, m, F, params)
         assert len(expected) == n
 
         log = CallLog(tmp_path / "produced.jsonl")
-        produce = ex.produce
+        produce = production.produce
 
         def recording_produce(s, *args, **kwargs):
             log.add(row=int(np.flatnonzero((S == s).all(axis=1))[0]))
             return produce(s, *args, **kwargs)
 
-        monkeypatch.setattr(ex, "produce", recording_produce)
+        monkeypatch.setattr(production, "produce", recording_produce)
         caller = os.getpid()
-        results = ex._produce_in_two(S, m, F, params, X)
+        results = ex._produce_in_two(X, S, m, F, params)
         assert production_summary(results) == production_summary(expected)
         assert_no_child_left()
         rows = {r["row"]: r["pid"] for r in log.records()}

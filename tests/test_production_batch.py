@@ -82,15 +82,16 @@ def check_dense_top_k(got, support, k, theta, tolerance):
     assert all(support[j] == kth and weak == bool(kth < theta) for j, weak in tied)
 
 
-def dense_solve(state, G, max_len):
-    """Reference: the dense tensor, one solve per position over every cue."""
+def dense_solve(state, inputs, max_len):
+    """Reference: the dense tensor, one solve per position over every cue,
+    from the training inputs."""
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
     t = positional_targets(forms, state.C.inventory, cfg, max_len)
     targets = np.zeros((t.n_items, t.max_len * t.n_cues))
     targets[t.items, t.columns] = 1.0
     targets = targets.reshape(t.n_items, t.max_len, t.n_cues)
-    pinv = np.linalg.pinv(state.space.S[list(state.split.train_ids)] @ G.W)
+    pinv = np.linalg.pinv(inputs)
     return np.stack([pinv @ targets[:, p, :] for p in range(targets.shape[1])])
 
 
@@ -203,11 +204,12 @@ def test_search_supports_choose_as_input_order_sums(
         assert np.all(np.abs(block - dense_supports(W, x)) <= bound)
         assert np.all(block[~np.any(W != 0.0, axis=1)] == 0.0), "unattested cues are exactly 0"
 
-    calls = []
+    calls, rows = [], []
     supports = m.supports
     m.supports = lambda X: calls.append(len(X)) or supports(X)
-    with mock.patch.object(ex, "SUPPORT_CHUNK_BYTES", chunk_budget(m, rows_per_chunk)):
-        rows = list(ex._support_blocks(m, X, params))
+    with mock.patch.object(production, "SUPPORT_CHUNK_BYTES", chunk_budget(m, rows_per_chunk)), \
+            mock.patch.object(production, "produce", lambda *args, support: rows.append(support)):
+        production.produce_batch(X, X, m, None, params)
     assert calls == [min(rows_per_chunk, n - s) for s in range(0, n, rows_per_chunk)]
     assert len(rows) == n
     for x, row in zip(X, rows):
@@ -231,25 +233,34 @@ def test_from_dense_keeps_attested_columns_in_flat_order():
     assert dense_block(m, row[0]).tolist() == [[0.0, 0.0, 10.0], [-2.0, 0.0, 0.0]]
 
 
-@pytest.fixture(scope="module", params=["demo", "paradigm250"])
+@pytest.fixture(scope="module", params=[
+    pytest.param(("demo", "predicted_cues"), id="demo"),
+    pytest.param(("paradigm250", "predicted_cues"), id="paradigm250"),
+    pytest.param(("demo", "semantics"), id="demo-semantics"),
+    pytest.param(("paradigm250", "semantics"), id="paradigm250-semantics"),
+])
 def pipeline(request, tmp_path_factory):
-    if request.param == "demo":
+    corpus, input_space = request.param
+    if corpus == "demo":
         data, every = "data/demo.tsv", 1
     else:
         data = tmp_path_factory.mktemp("corpus") / "paradigm250.tsv"
         save_dataset(paradigm_lexicon(250), data)
         every = 8  # the dense per-item reference takes ~14 ms an item at 1,092 cues
-    cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
+    cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused",
+                                              f"production.input={input_space}"])
     state = ex.build_pipeline(cfg)
-    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    G, _, X = serial_production_model(state)  # before _production_stage releases the cue rows
     F, _, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
-    # the state, F, G and the positional model, the items, the dense weights
-    return state, (F, G, m), ids, dense_solve(state, G, m.max_len)
+    S = state.space.S[list(state.split.train_ids)]
+    W = dense_solve(state, S @ G.W if input_space == "predicted_cues" else S, m.max_len)
+    # the state, F, G, the positional model and the oracle's inputs, the items, the dense weights
+    return state, (F, G, m, X), ids, W
 
 
 def test_compact_weights_are_the_attested_dense_columns(pipeline):
-    _, (_, _, m), _, W = pipeline
+    _, (_, _, m, _), _, W = pipeline
     dense = model_from_dense(W, m.inventory, m.cfg)
     assert np.array_equal(dense.columns, m.columns)
     assert np.array_equal(dense.weights, m.weights)
@@ -261,24 +272,26 @@ def summary(res):
 
 
 @pytest.mark.parametrize("tolerance", [False, True])
+# production.input is a parameter of the pipeline fixture
 def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
-    state, (F, G, m), ids, W = pipeline
+    state, (F, G, m, X), ids, W = pipeline
     params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance, top_n=10**9)
-    with mock.patch.object(ex, "SUPPORT_CHUNK_BYTES", chunk_budget(m, 50)):
-        batched = ex.produce_items(state.space.S[ids], G, m, F, params)
+    with mock.patch.object(production, "SUPPORT_CHUNK_BYTES", chunk_budget(m, 50)):
+        batched = production.produce_batch(X[ids], state.space.S[ids], m, F, params)
     assert sum(r.n_candidates for r in batched) > len(ids) // 2
     unattested = np.ones(W.shape[0] * W.shape[2], dtype=bool)
     unattested[m.columns] = False
     for i, got in zip(ids, batched):
         s = state.space.S[i]
-        dense = dense_supports(W, s @ G.W).reshape(-1)
+        x = s @ G.W if params.input_space == "predicted_cues" else s
+        dense = dense_supports(W, x).reshape(-1)
         assert not dense[unattested].any()
         ref = produce(s, G, m, F, params, support=dense[m.columns])
         assert summary(got) == summary(ref)
 
 
 def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch):
-    state, (F, G, m), ids, _ = pipeline
+    state, (F, _, m, X), ids, _ = pipeline
     params = dataclasses.replace(state.cfg.production_params(), tolerance=True)
     built = []
 
@@ -287,7 +300,7 @@ def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch
         return CandidatePath(*args, **kwargs)
 
     monkeypatch.setattr(production, "CandidatePath", counted)
-    results = ex.produce_items(state.space.S[ids], G, m, F, params)
+    results = production.produce_batch(X[ids], state.space.S[ids], m, F, params)
     kept = sum(len(r.top_n) for r in results)
     assert sum(r.n_candidates for r in results) > kept
     assert len(built) == kept
@@ -300,11 +313,12 @@ def test_production_allocates_no_dense_support_block(tmp_path):
     state = ex.build_pipeline(cfg)
     G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
     F, _, m, _ = ex._production_stage(state)
-    S = state.space.S
+    S, params = state.space.S, cfg.production_params()
     dense_bytes = S.shape[0] * m.max_len * len(m.inventory) * 8
     tracemalloc.start()
     try:
-        results = ex.produce_items(S, G, m, F, cfg.production_params())
+        X = production.production_inputs(S, G, params.input_space)
+        results = production.produce_batch(X, S, m, F, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,7 +366,7 @@ def check_synthesis_against_dense(cands, F, target, m):
 
 
 def test_synthesis_matrix_is_the_candidates_cue_rows(pipeline):
-    state, (F, _, m), _, _ = pipeline
+    state, (F, _, m, _), _, _ = pipeline
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train][:20]
     cands = [CandidatePath(grams=tuple(extract_grams(f, cfg)), surface=f) for f in dict.fromkeys(forms)]
