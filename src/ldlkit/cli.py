@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
                 "incremental": report["incremental"],
             }
         elif args.command == "wug":
-            with open(args.nonce, encoding="utf-8") as fh:
+            with open(args.nonce, encoding="utf-8-sig") as fh:
                 nonce = [line.strip() for line in fh if line.strip()]
             report = experiments.run_wug(cfg, nonce)
             summary = {"output": cfg.output, "marker_summary": report["marker_summary"]}

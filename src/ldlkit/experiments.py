@@ -215,7 +215,7 @@ def resolve_config(
 
 
 def load_config(path: str | os.PathLike, overrides: Optional[Sequence[str]] = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return resolve_config(parse_config_text(fh.read()), overrides)
 
 

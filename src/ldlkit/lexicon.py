@@ -203,10 +203,11 @@ _HEADER_ALIASES = {"word form": "wordform", "word_form": "wordform"}
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Read a tab-separated file with a header row into a Dataset.
 
-    Parsing is strict: required columns must be present, enums are closed,
-    frequencies must be non-negative integers.
+    Parsing is strict: required columns must be present, no column the
+    loader reads may be named twice, enums are closed, frequencies must be
+    non-negative integers.  A leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             raw_header = next(reader)
@@ -216,6 +217,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise LexiconError(f"{path}: missing required column(s): {', '.join(missing)}")
+        twice = [c for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if header.count(c) > 1]
+        if twice:
+            raise LexiconError(f"{path}: column(s) named twice: {', '.join(twice)}")
         col = {name: header.index(name) for name in header}
 
         entries = []

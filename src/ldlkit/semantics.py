@@ -180,13 +180,14 @@ def load_embeddings(path: str | os.PathLike, d: Dataset) -> EmbeddingLoadResult:
     """Assign each entry the vector of its word form from a text table.
 
     Format: one line per word, token then components, whitespace
-    separated; an optional leading "count dim" line is skipped.  Entries
-    whose form is absent are dropped and reported.  Homophonous entries
-    share identical rows by construction.
+    separated; an optional leading "count dim" line and a UTF-8
+    byte-order mark are skipped, and every component must be finite.
+    Entries whose form is absent are dropped and reported.  Homophonous
+    entries share identical rows by construction.
     """
     table: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
             if not parts:
@@ -198,6 +199,8 @@ def load_embeddings(path: str | os.PathLike, d: Dataset) -> EmbeddingLoadResult:
                 vec = np.array([float(x) for x in comps])
             except ValueError as exc:
                 raise SemanticsError(f"{path}:{lineno}: malformed component") from exc
+            if not np.isfinite(vec).all():
+                raise SemanticsError(f"{path}:{lineno}: non-finite component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -1,7 +1,12 @@
 """Deterministic toy corpora, and serial oracles, shared across the test
-modules."""
+modules.  Forms come from the benchmark's generator,
+perfbench/workloads.py, so the tests and the benchmark draw the same
+corpora."""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,21 +24,11 @@ from ldlkit.cues import extract_grams
 from ldlkit.mappings import solve_endstate
 from ldlkit.production import CandidatePaths, positional_targets, train_positional
 
-CONSONANTS = "bdfgklmnprstvz"
-VOWELS = "aeiou@"
-GENDERS = ("masculine", "feminine", "neuter")
+# perfbench is a directory of scripts that import each other by bare name;
+# appended, so that none of them shadows a module found before it
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import GENDERS, _random_form, paradigm_rows  # noqa: E402
 CASES = ("nominative", "genitive", "dative", "accusative")
-
-
-def _random_form(rng: np.random.Generator) -> str:
-    n_syll = int(rng.integers(2, 4))
-    parts = []
-    for _ in range(n_syll):
-        parts.append(rng.choice(list(CONSONANTS)))
-        parts.append(rng.choice(list(VOWELS)))
-    if rng.random() < 0.5:
-        parts.append(rng.choice(list(CONSONANTS)))
-    return "".join(parts)
 
 
 def independent_forms(n: int, cfg: CueConfig, seed: int = 7, pool: int = 60) -> list[str]:
@@ -122,36 +117,17 @@ def syllabified_lexicon(n_lemmas: int = 30, seed: int = 19) -> Dataset:
 
 
 def paradigm_lexicon(n_lemmas: int = 50, seed: int = 11, homophones: bool = True) -> Dataset:
-    """Small inflecting lexicon: per lemma a singular and a suffixed plural,
-    each listed in several cases so that homophone groups exist."""
-    rng = np.random.default_rng(seed)
-    suffixes = ["@n", "@", "s", "n", "@r"]
-    entries = []
-    stems: dict[str, None] = {}
-    while len(stems) < n_lemmas:
-        stems.setdefault(_random_form(rng))
-    for i, stem in enumerate(stems):
-        gender = GENDERS[i % 3]
-        plural = stem + suffixes[i % len(suffixes)]
-        sg_cases = ("nominative", "dative") if homophones else ("nominative",)
-        pl_cases = ("nominative", "genitive") if homophones else ("genitive",)
-        for case in sg_cases:
-            entries.append(
-                WordEntry(
-                    wordform=stem.capitalize(), pronunciation=stem, lemma=stem.capitalize(),
-                    case=case, number="singular", gender=gender,
-                    frequency=1 + (i * 7) % 40,
-                )
-            )
-        for case in pl_cases:
-            entries.append(
-                WordEntry(
-                    wordform=plural.capitalize(), pronunciation=plural, lemma=stem.capitalize(),
-                    case=case, number="plural", gender=gender,
-                    frequency=1 + (i * 5) % 30,
-                )
-            )
-    return Dataset(entries)
+    """paradigm_rows as a Dataset: per lemma a singular and a
+    suffixed plural, each listed in two cases so that homophone groups
+    exist.  Without homophones only the nominative singular and the
+    genitive plural are kept."""
+    kept = {("nominative", "singular"), ("genitive", "plural")}
+    return Dataset([
+        WordEntry(wordform=wf, pronunciation=pron, lemma=lemma, case=case, number=number,
+                  gender=gender, frequency=f)
+        for wf, pron, lemma, case, number, f, gender in paradigm_rows(n_lemmas, seed)
+        if homophones or (case, number) in kept
+    ])
 
 
 def model_from_dense(weights: np.ndarray, inventory: CueInventory, cfg: CueConfig) -> PositionalSupportModel:

@@ -1,6 +1,7 @@
 """Config handling, the experiment runners, and the CLI."""
 
 import csv
+import ctypes
 import dataclasses
 import errno
 import json
@@ -211,6 +212,12 @@ class TestConfig:
         cfg = load_config(p, overrides=["seeds.split=9"])
         assert cfg.cue_n == 2
         assert cfg.seed_split == 9
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # with it, the first key read "\ufeffdata", an unknown key
+        p = tmp_path / "exp.config"
+        p.write_text("\ufeffdata=corpus.tsv\ncues.n=2\n", encoding="utf-8")
+        assert load_config(p) == resolve_config({"data": "corpus.tsv", "cues.n": "2"})
 
     def test_written_config_with_hash_in_paths_reads_back_equal(self, tmp_path):
         # A # inside a value is part of it: a comment starts only at the
@@ -1015,6 +1022,17 @@ class TestCli:
         assert err["type"] == "ConfigError" and "repeated: Bral" in err["error"]
         assert not (tmp_path / "out").exists()
 
+    def test_wug_nonce_file_byte_order_mark_is_not_part_of_the_first_nonce(self, tmp_path,
+                                                                           capsys):
+        # the first nonce repeats the last only when read without the mark;
+        # with it, the first nonce was "\ufeffBral", with three novel grams
+        nonce = tmp_path / "nonce.txt"
+        nonce.write_text("\ufeffBral\nKach\nBral\n", encoding="utf-8")
+        rc = cli.main(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
+                       "--set", f"output={tmp_path / 'out'}"])
+        [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert rc == 2 and "repeated: Bral" in err["error"]
+
     @pytest.mark.parametrize("verb,overrides", [
         ("endstate", ["cues.n=1"]),
         ("wug", ["cues.n=1"]),
@@ -1527,6 +1545,24 @@ print(json.dumps([seen[0]] + [os.environ.get(k) for k in sys.argv[1:]]))
 """
 
 
+def openblas_threads():
+    """The thread count of each OpenBLAS this process has loaded (numpy's,
+    and scipy's once scipy is imported), read through its C API."""
+    counts = {}
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                counts[path] = get()
+                break
+    return counts
+
+
 class TestBlasThreads:
     """import ldlkit gives BLAS one thread unless the environment sets a count."""
 
@@ -1543,6 +1579,15 @@ class TestBlasThreads:
 
     def test_a_count_the_user_sets_wins(self):
         assert self.run(OPENBLAS_NUM_THREADS="2") == ["2", "2", "1", "1"]
+
+    def test_the_suite_runs_the_thread_count_the_cli_runs(self):
+        """tests/conftest.py imports ldlkit before any test module loads
+        numpy.  Had numpy loaded first with no count set, its OpenBLAS would
+        run one thread per CPU while the environment read 1."""
+        counts = openblas_threads()
+        if not counts:
+            pytest.skip("numpy links no OpenBLAS")
+        assert set(counts.values()) == {int(os.environ["OPENBLAS_NUM_THREADS"])}
 
 
 def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):

@@ -93,6 +93,19 @@ class TestLoadDataset:
         with pytest.raises(LexiconError, match="flatten"):
             load_dataset(p)
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        # with it, the header's first name read "\ufeffwordform"
+        p = write_tsv(tmp_path, "Aal\tal\tAal\tnominative\tsingular\t29\tm\n", "\ufeff" + HEADER)
+        assert load_dataset(p)[0].wordform == "Aal"
+
+    @pytest.mark.parametrize("extra,name", [("frequency", "frequency"), ("word form", "wordform")])
+    def test_a_column_named_twice_is_rejected(self, tmp_path, extra, name):
+        # the second copy was dropped without a word: the first 29 was read, the 9 ignored
+        p = write_tsv(tmp_path, "Aal\tal\tAal\tnominative\tsingular\t29\tm\t9\n",
+                      HEADER.rstrip("\n") + f"\t{extra}\n")
+        with pytest.raises(LexiconError, match=f"named twice: {name}"):
+            load_dataset(p)
+
 
 def make_entry(**kw):
     base = dict(

@@ -203,6 +203,26 @@ class TestLoadEmbeddings:
         with pytest.raises(SemanticsError, match="dimension"):
             load_embeddings(p, d)
 
+    @pytest.mark.parametrize("header", [None, "1 3"])
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path, header):
+        # with it, the first word was "\ufeffAal" and went missing, or the
+        # "count dim" line was read as the word "\ufeff1" with one component
+        d = Dataset([entry("Aal", "Aal", "nominative", "singular")])
+        p = tmp_path / "vecs.txt"
+        write_embeddings(p, [("Aal", [1.0, 2.0, 3.0])], header=header)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        res = load_embeddings(p, d)
+        assert res.missing_words == ()
+        np.testing.assert_array_equal(res.space.S, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected(self, tmp_path, bad):
+        d = Dataset([entry("Aal", "Aal", "nominative", "singular")])
+        p = tmp_path / "vecs.txt"
+        p.write_text(f"Aal 1.0 2.0\nBuch 1.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(SemanticsError, match=r"vecs.txt:2: non-finite component"):
+            load_embeddings(p, d)
+
 
 class TestReconstructAnalytical:
     def test_single_entry_correlates_perfectly(self):
