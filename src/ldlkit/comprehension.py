@@ -279,20 +279,23 @@ def scheme_uses_strict(scheme: str) -> bool:
     return scheme == "val_strict"
 
 
+def scheme_accuracy(correct, split: SplitResult, scheme: str) -> float:
+    """The share of the scheme's ids i with correct[i] true, correct
+    being indexable by item id; NaN when the scheme has no ids."""
+    ids = scheme_ids(split, scheme)
+    return sum(correct[i] for i in ids) / len(ids) if ids else float("nan")
+
+
 def evaluate(results: Sequence[ItemScore], split: SplitResult, scheme: str) -> float:
-    """Accuracy of the scheme's id set; NaN when the set is empty."""
-    wanted = set(scheme_ids(split, scheme))
+    """Comprehension accuracy of the scheme (scheme_accuracy), from the
+    strict or the lenient flag of each of its items' results; an item of
+    the scheme without a result is an error."""
     strict = scheme_uses_strict(scheme)
-    flags = [
-        (r.correct_strict if strict else r.correct_lenient)
-        for r in results
-        if r.item_id in wanted
-    ]
-    if len(flags) != len(wanted):
-        raise ComprehensionError(f"results missing items for scheme {scheme!r}")
-    if not flags:
-        return float("nan")
-    return sum(flags) / len(flags)
+    correct = {r.item_id: r.correct_strict if strict else r.correct_lenient for r in results}
+    try:
+        return scheme_accuracy(correct, split, scheme)
+    except KeyError:
+        raise ComprehensionError(f"results missing items for scheme {scheme!r}") from None
 
 
 def item_score_rows(results: Sequence[ItemScore], split: SplitResult):

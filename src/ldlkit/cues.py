@@ -115,10 +115,6 @@ class CueMatrix:
     inventory: CueInventory
     novel_dropped: np.ndarray  # (n_items,) ints
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays of the active columns per row."""
-        return csr_arrays(self.rows)
-
 
 def csr_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the nonzero columns of each row, in index order.

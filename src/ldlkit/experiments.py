@@ -174,20 +174,26 @@ def _coerce(f: Field, raw: str):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines.  A # starts a comment at the start of a
-    line or after whitespace; elsewhere it is part of the value, so that
-    a path such as demo#1.tsv, as written to config.resolved, reads back."""
+    """Flat `key = value` lines, each key on one line only.  A # starts a
+    comment at the start of a line or after whitespace; elsewhere it is
+    part of the value, so that a path such as demo#1.tsv, as written to
+    config.resolved, reads back."""
     import re  # imported here: re is used by this function only
 
     out: dict[str, str] = {}
+    given_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = re.split(r"(?:^|(?<=\s))#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in given_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is given again "
+                              f"(first on line {given_on[key]})")
+        given_on[key] = lineno
+        out[key] = value
     return out
 
 
@@ -402,11 +408,10 @@ def _production_model(
     reads.  A caller that holds no other reference to cue_rows thus has
     them freed before the positional solves (train_positional)."""
     cue_cfg = cfg.cue_config()
-    max_len = max(len(extract_grams(s, cue_cfg)) for s in forms) + cfg.max_len_margin
 
     def fit(inputs: np.ndarray) -> PositionalSupportModel:
-        return train_positional(inputs, positional_targets(forms, inv, cue_cfg, max_len),
-                                inv, cue_cfg)
+        targets = positional_targets(forms, inv, cue_cfg, cfg.max_len_margin)
+        return train_positional(inputs, targets, inv, cue_cfg)
 
     if cfg.production_input == "semantics":
         del cue_rows
@@ -499,11 +504,7 @@ def production_accuracies(
         res.best is not None and res.best.surface == state.cue_cfg.cue_string(e)
         for e, res in zip(state.dataset, results)
     ]
-    out = {}
-    for scheme in comp.SCHEMES:
-        ids = comp.scheme_ids(state.split, scheme)
-        out[scheme] = sum(correct[i] for i in ids) / len(ids) if ids else float("nan")
-    return out
+    return {s: comp.scheme_accuracy(correct, state.split, s) for s in comp.SCHEMES}
 
 
 def _check_production(cfg: ExperimentConfig) -> None:

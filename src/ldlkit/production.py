@@ -101,7 +101,7 @@ class PositionalSupportModel:
     def __post_init__(self):
         if self.weights.shape[1] != self.columns.size:
             raise ProductionError("weights need one column per attested (position, cue) pair")
-        self.ends = _position_ends(self.columns, self.max_len, len(self.inventory))
+        self.ends = np.searchsorted(self.columns, np.arange(self.max_len + 1) * len(self.inventory))
         self.tokens = [self.cfg.tokens(g) for g in self.inventory.cues]
         k = self.cfg.n - 1
         self.prefixes = [tuple(t[:k]) for t in self.tokens]
@@ -165,11 +165,6 @@ class PositionalSupportModel:
         return vals
 
 
-def _position_ends(columns: np.ndarray, max_len: int, n_cues: int) -> np.ndarray:
-    """Offsets into ascending flat columns: position p's are ends[p]:ends[p + 1]."""
-    return np.searchsorted(columns, np.arange(max_len + 1) * n_cues)
-
-
 def _input_order_product(XT: np.ndarray, W: np.ndarray) -> np.ndarray:
     """XT.T @ W with every sum taken term by term in input order."""
     out = np.empty((XT.shape[1], W.shape[1]))
@@ -212,27 +207,27 @@ class PositionalTargets:
 
 
 def positional_targets(
-    forms: Sequence[str], inv: CueInventory, cfg: CueConfig, max_len: int
+    forms: Sequence[str], inv: CueInventory, cfg: CueConfig, margin: int
 ) -> PositionalTargets:
-    """Which gram fills which slot of each form.
+    """Which gram fills which slot of each form, over max_len slots: the
+    longest form's gram count, then margin slots that no form fills.
 
     Grams outside the inventory leave their slot empty (novel grams have
     no support to learn).
     """
-    items, columns = [], []
+    if margin < 0:
+        raise ProductionError(f"margin must be >= 0, got {margin}")
+    items, columns, longest = [], [], 0
     for i, s in enumerate(forms):
         grams = extract_grams(s, cfg)
-        if len(grams) > max_len:
-            raise ProductionError(
-                f"form {s!r} has {len(grams)} grams, exceeding max_len={max_len}"
-            )
+        longest = max(longest, len(grams))
         for p, g in enumerate(grams):
             j = inv.index.get(g)
             if j is not None:
                 items.append(i)
                 columns.append(p * len(inv) + j)
     return PositionalTargets(np.array(items, dtype=np.int64), np.array(columns, dtype=np.int64),
-                             len(forms), max_len, len(inv))
+                             len(forms), longest + margin, len(inv))
 
 
 def train_positional(
@@ -255,24 +250,23 @@ def train_positional(
         raise ProductionError("empty training set")
     if inputs.shape[0] != targets.n_items:
         raise ProductionError("inputs and targets must have one row per item")
-    max_len, n_cues = targets.max_len, targets.n_cues
+    n_cues = targets.n_cues
     columns = np.unique(targets.columns)
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
-    ends = _position_ends(columns, max_len, n_cues)
-    weights = np.empty((pinv.shape[0], columns.size))
+    m = PositionalSupportModel(weights=np.empty((pinv.shape[0], columns.size)), columns=columns,
+                               max_len=targets.max_len, inventory=inv, cfg=cfg)
     dense = np.empty((targets.n_items, n_cues))
     product = np.empty((pinv.shape[0], n_cues))
-    for p in range(max_len):
-        a, b = ends[p], ends[p + 1]
+    for p in range(m.max_len):
+        a, b = m.ends[p], m.ends[p + 1]
         if a == b:
             continue
         # Each position's product runs over all its cues, so every stored
         # column has the bits of the dense per-position solve
         # pinv @ targets.position(p).
         np.matmul(pinv, targets.position(p, out=dense), out=product)
-        weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
-    return PositionalSupportModel(weights=weights, columns=columns, max_len=max_len,
-                                  inventory=inv, cfg=cfg)
+        m.weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
+    return m
 
 
 @dataclass

@@ -181,11 +181,12 @@ def load_embeddings(path: str | os.PathLike, d: Dataset) -> EmbeddingLoadResult:
 
     Format: one line per word, token then components, whitespace
     separated; an optional leading "count dim" line and a UTF-8
-    byte-order mark are skipped, and every component must be finite.
-    Entries whose form is absent are dropped and reported.  Homophonous
-    entries share identical rows by construction.
+    byte-order mark are skipped.  Components must be finite and words
+    distinct.  Entries whose form is absent are dropped and reported.
+    Homophonous entries share identical rows by construction.
     """
     table: dict[str, np.ndarray] = {}
+    listed_on: dict[str, int] = {}
     dim = None
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -207,7 +208,11 @@ def load_embeddings(path: str | os.PathLike, d: Dataset) -> EmbeddingLoadResult:
                 raise SemanticsError(
                     f"{path}:{lineno}: dimension {vec.size} differs from {dim}"
                 )
-            table.setdefault(word, vec)
+            if word in listed_on:
+                raise SemanticsError(f"{path}:{lineno}: word {word!r} is listed again "
+                                     f"(first on line {listed_on[word]})")
+            listed_on[word] = lineno
+            table[word] = vec
     if dim is None:
         raise SemanticsError(f"{path}: no vectors found")
 

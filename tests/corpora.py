@@ -14,13 +14,16 @@ from ldlkit import (
     CueConfig,
     CueInventory,
     Dataset,
+    GoldPool,
     PositionalSupportModel,
     WordEntry,
     build_cue_matrix,
     build_inventory,
     merge_grams,
+    score_items,
+    simulate_vectors,
+    split_random,
 )
-from ldlkit.cues import extract_grams
 from ldlkit.mappings import solve_endstate
 from ldlkit.production import CandidatePaths, positional_targets, train_positional
 
@@ -130,6 +133,35 @@ def paradigm_lexicon(n_lemmas: int = 50, seed: int = 11, homophones: bool = True
     ])
 
 
+def noisy_scores(predict_noise: float, seed: int = 0, homophones: bool = True):
+    """(split, results) of scoring the paradigm lexicon's meanings plus
+    predict_noise times standard normal noise: 12 lemmas with homophones,
+    or 10 without, whose forms are then all distinct."""
+    n_lemmas, dim, space_seed, fraction = (12, 30, 4, 0.75) if homophones else (10, 25, 5, 0.7)
+    d = paradigm_lexicon(n_lemmas, homophones=homophones)
+    cfg = CueConfig(unit="phone", n=3)
+    assert homophones or len({cfg.cue_string(e) for e in d}) == len(d)
+    space = simulate_vectors(d, dim=dim, seed=space_seed)
+    rng = np.random.default_rng(seed)
+    S_hat = space.S + predict_noise * rng.normal(size=space.S.shape)
+    split = split_random(d, fraction, seed=seed, cue_string_of=cfg.cue_string)
+    return split, score_items(S_hat, space, GoldPool.build(space, d, cfg), d, cfg)
+
+
+def loss_gradient(W: np.ndarray, c: np.ndarray, o: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of 0.5 * ||c @ W - o||^2 over W's entries."""
+    def loss(M):
+        return 0.5 * np.sum((c @ M - o) ** 2)
+
+    grad = np.zeros_like(W)
+    for i, j in np.ndindex(W.shape):
+        Wp, Wm = W.copy(), W.copy()
+        Wp[i, j] += h
+        Wm[i, j] -= h
+        grad[i, j] = (loss(Wp) - loss(Wm)) / (2 * h)
+    return grad
+
+
 def model_from_dense(weights: np.ndarray, inventory: CueInventory, cfg: CueConfig) -> PositionalSupportModel:
     """Compact positional model from a dense (max_len, input_dim, n_cues)
     tensor; all-zero (position, cue) columns are dropped."""
@@ -172,8 +204,7 @@ def serial_production_model(state):
     S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
     forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
     G = solve_endstate(S, cue_rows)
-    max_len = max(len(extract_grams(f, state.cue_cfg)) for f in forms) + cfg.max_len_margin
-    targets = positional_targets(forms, inv, state.cue_cfg, max_len)
+    targets = positional_targets(forms, inv, state.cue_cfg, cfg.max_len_margin)
     if cfg.production_input == "semantics":
         inputs, X = S, state.space.S
     else:

@@ -33,17 +33,15 @@ from ldlkit import (
     simulate_vectors,
     solve_endstate,
     split_no_novel_cues,
-    split_random,
     train_incremental,
     wh_update,
 )
 from ldlkit.comprehension import rowwise_pearson
 from ldlkit.lexicon import save_dataset
-from ldlkit.mappings import Mapping
 from ldlkit.production import ProductionParams, positional_targets, produce, train_positional
 from ldlkit.experiments import resolve_config, run_wug
 
-from corpora import independent_forms, paradigm_lexicon, toy_lexicon
+from corpora import loss_gradient, noisy_scores, paradigm_lexicon, toy_lexicon
 
 
 @contextmanager
@@ -98,8 +96,7 @@ def test_criterion_03_production_round_trip(toy100):
     with criterion(3, "produce() reproduces every toy training form"):
         d, cfg, strings, inv, C, space, F, pool = toy100
         G = solve_endstate(space.S, C.rows)
-        max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
-        targets = positional_targets(strings, inv, cfg, max_len)
+        targets = positional_targets(strings, inv, cfg, margin=2)
         model = train_positional(space.S @ G.W, targets, inv, cfg)
         params = ProductionParams(k=10, theta=0.1)
         produced = 0
@@ -156,16 +153,7 @@ def test_criterion_06_gradient_check():
             c = rng.normal(size=4)
             o = rng.normal(size=3)
             delta = wh_update(W, c, o, eta) - W
-
-            grad = np.zeros_like(W)
-            for i in range(W.shape[0]):
-                for j in range(W.shape[1]):
-                    Wp, Wm = W.copy(), W.copy()
-                    Wp[i, j] += h
-                    Wm[i, j] -= h
-                    lp = 0.5 * np.sum((c @ Wp - o) ** 2)
-                    lm = 0.5 * np.sum((c @ Wm - o) ** 2)
-                    grad[i, j] = (lp - lm) / (2 * h)
+            grad = loss_gradient(W, c, o, h)
             worst = max(worst, np.abs(delta - (-eta * grad)).max())
         assert worst <= 1e-6
 
@@ -200,37 +188,17 @@ def test_criterion_07_frequency_effect():
 
 
 class TestCriterion08SchemeLogic:
-    @staticmethod
-    def _scored(seed):
-        d = paradigm_lexicon(12)
-        cfg = CueConfig(unit="phone", n=3)
-        space = simulate_vectors(d, dim=30, seed=4)
-        rng = np.random.default_rng(seed)
-        S_hat = space.S + 2.0 * rng.normal(size=space.S.shape)
-        split = split_random(d, 0.75, seed=seed, cue_string_of=cfg.cue_string)
-        pool = GoldPool.build(space, d, cfg)
-        return split, score_items(S_hat, space, pool, d, cfg)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_strict_at_most_lenient(self, seed):
-        split, results = self._scored(seed)
+        split, results = noisy_scores(2.0, seed)
         for r in results:
             assert r.correct_lenient or not r.correct_strict
         assert evaluate(results, split, "val_strict") <= evaluate(results, split, "val_all") + 1e-12
 
     @staticmethod
     def _zero_homophone_case(seed):
-        d = paradigm_lexicon(10, homophones=False)
-        cfg = CueConfig(unit="phone", n=3)
-        strings = [cfg.cue_string(e) for e in d]
-        assert len(set(strings)) == len(strings)
-        space = simulate_vectors(d, dim=25, seed=5)
-        rng = np.random.default_rng(seed)
-        S_hat = space.S + 2.5 * rng.normal(size=space.S.shape)
-        split = split_random(d, 0.7, seed=seed, cue_string_of=cfg.cue_string)
-        pool = GoldPool.build(space, d, cfg)
-        results = score_items(S_hat, space, pool, d, cfg)
+        split, results = noisy_scores(2.5, seed, homophones=False)
         assert evaluate(results, split, "val_strict") == evaluate(results, split, "val_all")
         for r in results:
             assert r.correct_strict == r.correct_lenient
@@ -241,7 +209,7 @@ class TestCriterion08SchemeLogic:
     def test_report(self):
         with criterion(8, "strict accuracy never exceeds lenient accuracy"):
             for seed in range(15):
-                split, results = self._scored(seed)
+                split, results = noisy_scores(2.0, seed)
                 for r in results:
                     assert r.correct_lenient or not r.correct_strict
                 strict = evaluate(results, split, "val_strict")

@@ -21,7 +21,6 @@ from ldlkit import (
     score_items,
     simulate_vectors,
     solve_endstate,
-    split_random,
 )
 from ldlkit import comprehension
 from ldlkit.comprehension import (
@@ -37,7 +36,7 @@ from ldlkit.comprehension import (
 from ldlkit.lexicon import WordEntry
 from ldlkit.semantics import SemanticSpace
 
-from corpora import paradigm_lexicon, toy_lexicon
+from corpora import noisy_scores, paradigm_lexicon, toy_lexicon
 
 
 def entry(wordform, lemma, case, number):
@@ -60,72 +59,57 @@ class TestFullRankToy:
         assert all(r.r_target >= 1 - 1e-9 for r in results)
 
 
-def make_scored_setup(predict_noise, seed=0):
-    """Homophone-rich dataset with synthetic prediction vectors."""
-    d = paradigm_lexicon(12)
-    cfg = CueConfig(unit="phone", n=3)
-    space = simulate_vectors(d, dim=30, seed=4)
-    rng = np.random.default_rng(seed)
-    S_hat = space.S + predict_noise * rng.normal(size=space.S.shape)
-    split = split_random(d, 0.75, seed=seed, cue_string_of=cfg.cue_string)
-    pool = GoldPool.build(space, d, cfg)
-    results = score_items(S_hat, space, pool, d, cfg)
-    return d, cfg, split, results
-
-
 class TestEvaluate:
     def test_strict_implies_lenient_per_item(self):
-        _, _, _, results = make_scored_setup(predict_noise=3.0)
+        _, results = noisy_scores(3.0)
         for r in results:
             if r.correct_strict:
                 assert r.correct_lenient
 
     def test_val_strict_at_most_val_all(self):
-        _, _, split, results = make_scored_setup(predict_noise=2.0)
+        split, results = noisy_scores(2.0)
         strict = evaluate(results, split, "val_strict")
         lenient = evaluate(results, split, "val_all")
         assert strict <= lenient + 1e-12
 
     def test_no_homophones_makes_strict_equal_lenient(self):
-        d = paradigm_lexicon(10, homophones=False)
-        cfg = CueConfig(unit="phone", n=3)
-        space = simulate_vectors(d, dim=25, seed=5)
-        rng = np.random.default_rng(1)
-        S_hat = space.S + 2.5 * rng.normal(size=space.S.shape)
-        split = split_random(d, 0.7, seed=1, cue_string_of=cfg.cue_string)
-        # guard: the corpus really is homophone-free
-        strings = [cfg.cue_string(e) for e in d]
-        assert len(set(strings)) == len(strings)
-        pool = GoldPool.build(space, d, cfg)
-        results = score_items(S_hat, space, pool, d, cfg)
+        split, results = noisy_scores(2.5, seed=1, homophones=False)
         assert evaluate(results, split, "val_strict") == evaluate(results, split, "val_all")
         for r in results:
             assert r.correct_strict == r.correct_lenient
 
     def test_scheme_id_sets(self):
-        _, _, split, _ = make_scored_setup(predict_noise=1.0)
+        split, _ = noisy_scores(1.0)
         assert scheme_ids(split, "train") == list(split.train_ids)
         assert scheme_ids(split, "val_all") == list(split.validation_ids)
         assert set(scheme_ids(split, "val_lenient")) == split.homophone_val_ids
         assert set(scheme_ids(split, "val_newform")) == split.newform_val_ids - split.novel_lemma_ids
 
     def test_unknown_scheme_rejected(self):
-        _, _, split, results = make_scored_setup(predict_noise=1.0)
+        split, results = noisy_scores(1.0)
         with pytest.raises(ComprehensionError):
             evaluate(results, split, "val_bogus")
 
+    def test_missing_items_rejected_and_an_empty_scheme_is_nan(self):
+        split, results = noisy_scores(1.0, homophones=False)
+        assert not split.homophone_val_ids and np.isnan(evaluate(results, split, "val_lenient"))
+        partial = [r for r in results if r.item_id != split.train_ids[0]]
+        with pytest.raises(ComprehensionError, match="results missing items for scheme 'train'"):
+            evaluate(partial, split, "train")
+        assert evaluate(partial, split, "val_all") == evaluate(results, split, "val_all")
+
     def test_deterministic(self):
-        a = make_scored_setup(predict_noise=2.0, seed=7)
-        b = make_scored_setup(predict_noise=2.0, seed=7)
+        a = noisy_scores(2.0, seed=7)
+        b = noisy_scores(2.0, seed=7)
         for scheme in ("train", "val_all", "val_strict"):
-            ra = evaluate(a[3], a[2], scheme)
-            rb = evaluate(b[3], b[2], scheme)
+            ra = evaluate(a[1], a[0], scheme)
+            rb = evaluate(b[1], b[0], scheme)
             assert (np.isnan(ra) and np.isnan(rb)) or ra == rb
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_strict_never_exceeds_lenient(self, seed):
-        _, _, split, results = make_scored_setup(predict_noise=2.0, seed=seed)
+        split, results = noisy_scores(2.0, seed=seed)
         strict = evaluate(results, split, "val_strict")
         lenient = evaluate(results, split, "val_all")
         assert strict <= lenient + 1e-12

@@ -13,7 +13,7 @@ from ldlkit import (
     merge_grams,
     novel_cues,
 )
-from ldlkit.cues import CueError
+from ldlkit.cues import CueError, csr_arrays
 
 PHONE2 = CueConfig(unit="phone", n=2)
 PHONE3 = CueConfig(unit="phone", n=3)
@@ -121,7 +121,7 @@ class TestCueMatrix:
         corpus = ["al@", "al@n", "bu"]
         inv = build_inventory(corpus, PHONE3)
         cm = build_cue_matrix(corpus, inv, PHONE3)
-        indptr, indices = cm.csr_arrays()
+        indptr, indices = csr_arrays(cm.rows)
         for i in range(len(corpus)):
             assert sorted(indices[indptr[i]:indptr[i + 1]]) == sorted(np.flatnonzero(cm.rows[i]))
 

@@ -6,7 +6,9 @@ import dataclasses
 import errno
 import json
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -107,6 +109,26 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def cli_argv(verb, data_path, tmp_path):
+    """The CLI arguments of verb on data_path, or of wug on the demo, with
+    the output in tmp_path/out."""
+    if verb == "wug":
+        return ["wug", "--config", "data/demo-wug.config", "--nonce", "data/nonce.txt",
+                "--set", f"output={tmp_path / 'out'}"]
+    p = tmp_path / "exp.config"
+    p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+    return [verb, "--config", str(p)]
+
+
+def cli_errors(argv, capsys):
+    """The JSON error lines of a CLI run that must exit 2 with nothing on
+    stdout."""
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    return [json.loads(line) for line in captured.err.splitlines()]
+
+
 def production_firsts(run_dir):
     """The first production.csv row of each item of the endstate run whose
     output is run_dir/out: one item per run of rows starting at rank 1 (or
@@ -126,6 +148,15 @@ class TestConfig:
         text = "# comment\ncues.n = 3\n\ndata=corpus.tsv # trailing\n"
         pairs = parse_config_text(text)
         assert pairs == {"cues.n": "3", "data": "corpus.tsv"}
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        # the last value was kept without a word
+        with pytest.raises(ConfigError,
+                           match=r"line 3: key 'cues.n' is given again \(first on line 1\)"):
+            parse_config_text("cues.n=2\ndata=x\n cues.n = 3\n")
+        p = tmp_path / "run.config"
+        p.write_text("cues.n=2\ndata=x\n", encoding="utf-8")
+        assert load_config(p, ["cues.n=3"]).cue_n == 3  # --set still wins over the file
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -623,10 +654,7 @@ class TestSplitAndInspect:
 
 class TestCli:
     def test_inspect_ok(self, data_path, tmp_path, capsys):
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["inspect", "--config", str(p)])
-        assert rc == 0
+        assert cli.main(cli_argv("inspect", data_path, tmp_path)) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["n_entries"] == 100
 
@@ -642,11 +670,7 @@ class TestCli:
         assert "comprehension" in out
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
-        p = tmp_path / "exp.config"
-        p.write_text("data=/does/not/exist.tsv\n", encoding="utf-8")
-        rc = cli.main(["endstate", "--config", str(p)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
+        [err] = cli_errors(cli_argv("endstate", "/does/not/exist.tsv", tmp_path), capsys)
         assert "error" in err
 
     @pytest.mark.parametrize("override", [
@@ -655,11 +679,7 @@ class TestCli:
                                    "split.mode")
     ])
     def test_unknown_choice_exits_2_before_any_output(self, data_path, tmp_path, capsys, override):
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["endstate", "--config", str(p), "--set", override])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
+        [err] = cli_errors(cli_argv("endstate", data_path, tmp_path) + ["--set", override], capsys)
         assert err["type"] == "ConfigError" and override.split("=")[0] in err["error"]
         assert not (tmp_path / "out").exists()
 
@@ -680,11 +700,8 @@ class TestCli:
     ])
     def test_out_of_range_value_exits_2_before_any_output(self, data_path, tmp_path, capsys,
                                                           override, message):
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["endstate", "--config", str(p), "--set", override])
-        assert rc == 2
-        assert message in json.loads(capsys.readouterr().err)["error"]
+        [err] = cli_errors(cli_argv("endstate", data_path, tmp_path) + ["--set", override], capsys)
+        assert message in err["error"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb,where", [
@@ -730,12 +747,7 @@ class TestCli:
                 return fail() if len(segments) == 2 else run_stream(*args)
 
             monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main([verb, "--config", str(p)])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert [json.loads(line) for line in captured.err.splitlines()] == [
+        assert cli_errors(cli_argv(verb, data_path, tmp_path), capsys) == [
             {"error": "fit failed", "type": error.__name__}
         ]
         [raised] = log.records()
@@ -766,15 +778,12 @@ class TestCli:
 
         monkeypatch.setattr(ex, "_fork", recording_fork)
         monkeypatch.setattr(os, "fork", nth_fork_fails)
-        argv = self.production_argv("endstate", data_path, tmp_path)
+        argv = cli_argv("endstate", data_path, tmp_path)
         open_fds = len(os.listdir("/proc/self/fd"))
-        rc = cli.main(argv)
-        assert len(os.listdir("/proc/self/fd")) == open_fds
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert [json.loads(line) for line in captured.err.splitlines()] == [
+        assert cli_errors(argv, capsys) == [
             {"error": str(OSError(errno.EAGAIN, "fork failed")), "type": "BlockingIOError"}
         ]
+        assert len(os.listdir("/proc/self/fd")) == open_fds
         assert len(forking) == n and forking[-1].startswith(what)
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
@@ -815,26 +824,12 @@ class TestCli:
             monkeypatch.setattr(ex, "comprehension_scores", lambda state, F: (
                 die() if F.trained_tokens else scores(state, F)))
             what = "scoring the checkpoint at "
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["incremental", "--config", str(p)])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(cli_argv("incremental", data_path, tmp_path), capsys)
         assert err["type"] == "RuntimeError"
         assert err["error"].startswith(what)
         assert "without a result (exit status 1)" in err["error"]
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
-
-    @staticmethod
-    def production_argv(verb, data_path, tmp_path):
-        if verb == "wug":
-            return ["wug", "--config", "data/demo-wug.config", "--nonce", "data/nonce.txt",
-                    "--set", f"output={tmp_path / 'out'}"]
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        return ["endstate", "--config", str(p)]
 
     @pytest.mark.parametrize("verb", ["endstate", "wug"])
     @pytest.mark.parametrize("how", ["raises", "exits"])
@@ -852,10 +847,7 @@ class TestCli:
             return produce(*args, **kwargs)
 
         monkeypatch.setattr(production, "produce", produce_in_child_fails)
-        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(cli_argv(verb, data_path, tmp_path), capsys)
         if how == "raises":
             assert err == {"error": "production failed", "type": "ProductionError"}
         else:
@@ -880,10 +872,9 @@ class TestCli:
 
         monkeypatch.setattr(production, "produce", produce_fails_here)
         start = time.monotonic()
-        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
+        [err] = cli_errors(cli_argv(verb, data_path, tmp_path), capsys)
         assert time.monotonic() - start < 30
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "production failed"
+        assert err["error"] == "production failed"
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
 
@@ -918,13 +909,11 @@ class TestCli:
         monkeypatch.setattr(ex, "solve_endstate", slow_solve)
         monkeypatch.setattr(ex, "comprehension_scores", slow_scores)
         monkeypatch.setattr(_wh_numpy, "run_stream", second_segment_fails)
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
+        argv = cli_argv("incremental", data_path, tmp_path)
         start = time.monotonic()
-        rc = cli.main(["incremental", "--config", str(p)])
+        [err] = cli_errors(argv, capsys)
         assert time.monotonic() - start < 30
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "loop failed"
+        assert err["error"] == "loop failed"
         assert_no_child_left()
         # the scorer had taken the first checkpoint, and is gone
         [scoring] = log.records()
@@ -946,12 +935,7 @@ class TestCli:
             return scores(state, F)
 
         monkeypatch.setattr(ex, "comprehension_scores", second_checkpoint_fails)
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["incremental", "--config", str(p)])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert [json.loads(line) for line in captured.err.splitlines()] == [
+        assert cli_errors(cli_argv("incremental", data_path, tmp_path), capsys) == [
             {"error": "scoring failed", "type": "MappingError"}
         ]
         # one scorer took both checkpoints, and it was not this process
@@ -964,12 +948,7 @@ class TestCli:
     def test_without_fork_incremental_exits_2_before_any_output(self, data_path, tmp_path,
                                                                  capsys, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        p = tmp_path / "exp.config"
-        p.write_text(f"data={data_path}\noutput={tmp_path / 'out'}\n", encoding="utf-8")
-        rc = cli.main(["incremental", "--config", str(p)])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(cli_argv("incremental", data_path, tmp_path), capsys)
         assert err["type"] == "ConfigError" and "os.fork" in err["error"]
         assert not (tmp_path / "out").exists()
 
@@ -977,10 +956,7 @@ class TestCli:
     def test_without_fork_production_exits_2_before_any_output(self, data_path, tmp_path,
                                                                 capsys, monkeypatch, verb):
         monkeypatch.delattr(os, "fork")
-        rc = cli.main(self.production_argv(verb, data_path, tmp_path))
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(cli_argv(verb, data_path, tmp_path), capsys)
         assert err == {"error": "production computes its inputs and half its items in forked "
                                 "processes, and os.fork is missing on this platform",
                        "type": "ConfigError"}
@@ -989,7 +965,7 @@ class TestCli:
     def test_without_fork_endstate_runs_without_production(self, data_path, tmp_path, capsys,
                                                            monkeypatch):
         monkeypatch.delattr(os, "fork")
-        argv = self.production_argv("endstate", data_path, tmp_path)
+        argv = cli_argv("endstate", data_path, tmp_path)
         assert cli.main(argv + ["--set", "production.enabled=false"]) == 0
         assert "comprehension" in json.loads(capsys.readouterr().out)
 
@@ -1014,11 +990,8 @@ class TestCli:
         # A repeated nonce would be fitted twice and its candidates counted twice.
         nonce = tmp_path / "nonce.txt"
         nonce.write_text("Bral\nKach\nBral\n", encoding="utf-8")
-        rc = cli.main(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
-                       "--set", f"output={tmp_path / 'out'}"])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
+                            "--set", f"output={tmp_path / 'out'}"], capsys)
         assert err["type"] == "ConfigError" and "repeated: Bral" in err["error"]
         assert not (tmp_path / "out").exists()
 
@@ -1028,10 +1001,9 @@ class TestCli:
         # with it, the first nonce was "\ufeffBral", with three novel grams
         nonce = tmp_path / "nonce.txt"
         nonce.write_text("\ufeffBral\nKach\nBral\n", encoding="utf-8")
-        rc = cli.main(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
-                       "--set", f"output={tmp_path / 'out'}"])
-        [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert rc == 2 and "repeated: Bral" in err["error"]
+        [err] = cli_errors(["wug", "--config", "data/demo-wug.config", "--nonce", str(nonce),
+                            "--set", f"output={tmp_path / 'out'}"], capsys)
+        assert "repeated: Bral" in err["error"]
 
     @pytest.mark.parametrize("verb,overrides", [
         ("endstate", ["cues.n=1"]),
@@ -1049,10 +1021,7 @@ class TestCli:
             argv += ["--nonce", "data/nonce.txt"]
         for override in overrides:
             argv += ["--set", override]
-        rc = cli.main(argv)
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        [err] = [json.loads(line) for line in captured.err.splitlines()]
+        [err] = cli_errors(argv, capsys)
         assert err["type"] == "ConfigError" and "cues.n must be >= 2" in err["error"]
         assert not (tmp_path / "out").exists()
 
@@ -1080,9 +1049,7 @@ class TestCli:
             f"semantics.mode={mode}\nsemantics.embeddings={vecs}\n",
             encoding="utf-8",
         )
-        rc = cli.main(["wug", "--config", str(p), "--nonce", str(nonce)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
+        [err] = cli_errors(["wug", "--config", str(p), "--nonce", str(nonce)], capsys)
         assert "semantics.mode" in err["error"]
         assert not (tmp_path / "out").exists()
 
@@ -1477,6 +1444,36 @@ class TestOverlappedScoring:
         assert_no_child_left()
         # five checkpoint segments and the empty one after the last
         assert len(reaped) == 6 and reaped[-1]
+
+    def test_a_baseline_result_larger_than_a_pipe_arrives_whole(self, tmp_path, monkeypatch):
+        # A result over the pipe's 64 KiB blocks the baseline's child on its
+        # write until this process reads it.  The demo's is smaller, so each
+        # score is padded, with a string of its own that pickle stores whole.
+        expected = incremental_outputs(tmp_path / "out")
+        log = CallLog(tmp_path / "baseline.jsonl")
+        scores = ex.comprehension_scores
+
+        def padded_scores(state, F):
+            results = [dataclasses.replace(r, reason=f"{r.reason}{r.item_id:>1024}")
+                       for r in scores(state, F)]
+            if not F.trained_tokens:
+                log.add(size=len(pickle.dumps((True, results))))
+            return results
+
+        def too_slow(*_):
+            raise TimeoutError("the run did not complete in 60 s")
+
+        monkeypatch.setattr(ex, "comprehension_scores", padded_scores)
+        handler = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            assert incremental_outputs(tmp_path / "out") == expected
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert_no_child_left()
+        [baseline] = log.records()
+        assert baseline["size"] > 64 * 2**10
 
 
 def test_incremental_imports_no_thread_pool(tmp_path):

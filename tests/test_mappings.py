@@ -9,6 +9,8 @@ from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
 from ldlkit.cues import csr_arrays
 from ldlkit.mappings import MappingError
 
+from corpora import loss_gradient
+
 
 def normal_equations_oracle(X, Y):
     """Independent textbook solution for full-rank designs."""
@@ -115,17 +117,7 @@ class TestWhUpdate:
             c = rng.normal(size=5)
             o = rng.normal(size=4)
             delta = wh_update(W, c, o, eta) - W
-
-            def loss(M):
-                return 0.5 * np.sum((c @ M - o) ** 2)
-
-            grad = np.zeros_like(W)
-            for i in range(W.shape[0]):
-                for j in range(W.shape[1]):
-                    Wp, Wm = W.copy(), W.copy()
-                    Wp[i, j] += h
-                    Wm[i, j] -= h
-                    grad[i, j] = (loss(Wp) - loss(Wm)) / (2 * h)
+            grad = loss_gradient(W, c, o, h)
             assert np.abs(delta - (-eta * grad)).max() <= 1e-6
 
     def test_repeated_updates_converge_geometrically(self):

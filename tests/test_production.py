@@ -138,7 +138,8 @@ def recursive_paths(m, support, k=10, theta=0.008, tolerance=False, max_tolerate
 class TestPositionalTargets:
     def test_slots_follow_gram_order(self):
         inv = build_inventory(["al@"], PHONE3)
-        T = positional_targets(["al@"], inv, PHONE3, max_len=5)
+        T = positional_targets(["al@"], inv, PHONE3, margin=2)
+        assert T.max_len == 5  # three grams, then the margin
         assert T.position(0)[0, inv.index["#al"]] == 1.0
         assert T.position(1)[0, inv.index["al@"]] == 1.0
         assert T.position(2)[0, inv.index["l@#"]] == 1.0
@@ -151,18 +152,17 @@ class TestPositionalTargets:
         strings = [cfg.cue_string(e) for e in d]
         inv = build_inventory(strings, cfg)
         space = simulate_vectors(d, dim=50, seed=2)
-        max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
-        targets = positional_targets(strings, inv, cfg, max_len)
+        targets = positional_targets(strings, inv, cfg, margin=2)
         model = train_positional(space.S, targets, inv, cfg)
         for i, s in enumerate(strings):
             sup = dense_support(model, space.S[i])
             for p, g in enumerate(extract_grams(s, cfg)):
                 assert np.argmax(sup[p]) == inv.index[g]
 
-    def test_form_longer_than_max_len_rejected(self):
+    def test_negative_margin_rejected(self):
         inv = build_inventory(["al@"], PHONE3)
-        with pytest.raises(Exception):
-            positional_targets(["al@"], inv, PHONE3, max_len=2)
+        with pytest.raises(ProductionError, match="margin must be >= 0"):
+            positional_targets(["al@"], inv, PHONE3, margin=-1)
 
 
 class TestEnumeratePaths:
@@ -490,8 +490,7 @@ class TestProduce:
         space = simulate_vectors(d, dim=n_forms + 20, seed=5)
         F = solve_endstate(C.rows, space.S)
         G = solve_endstate(space.S, C.rows)
-        max_len = max(len(extract_grams(s, cfg)) for s in strings) + 2
-        targets = positional_targets(strings, inv, cfg, max_len)
+        targets = positional_targets(strings, inv, cfg, margin=2)
         model = train_positional(space.S @ G.W, targets, inv, cfg)
         return d, cfg, strings, space, F, G, model
 

@@ -82,12 +82,12 @@ def check_dense_top_k(got, support, k, theta, tolerance):
     assert all(support[j] == kth and weak == bool(kth < theta) for j, weak in tied)
 
 
-def dense_solve(state, inputs, max_len):
+def dense_solve(state, inputs):
     """Reference: the dense tensor, one solve per position over every cue,
     from the training inputs."""
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
-    t = positional_targets(forms, state.C.inventory, cfg, max_len)
+    t = positional_targets(forms, state.C.inventory, cfg, state.cfg.max_len_margin)
     targets = np.zeros((t.n_items, t.max_len * t.n_cues))
     targets[t.items, t.columns] = 1.0
     targets = targets.reshape(t.n_items, t.max_len, t.n_cues)
@@ -254,7 +254,7 @@ def pipeline(request, tmp_path_factory):
     F, _, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
     S = state.space.S[list(state.split.train_ids)]
-    W = dense_solve(state, S @ G.W if input_space == "predicted_cues" else S, m.max_len)
+    W = dense_solve(state, S @ G.W if input_space == "predicted_cues" else S)
     # the state, F, G, the positional model and the oracle's inputs, the items, the dense weights
     return state, (F, G, m, X), ids, W
 

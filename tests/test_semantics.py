@@ -223,6 +223,15 @@ class TestLoadEmbeddings:
         with pytest.raises(SemanticsError, match=r"vecs.txt:2: non-finite component"):
             load_embeddings(p, d)
 
+    def test_word_listed_twice_rejected(self, tmp_path):
+        # the first vector was kept and the second dropped without a word
+        d = Dataset([entry("Aal", "Aal", "nominative", "singular")])
+        p = tmp_path / "vecs.txt"
+        write_embeddings(p, [("Aal", [1.0, 2.0]), ("Buch", [5.0, 6.0]), ("Aal", [3.0, 4.0])])
+        with pytest.raises(SemanticsError,
+                           match=r"vecs.txt:3: word 'Aal' is listed again \(first on line 1\)"):
+            load_embeddings(p, d)
+
 
 class TestReconstructAnalytical:
     def test_single_entry_correlates_perfectly(self):
