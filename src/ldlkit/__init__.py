@@ -28,6 +28,7 @@ from .cues import (
     novel_cues,
 )
 from .comprehension import (
+    Forms,
     GoldPool,
     ItemScore,
     evaluate,
@@ -76,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CueConfig", "CueInventory", "CueMatrix", "build_cue_matrix", "build_inventory",
     "extract_grams", "novel_cues",
-    "GoldPool", "ItemScore", "evaluate", "score_items",
+    "Forms", "GoldPool", "ItemScore", "evaluate", "score_items",
     "Dataset", "SplitResult", "WordEntry", "attach_articles", "load_dataset",
     "sample_token_stream", "simulate_role_frequencies", "split_no_novel_cues", "split_random",
     "Mapping", "WH_BACKEND", "prune", "solve_endstate", "train_incremental", "wh_update",

@@ -183,6 +183,25 @@ class GoldPool:
         return cls(centre(stacked, out=stacked), keys, strings, first_key, entry_ids)
 
 
+class Forms(NamedTuple):
+    """The distinct forms of a dataset, in order of first occurrence:
+    first[k] is the id of the first entry spelling form k, and row[i] is
+    the form of entry i.  Entries of one form (one cue string) have equal
+    cue rows, and so equal predictions: a scoring predicts each form's
+    first entry only."""
+
+    first: np.ndarray
+    row: np.ndarray
+
+    @classmethod
+    def build(cls, d: Dataset, cfg: CueConfig) -> "Forms":
+        groups = list(d.groups_by(cfg.cue_string).values())
+        row = np.empty(len(d), dtype=np.intp)
+        for k, ids in enumerate(groups):
+            row[ids] = k
+        return cls(np.array([ids[0] for ids in groups], dtype=np.intp), row)
+
+
 @dataclass(frozen=True)
 class ItemScore:
     item_id: int
@@ -200,41 +219,55 @@ def score_items(
     pool: GoldPool,
     d: Dataset,
     cfg: CueConfig,
+    forms: Optional[np.ndarray] = None,
 ) -> list[ItemScore]:
-    """Grade every predicted row against the pool.
+    """Grade every dataset entry's prediction against the pool.
 
-    S_hat has one row per dataset entry, as an array, which is left
-    unchanged, or already centred (e.g. centre(P, out=P) of a fresh
-    product P, which is then not copied).  r_target is each item's
-    correlation with its own gold row; the strict/lenient flags compare
-    the best pool row's keys and cue strings with the item's own.
+    forms[i] is the row of S_hat that predicts entry i (Forms.row, with
+    one row of S_hat per distinct form); by default S_hat has one row per
+    entry.  S_hat is an array, which is left unchanged, or already
+    centred (e.g. centre(P, out=P) of a fresh product P, which is then not
+    copied).  The correlations R with the pool, the degenerate test and
+    the best pool row are computed once per row of S_hat.  Per entry,
+    r_target is the correlation of its prediction with its own gold row;
+    the strict/lenient flags compare the best pool row's keys and cue
+    strings with the entry's own.
 
     One scoring allocates two large arrays: the centred predictions (none
-    when S_hat is already centred) and their (items, pool rows)
+    when S_hat is already centred) and their (rows of S_hat, pool rows)
     correlations R.  Everything else is a row block of about CHUNK_BYTES
-    or one value per item; the items' gold rows are copied from space.S
-    and centred one block at a time.
+    or one value per entry; the entries' gold rows are copied from
+    space.S and centred one block at a time.
     """
-    n = (S_hat.rows if isinstance(S_hat, Centred) else S_hat).shape[0]
-    if n != len(space.S):
-        raise ComprehensionError("S_hat must have one row per dataset entry")
+    m = (S_hat.rows if isinstance(S_hat, Centred) else S_hat).shape[0]
+    n = len(space.S)
+    if forms is None:
+        if m != n:
+            raise ComprehensionError("S_hat must have one row per dataset entry")
+        forms = np.arange(n)
+    else:
+        forms = np.asarray(forms)
+        if forms.shape != (n,) or not np.issubdtype(forms.dtype, np.integer):
+            raise ComprehensionError("forms must give one row of S_hat per dataset entry")
+        if n and (forms.min() < 0 or forms.max() >= m):
+            raise ComprehensionError(f"forms names a row outside S_hat's {m} rows")
     preds = centre(S_hat)
     r_own = np.empty(n)
     for rows in _row_chunks(n, space.S.shape[1]):
         gold = np.array(space.S[rows], dtype=np.float64)
-        r_own[rows] = rowwise_pearson(preds.take(rows), centre(gold, out=gold))
+        r_own[rows] = rowwise_pearson(preds.take(forms[rows]), centre(gold, out=gold))
     R = pearson_matrix(preds, pool.centred)
     # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
     # wins, and argmax keeps the first of tied maxima.
-    degenerate = np.empty(n, dtype=bool)
-    bests = np.empty(n, dtype=np.intp)
+    degenerate = np.empty(m, dtype=bool)
+    bests = np.empty(m, dtype=np.intp)
     for rows in _row_chunks(*R.shape):
         block = R[rows]
         undefined = np.isnan(block)
         degenerate[rows] = undefined.all(axis=1)
         block[undefined] = -np.inf
         bests[rows] = block.argmax(axis=1)
-    degenerate, bests = degenerate.tolist(), bests.tolist()
+    degenerate, bests = degenerate[forms].tolist(), bests[forms].tolist()
 
     out = []
     for i in range(n):

@@ -289,6 +289,13 @@ class PipelineState:
         ids = None if self.cfg.gold_pool == "all" else list(self.split.train_ids)
         return comp.GoldPool.build(self.space, self.dataset, self.cue_cfg, restrict_ids=ids)
 
+    @cached_property
+    def forms(self) -> comp.Forms:
+        """The dataset's distinct forms (entries of one cue string), which
+        scoring predicts once each; built on the first read in each
+        process, as pool is."""
+        return comp.Forms.build(self.dataset, self.cue_cfg)
+
 
 def solve_f(state: PipelineState) -> Mapping:
     """The end-state comprehension mapping F, solved on the train rows."""
@@ -458,13 +465,16 @@ def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
 
 
 def comprehension_scores(state: PipelineState, F: Mapping) -> list[comp.ItemScore]:
-    """Score every entry's prediction under F; the fresh product is
-    centred in place, so it is the scoring's only copy of the
-    predictions.  The first scoring in a process builds its gold pool
-    (PipelineState.pool)."""
-    S_hat = state.C.rows @ F.W
+    """Score every entry's prediction under F.  Entries of one form share
+    their cue row, so only the cue rows of each form's first entry are
+    mapped (PipelineState.forms), and the fresh product is centred in
+    place, so it is the scoring's only copy of the predictions.  The
+    first scoring in a process builds its gold pool and its forms."""
+    forms = state.forms
+    S_hat = state.C.rows[forms.first] @ F.W
     preds = comp.centre(S_hat, out=S_hat)
-    return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg)
+    return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg,
+                            forms.row)
 
 
 def comprehension_accuracies(
@@ -1006,11 +1016,12 @@ def run_pruning(cfg: ExperimentConfig, thresholds: Optional[Sequence[float]] = N
     """Sweep magnitude-pruning thresholds and track train comprehension."""
     state = build_pipeline(cfg)
     F = solve_f(state)
-    W = F.W
     if thresholds is None:
+        absW = np.abs(F.W)
         qs = np.linspace(0.0, 1.0, 11)
-        thresholds = [0.0] + [float(np.quantile(np.abs(W), q)) for q in qs[1:]]
-        thresholds[-1] = float(np.abs(W).max()) * (1 + 1e-9)  # prune everything at the top end
+        thresholds = [0.0] + np.quantile(absW, qs[1:]).tolist()
+        thresholds[-1] = float(absW.max()) * (1 + 1e-9)  # prune everything at the top end
+        del absW
 
     rows = []
     for theta_p in thresholds:

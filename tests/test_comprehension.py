@@ -25,6 +25,7 @@ from ldlkit import (
 from ldlkit import comprehension
 from ldlkit.comprehension import (
     ComprehensionError,
+    Forms,
     average_ranks,
     centre,
     pearson,
@@ -392,3 +393,56 @@ def test_gold_pool_rows_with_one_hash_stay_apart_unless_equal():
     assert colliding.entry_ids == expected.entry_ids
     assert colliding.first_key == expected.first_key
     assert np.array_equal(colliding.centred.rows, expected.centred.rows)
+
+
+class TestDistinctForms:
+    """score_items with one prediction row per distinct form (Forms)."""
+
+    @pytest.fixture()
+    def case(self):
+        d = paradigm_lexicon(12, seed=5)
+        cfg = CueConfig(unit="phone", n=3)
+        space = simulate_vectors(d, dim=30, seed=4)
+        forms = Forms.build(d, cfg)
+        # each form predicts its first entry's meaning, slightly off
+        rng = np.random.default_rng(3)
+        S_forms = space.S[forms.first] + 0.1 * rng.normal(size=(len(forms.first), 30))
+        return d, cfg, space, GoldPool.build(space, d, cfg), forms, S_forms
+
+    def test_forms_index_each_entry_by_its_cue_string(self, case):
+        d, cfg, _, _, forms, _ = case
+        strings = [cfg.cue_string(e) for e in d]
+        assert len(forms.first) == len(set(strings)) < len(d)
+        assert list(forms.first) == sorted(strings.index(s) for s in set(strings))
+        assert all(forms.first[forms.row[i]] == strings.index(s) for i, s in enumerate(strings))
+
+    def test_entries_of_one_form_share_the_best_row_only(self, case):
+        d, cfg, space, pool, forms, S_forms = case
+        results = score_items(S_forms, space, pool, d, cfg, forms.row)
+        mixed_strict = 0
+        for k in range(len(forms.first)):
+            group = [r for r in results if forms.row[r.item_id] == k]
+            assert len({(r.best_index, r.best_key, r.correct_lenient) for r in group}) == 1
+            if len(group) > 1:
+                assert len({r.r_target for r in group}) == len(group)
+                mixed_strict += len({r.correct_strict for r in group}) > 1
+            for r in group:
+                assert r.r_target == pearson(S_forms[k], space.S[r.item_id])
+                assert r.correct_strict == (space.gold_keys[r.item_id] in pool.keys[r.best_index])
+        assert mixed_strict > 0
+        # the same scores as one prediction row per entry
+        assert results == score_items(S_forms[forms.row], space, pool, d, cfg)
+
+    def test_forms_of_the_wrong_length_or_out_of_range_rejected(self, case):
+        d, cfg, space, pool, forms, S_forms = case
+        with pytest.raises(ComprehensionError, match="one row of S_hat per dataset entry"):
+            score_items(S_forms, space, pool, d, cfg, forms.row[:-1])
+        with pytest.raises(ComprehensionError, match="one row of S_hat per dataset entry"):
+            score_items(S_forms, space, pool, d, cfg, forms.row.astype(float))
+        for bad_row in (len(forms.first), -1):
+            bad = forms.row.copy()
+            bad[3] = bad_row
+            with pytest.raises(ComprehensionError, match="outside S_hat's"):
+                score_items(S_forms, space, pool, d, cfg, bad)
+        with pytest.raises(ComprehensionError, match="one row per dataset entry"):
+            score_items(S_forms, space, pool, d, cfg)

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ldlkit import _wh_numpy, cli, comprehension, production
+from ldlkit import _wh_numpy, cli, comprehension, lexicon, production
 from ldlkit import experiments as ex
 from ldlkit.experiments import (
     ConfigError,
@@ -1588,10 +1588,11 @@ class TestBlasThreads:
 
 
 def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
-    """Traced bytes of one comprehension_scores call: the (items, dims)
-    predictions and the (items, pool rows) correlations, plus a slack of two
-    row blocks and 1 KiB per item (the ItemScore list and per-item vectors).
-    A further copy of the predictions or of the gold matrix exceeds it."""
+    """Traced bytes of one comprehension_scores call: the (forms, dims)
+    predictions and the (forms, pool rows) correlations, plus a slack of
+    two row blocks and 1 KiB per item (the ItemScore list and per-item
+    vectors).  A further copy of the predictions or of the gold matrix, or
+    correlations per entry rather than per distinct form, exceed it."""
     data = tmp_path / "paradigm100.tsv"
     save_dataset(paradigm_lexicon(100), data)
     cfg = load_config("data/demo.config", [f"data={data}", "output=unused",
@@ -1599,7 +1600,8 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
     state = ex.build_pipeline(cfg)
     n, dims = state.space.S.shape
     n_pool = len(state.pool.entry_ids)  # builds the pool before the trace starts
-    bound = 8 * n * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
+    n_forms = len(state.forms.first)  # and the forms
+    bound = 8 * n_forms * (dims + n_pool) + 2 * comprehension.CHUNK_BYTES + 1024 * n
     F = ex.solve_f(state)  # before the trace starts
     tracemalloc.start()
     try:
@@ -1607,5 +1609,56 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(results) == n and dims > 500
+    assert len(results) == n and dims > 500 and n_forms == n // 2
     assert peak < bound
+
+
+@pytest.mark.parametrize("corpus, settings", [
+    ("demo", []),
+    ("paradigm250", []),
+    ("no_homophones", ["split.mode=no_novel_cues"]),
+    ("demo", ["semantics.pool=train"]),
+])
+def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
+    """comprehension_scores maps each distinct form once; scoring the
+    per-entry product C @ W gives the same best rows, flags and reasons,
+    and r_target within 1e-12, for an end-state F and for the weights at a
+    checkpoint of the token stream."""
+    data = ROOT / "data" / "demo.tsv"
+    if corpus != "demo":
+        data = tmp_path / "corpus.tsv"
+        save_dataset(paradigm_lexicon(250) if corpus == "paradigm250"
+                     else paradigm_lexicon(60, homophones=False), data)
+    cfg = load_config(ROOT / "data" / "demo.config",
+                      [f"data={data}", "output=unused", "production.enabled=false", *settings])
+    state = ex.build_pipeline(cfg)
+    n, forms = len(state.dataset), state.forms
+    if corpus == "no_homophones":
+        assert np.array_equal(forms.first, np.arange(n)) and np.array_equal(forms.row, np.arange(n))
+    else:
+        assert len(forms.first) < n
+    stream = np.asarray(state.split.train_ids)[
+        lexicon.sample_token_stream(state.split.train, cfg.seed_stream)]
+    checkpoint = train_incremental(stream[: stream.size // 2], state.C.rows, state.space.S,
+                                   eta=0.01)
+    for m in (ex.solve_f(state), checkpoint):
+        ours = ex.comprehension_scores(state, m)
+        oracle = comprehension.score_items(state.C.rows @ m.W, state.space, state.pool,
+                                           state.dataset, state.cue_cfg)
+        assert len(ours) == len(oracle) == n
+        for a, b in zip(ours, oracle):
+            assert (a.item_id, a.best_index, a.best_key, a.correct_strict, a.correct_lenient,
+                    a.reason) == (b.item_id, b.best_index, b.best_key, b.correct_strict,
+                                  b.correct_lenient, b.reason)
+            assert a.r_target == pytest.approx(b.r_target, abs=1e-12, nan_ok=True)
+
+
+def test_pruning_thresholds_are_the_quantiles_one_at_a_time(data_path, tmp_path):
+    """run_pruning takes all its quantiles of |W| in one call; they equal
+    those taken one quantile at a time."""
+    cfg = base_config(data_path, tmp_path)
+    report = run_pruning(cfg)
+    absW = np.abs(ex.solve_f(ex.build_pipeline(cfg)).W)
+    expected = [0.0] + [float(np.quantile(absW, q)) for q in np.linspace(0.0, 1.0, 11)[1:]]
+    expected[-1] = float(absW.max()) * (1 + 1e-9)
+    assert [point["threshold"] for point in report["curve"]] == expected
