@@ -30,7 +30,7 @@ from .cues import (
 from .comprehension import (
     Forms,
     GoldPool,
-    ItemScore,
+    Scores,
     evaluate,
     score_items,
 )
@@ -77,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CueConfig", "CueInventory", "CueMatrix", "build_cue_matrix", "build_inventory",
     "extract_grams", "novel_cues",
-    "Forms", "GoldPool", "ItemScore", "evaluate", "score_items",
+    "Forms", "GoldPool", "Scores", "evaluate", "score_items",
     "Dataset", "SplitResult", "WordEntry", "attach_articles", "load_dataset",
     "sample_token_stream", "simulate_role_frequencies", "split_no_novel_cues", "split_random",
     "Mapping", "WH_BACKEND", "prune", "solve_endstate", "train_incremental", "wh_update",

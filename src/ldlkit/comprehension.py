@@ -202,15 +202,21 @@ class Forms(NamedTuple):
         return cls(np.array([ids[0] for ids in groups], dtype=np.intp), row)
 
 
-@dataclass(frozen=True)
-class ItemScore:
-    item_id: int
-    r_target: float
-    best_index: int  # pool row, -1 when the prediction is degenerate
-    best_key: Optional[tuple]
-    correct_strict: bool
-    correct_lenient: bool
-    reason: str = ""
+class Scores(NamedTuple):
+    """Every entry's comprehension grade, as arrays indexed by entry id.
+
+    r_target is the correlation of the entry's prediction with its own
+    gold row (NaN where either has zero variance); best_index the pool
+    row nearest to the prediction, -1 where the prediction has zero
+    variance, and best_key that row's first key (None at -1);
+    correct_strict and correct_lenient whether that row carries the
+    entry's own key, or its cue string (both False at -1)."""
+
+    r_target: np.ndarray
+    best_index: np.ndarray
+    best_key: list
+    correct_strict: np.ndarray
+    correct_lenient: np.ndarray
 
 
 def score_items(
@@ -220,7 +226,7 @@ def score_items(
     d: Dataset,
     cfg: CueConfig,
     forms: Optional[np.ndarray] = None,
-) -> list[ItemScore]:
+) -> Scores:
     """Grade every dataset entry's prediction against the pool.
 
     forms[i] is the row of S_hat that predicts entry i (Forms.row, with
@@ -258,39 +264,25 @@ def score_items(
         r_own[rows] = rowwise_pearson(preds.take(forms[rows]), centre(gold, out=gold))
     R = pearson_matrix(preds, pool.centred)
     # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
-    # wins, and argmax keeps the first of tied maxima.
-    degenerate = np.empty(m, dtype=bool)
-    bests = np.empty(m, dtype=np.intp)
+    # wins, and argmax keeps the first of tied maxima; -1 for a row of
+    # NaN only (a zero-variance prediction).
+    best = np.empty(m, dtype=np.intp)
     for rows in _row_chunks(*R.shape):
         block = R[rows]
         undefined = np.isnan(block)
-        degenerate[rows] = undefined.all(axis=1)
         block[undefined] = -np.inf
-        bests[rows] = block.argmax(axis=1)
-    degenerate, bests = degenerate[forms].tolist(), bests[forms].tolist()
-
-    out = []
-    for i in range(n):
-        if degenerate[i]:
-            out.append(
-                ItemScore(i, float(r_own[i]), -1, None, False, False,
-                          reason="zero-variance prediction")
-            )
-            continue
-        best = bests[i]
-        key = space.gold_keys[i]
-        cue_string = cfg.cue_string(d[i])
-        out.append(
-            ItemScore(
-                item_id=i,
-                r_target=float(r_own[i]),
-                best_index=best,
-                best_key=pool.first_key[best],
-                correct_strict=key in pool.keys[best],
-                correct_lenient=cue_string in pool.cue_strings[best],
-            )
-        )
-    return out
+        best[rows] = np.where(undefined.all(axis=1), -1, block.argmax(axis=1))
+    best = best[forms]
+    at = best.tolist()
+    return Scores(
+        r_target=r_own,
+        best_index=best,
+        best_key=[None if b < 0 else pool.first_key[b] for b in at],
+        correct_strict=np.array([b >= 0 and key in pool.keys[b]
+                                 for b, key in zip(at, space.gold_keys)], dtype=bool),
+        correct_lenient=np.array([b >= 0 and cfg.cue_string(e) in pool.cue_strings[b]
+                                  for b, e in zip(at, d)], dtype=bool),
+    )
 
 
 def scheme_ids(split: SplitResult, scheme: str) -> list[int]:
@@ -305,48 +297,42 @@ def scheme_ids(split: SplitResult, scheme: str) -> list[int]:
     raise ComprehensionError(f"unknown evaluation scheme: {scheme!r}")
 
 
-def scheme_uses_strict(scheme: str) -> bool:
-    """val_strict demands the exact reading; every other scheme credits
-    any reading of the item's own form (homophones are not separable
-    from form alone)."""
-    return scheme == "val_strict"
-
-
 def scheme_accuracy(correct, split: SplitResult, scheme: str) -> float:
     """The share of the scheme's ids i with correct[i] true, correct
-    being indexable by item id; NaN when the scheme has no ids."""
+    holding one flag per entry; NaN when the scheme has no ids."""
     ids = scheme_ids(split, scheme)
-    return sum(correct[i] for i in ids) / len(ids) if ids else float("nan")
+    return int(np.count_nonzero(np.asarray(correct)[ids])) / len(ids) if ids else float("nan")
 
 
-def evaluate(results: Sequence[ItemScore], split: SplitResult, scheme: str) -> float:
-    """Comprehension accuracy of the scheme (scheme_accuracy), from the
-    strict or the lenient flag of each of its items' results; an item of
-    the scheme without a result is an error."""
-    strict = scheme_uses_strict(scheme)
-    correct = {r.item_id: r.correct_strict if strict else r.correct_lenient for r in results}
-    try:
-        return scheme_accuracy(correct, split, scheme)
-    except KeyError:
-        raise ComprehensionError(f"results missing items for scheme {scheme!r}") from None
+def evaluate(scores: Scores, split: SplitResult, scheme: str) -> float:
+    """Comprehension accuracy of the scheme (scheme_accuracy).  val_strict
+    demands the exact reading; every other scheme credits any reading of
+    the item's own form (homophones are not separable from form alone)."""
+    if len(scores.r_target) != len(split.dataset):
+        raise ComprehensionError(f"scores of {len(scores.r_target)} entries for a dataset "
+                                 f"of {len(split.dataset)}")
+    return scheme_accuracy(scores.correct_strict if scheme == "val_strict"
+                           else scores.correct_lenient, split, scheme)
 
 
-def item_score_rows(results: Sequence[ItemScore], split: SplitResult):
+def item_score_rows(scores: Scores, split: SplitResult):
     """Per-item CSV rows, header first: id, correlation with own target,
     best key, flags."""
     train = set(split.train_ids)
     yield ["id", "r_target", "best_key", "strict", "lenient",
            "in_train", "is_homophone_val", "is_newform_val", "is_novel_lemma", "reason"]
-    for r in sorted(results, key=lambda x: x.item_id):
+    columns = (scores.r_target.tolist(), scores.best_index.tolist(), scores.best_key,
+               scores.correct_strict.tolist(), scores.correct_lenient.tolist())
+    for i, (r, best, key, strict, lenient) in enumerate(zip(*columns)):
         yield [
-            r.item_id,
-            "" if np.isnan(r.r_target) else repr(r.r_target),
-            "" if r.best_key is None else "+".join(str(k) for k in r.best_key),
-            int(r.correct_strict),
-            int(r.correct_lenient),
-            int(r.item_id in train),
-            int(r.item_id in split.homophone_val_ids),
-            int(r.item_id in split.newform_val_ids),
-            int(r.item_id in split.novel_lemma_ids),
-            r.reason,
+            i,
+            "" if np.isnan(r) else repr(r),
+            "" if key is None else "+".join(str(k) for k in key),
+            int(strict),
+            int(lenient),
+            int(i in train),
+            int(i in split.homophone_val_ids),
+            int(i in split.newform_val_ids),
+            int(i in split.novel_lemma_ids),
+            "zero-variance prediction" if best < 0 else "",
         ]

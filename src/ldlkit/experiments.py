@@ -358,7 +358,7 @@ def _comprehension_stage(
 
 def _production_stage(
     state: PipelineState,
-) -> tuple[Mapping, list[comp.ItemScore], PositionalSupportModel, np.ndarray]:
+) -> tuple[Mapping, comp.Scores, PositionalSupportModel, np.ndarray]:
     """F, every entry's comprehension scores under F, the positional model
     and its inputs X for every entry in id order, on two CPUs.
 
@@ -375,7 +375,7 @@ def _production_stage(
     S, train_ids = state.space.S, list(state.split.train_ids)
     F_W = _shared_array((len(state.C.inventory), S.shape[1]))
 
-    def solve_and_score() -> list[comp.ItemScore]:
+    def solve_and_score() -> comp.Scores:
         F = solve_f(state)
         np.copyto(F_W, F.W)
         return comprehension_scores(state, F)
@@ -464,7 +464,7 @@ def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
     return state
 
 
-def comprehension_scores(state: PipelineState, F: Mapping) -> list[comp.ItemScore]:
+def comprehension_scores(state: PipelineState, F: Mapping) -> comp.Scores:
     """Score every entry's prediction under F.  Entries of one form share
     their cue row, so only the cue rows of each form's first entry are
     mapped (PipelineState.forms), and the fresh product is centred in
@@ -477,9 +477,7 @@ def comprehension_scores(state: PipelineState, F: Mapping) -> list[comp.ItemScor
                             forms.row)
 
 
-def comprehension_accuracies(
-    state: PipelineState, results: Sequence[comp.ItemScore]
-) -> dict[str, float]:
+def comprehension_accuracies(state: PipelineState, results: comp.Scores) -> dict[str, float]:
     return {s: comp.evaluate(results, state.split, s) for s in comp.SCHEMES}
 
 
@@ -722,7 +720,7 @@ def _kill(child: _Child) -> None:
 
 def _train_and_score(
     state: PipelineState, stream: np.ndarray, checkpoints: Sequence[int]
-) -> tuple[list[tuple[int, dict[str, float]]], list[comp.ItemScore], list[comp.ItemScore]]:
+) -> tuple[list[tuple[int, dict[str, float]]], comp.Scores, comp.Scores]:
     """Train W over the token stream and score the entries' predictions
     at every checkpoint, the final weights and the end-state F.
 
@@ -752,9 +750,9 @@ def _train_and_score(
     scorer: Optional[_Child] = None
     to_scorer: Optional[int] = None  # the write end of the scorer's request pipe
     in_flight = False
-    end_scores: Optional[list[comp.ItemScore]] = None
+    end_scores: Optional[comp.Scores] = None
     curve: list[tuple[int, dict[str, float]]] = []
-    latest: Optional[list[comp.ItemScore]] = None  # the scores at the stream's end
+    latest: Optional[comp.Scores] = None  # the scores at the stream's end
 
     def score_checkpoint(m: Mapping):
         results = comprehension_scores(state, m)
@@ -859,10 +857,8 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
 
     if cfg.frequency_effect:
         freq = np.array([d[i].token_frequency for i in split.train_ids], dtype=np.float64)
-        by_id_inc = {r.item_id: r.r_target for r in inc_results}
-        by_id_end = {r.item_id: r.r_target for r in end_results}
-        r_inc = np.array([by_id_inc[i] for i in split.train_ids])
-        r_end = np.array([by_id_end[i] for i in split.train_ids])
+        r_inc = inc_results.r_target[train_ids]
+        r_end = end_results.r_target[train_ids]
         logf = np.log1p(freq)
         ok = ~(np.isnan(r_inc) | np.isnan(r_end))
         report["frequency_effect"] = {
@@ -886,9 +882,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _role_misidentifications(
-    state: PipelineState, results: Sequence[comp.ItemScore]
-) -> dict[str, dict]:
+def _role_misidentifications(state: PipelineState, results: comp.Scores) -> dict[str, dict]:
     """Overgeneralization profile: items whose lemma, number, and case were
     recovered but whose role was not, counted per misidentified role."""
     d, split = state.dataset, state.split
@@ -898,14 +892,15 @@ def _role_misidentifications(
         if e.semantic_role and e.role_frequency:
             role_tokens[e.semantic_role] = role_tokens.get(e.semantic_role, 0) + e.role_frequency
 
+    best, strict = results.best_index.tolist(), results.correct_strict.tolist()
     out = {}
-    for part, ids in (("train", set(split.train_ids)), ("validation", set(split.validation_ids))):
+    for part, ids in (("train", split.train_ids), ("validation", split.validation_ids)):
         counts: dict[str, int] = {}
-        for r in results:
-            if r.item_id not in ids or r.best_index < 0 or r.correct_strict:
+        for i in ids:
+            if best[i] < 0 or strict[i]:
                 continue
-            e = d[r.item_id]
-            for j in state.pool.entry_ids[r.best_index]:
+            e = d[i]
+            for j in state.pool.entry_ids[best[i]]:
                 b = d[j]
                 if (
                     b.lemma == e.lemma and b.number == e.number and b.case == e.case

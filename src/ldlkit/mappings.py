@@ -43,14 +43,17 @@ def _dedup_pairs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop exact duplicate (x_row, y_row) pairs, keeping first occurrences.
 
     Identical inputs mapped to different outputs are distinct pairs and
-    are kept: the regression then predicts their average.
+    are kept: the regression then predicts their average.  Pairs are
+    keyed by the hash of their bytes, and the rows compared on a hit, so
+    that no key copies a pair.
     """
-    seen: set[bytes] = set()
+    index: dict[int, list[int]] = {}
     keep = []
     for i in range(X.shape[0]):
-        key = X[i].tobytes() + Y[i].tobytes()
-        if key not in seen:
-            seen.add(key)
+        x, y = X[i].tobytes(), Y[i].tobytes()
+        same = index.setdefault(hash((x, y)), [])
+        if not any(X[j].tobytes() == x and Y[j].tobytes() == y for j in same):
+            same.append(i)
             keep.append(i)
     if len(keep) == X.shape[0]:
         return X, Y

@@ -516,10 +516,14 @@ class ProductionParams:
 
 @dataclass
 class ProductionResult:
-    best: Optional[CandidatePath]
     top_n: list[CandidatePath]
     n_candidates: int
     truncated: bool = False  # max_paths stopped the path search
+
+    @property
+    def best(self) -> Optional[CandidatePath]:
+        """The top-ranked candidate; None when there is none."""
+        return self.top_n[0] if self.top_n else None
 
 
 def production_inputs(
@@ -567,7 +571,6 @@ def produce(
     )
     ranked = synthesize_by_analysis(candidates, F, s_target, m, top_n=params.top_n)
     return ProductionResult(
-        best=ranked[0] if ranked else None,
         top_n=ranked,
         n_candidates=len(candidates),
         truncated=candidates.truncated,

@@ -87,9 +87,9 @@ def test_criterion_02_exact_memorization(toy100):
     with criterion(2, "end-state memorizes the 100-form toy lexicon"):
         d, cfg, strings, inv, C, space, F, pool = toy100
         results = score_items(C.rows @ F.W, space, pool, d, cfg)
-        accuracy = sum(r.correct_lenient for r in results) / len(results)
+        accuracy = np.count_nonzero(results.correct_lenient) / len(results.correct_lenient)
         assert accuracy == 1.0
-        assert all(r.r_target >= 1 - 1e-9 for r in results)
+        assert (results.r_target >= 1 - 1e-9).all()
 
 
 def test_criterion_03_production_round_trip(toy100):
@@ -192,16 +192,14 @@ class TestCriterion08SchemeLogic:
     @settings(max_examples=30, deadline=None)
     def test_strict_at_most_lenient(self, seed):
         split, results = noisy_scores(2.0, seed)
-        for r in results:
-            assert r.correct_lenient or not r.correct_strict
+        assert (results.correct_lenient | ~results.correct_strict).all()
         assert evaluate(results, split, "val_strict") <= evaluate(results, split, "val_all") + 1e-12
 
     @staticmethod
     def _zero_homophone_case(seed):
         split, results = noisy_scores(2.5, seed, homophones=False)
         assert evaluate(results, split, "val_strict") == evaluate(results, split, "val_all")
-        for r in results:
-            assert r.correct_strict == r.correct_lenient
+        assert np.array_equal(results.correct_strict, results.correct_lenient)
 
     def test_zero_homophones_strict_equals_lenient(self):
         self._zero_homophone_case(seed=1)
@@ -210,8 +208,7 @@ class TestCriterion08SchemeLogic:
         with criterion(8, "strict accuracy never exceeds lenient accuracy"):
             for seed in range(15):
                 split, results = noisy_scores(2.0, seed)
-                for r in results:
-                    assert r.correct_lenient or not r.correct_strict
+                assert (results.correct_lenient | ~results.correct_strict).all()
                 strict = evaluate(results, split, "val_strict")
                 lenient = evaluate(results, split, "val_all")
                 assert strict <= lenient + 1e-12
@@ -224,7 +221,7 @@ def test_criterion_09_pruning_curve(toy100, tmp_path):
 
         def train_accuracy(mapping):
             res = score_items(C.rows @ mapping.W, space, pool, d, cfg)
-            return sum(r.correct_lenient for r in res) / len(res)
+            return np.count_nonzero(res.correct_lenient) / len(res.correct_lenient)
 
         baseline = train_accuracy(F)
         curve = []

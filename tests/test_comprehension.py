@@ -15,12 +15,14 @@ from ldlkit import (
     CueConfig,
     Dataset,
     GoldPool,
+    Scores,
     build_cue_matrix,
     build_inventory,
     evaluate,
     score_items,
     simulate_vectors,
     solve_endstate,
+    split_random,
 )
 from ldlkit import comprehension
 from ldlkit.comprehension import (
@@ -28,6 +30,7 @@ from ldlkit.comprehension import (
     Forms,
     average_ranks,
     centre,
+    item_score_rows,
     pearson,
     pearson_matrix,
     rowwise_pearson,
@@ -56,16 +59,14 @@ class TestFullRankToy:
         S_hat = C.rows @ F.W
         pool = GoldPool.build(space, d, cfg)
         results = score_items(S_hat, space, pool, d, cfg)
-        assert all(r.correct_strict for r in results)
-        assert all(r.r_target >= 1 - 1e-9 for r in results)
+        assert results.correct_strict.all()
+        assert (results.r_target >= 1 - 1e-9).all()
 
 
 class TestEvaluate:
     def test_strict_implies_lenient_per_item(self):
         _, results = noisy_scores(3.0)
-        for r in results:
-            if r.correct_strict:
-                assert r.correct_lenient
+        assert results.correct_lenient[results.correct_strict].all()
 
     def test_val_strict_at_most_val_all(self):
         split, results = noisy_scores(2.0)
@@ -76,8 +77,7 @@ class TestEvaluate:
     def test_no_homophones_makes_strict_equal_lenient(self):
         split, results = noisy_scores(2.5, seed=1, homophones=False)
         assert evaluate(results, split, "val_strict") == evaluate(results, split, "val_all")
-        for r in results:
-            assert r.correct_strict == r.correct_lenient
+        assert np.array_equal(results.correct_strict, results.correct_lenient)
 
     def test_scheme_id_sets(self):
         split, _ = noisy_scores(1.0)
@@ -94,10 +94,13 @@ class TestEvaluate:
     def test_missing_items_rejected_and_an_empty_scheme_is_nan(self):
         split, results = noisy_scores(1.0, homophones=False)
         assert not split.homophone_val_ids and np.isnan(evaluate(results, split, "val_lenient"))
-        partial = [r for r in results if r.item_id != split.train_ids[0]]
-        with pytest.raises(ComprehensionError, match="results missing items for scheme 'train'"):
-            evaluate(partial, split, "train")
-        assert evaluate(partial, split, "val_all") == evaluate(results, split, "val_all")
+        # scores missing the last entry, which no scheme can be graded on
+        partial = Scores(*(field[:-1] for field in results))
+        n = len(split.dataset)
+        for scheme in comprehension.SCHEMES:
+            with pytest.raises(ComprehensionError,
+                               match=f"scores of {n - 1} entries for a dataset of {n}"):
+                evaluate(partial, split, scheme)
 
     def test_deterministic(self):
         a = noisy_scores(2.0, seed=7)
@@ -143,7 +146,7 @@ class TestGoldPool:
         cfg = CueConfig(unit="letter", n=2)
         pool = GoldPool.build(space, d, cfg)
         results = score_items(np.vstack([vec, vec]), space, pool, d, cfg)
-        assert all(r.correct_strict for r in results)
+        assert results.correct_strict.all()
 
 
 def test_score_items_best_rows_match_per_row_nanargmax():
@@ -156,6 +159,7 @@ def test_score_items_best_rows_match_per_row_nanargmax():
     space = SemanticSpace(S=gold, gold_keys=[(f"W{i}",) for i in range(n)])
     cfg = CueConfig(unit="letter", n=2)
     pool = GoldPool.build(space, d, cfg)
+    split = split_random(d, 0.5, seed=0, cue_string_of=cfg.cue_string)
     S_hat = np.vstack([base[1], rng.normal(size=(n - 2, 6)), np.full(6, 1.0)])
     bests = None
     # the plain predictions, then affine rescalings of them: correlation
@@ -165,13 +169,41 @@ def test_score_items_best_rows_match_per_row_nanargmax():
         R = pearson_matrix(a * S_hat + b, pool_rows(pool, space))
         assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
         assert R[0, 1] == R[0, 4]
-        for res, r in zip(results, R):
+        for best, r in zip(results.best_index, R):
             expected = -1 if np.isnan(r).all() else int(np.nanargmax(r))
-            assert res.best_index == expected
-        assert results[0].best_index == 1
-        assert results[-1].reason == "zero-variance prediction"
-        bests = bests or [res.best_index for res in results]
-        assert [res.best_index for res in results] == bests
+            assert best == expected
+        assert results.best_index[0] == 1
+        assert list(item_score_rows(results, split))[-1][-1] == "zero-variance prediction"
+        bests = bests or results.best_index.tolist()
+        assert results.best_index.tolist() == bests
+
+
+def test_scores_hold_one_row_per_entry_and_minus_one_at_zero_variance_only():
+    """Every array of Scores has one row per entry.  best_index is -1
+    exactly where best_key is None, at the zero-variance predictions,
+    where both flags are False; items.csv gives a reason there only."""
+    d = paradigm_lexicon(12, seed=5)
+    cfg = CueConfig(unit="phone", n=3)
+    space = simulate_vectors(d, dim=30, seed=4)
+    S_hat = space.S + 2.0 * np.random.default_rng(2).normal(size=space.S.shape)
+    S_hat[::7] = 1.5
+    n = len(d)
+    results = score_items(S_hat, space, GoldPool.build(space, d, cfg), d, cfg)
+    assert [len(field) for field in results] == [n] * len(Scores._fields) and n > 40
+    assert results.r_target.dtype == np.float64 and results.best_index.dtype == np.intp
+    assert results.correct_strict.dtype == results.correct_lenient.dtype == bool
+    degenerate = results.best_index == -1
+    assert np.array_equal(degenerate, np.arange(n) % 7 == 0)
+    assert [key is None for key in results.best_key] == degenerate.tolist()
+    assert not (results.correct_strict[degenerate] | results.correct_lenient[degenerate]).any()
+    assert results.correct_lenient[~degenerate].any()
+    assert np.isnan(results.r_target[degenerate]).all()
+    rows = list(item_score_rows(results, split_random(d, 0.75, seed=0,
+                                                      cue_string_of=cfg.cue_string)))
+    assert rows[0][0] == "id" and rows[0][-1] == "reason"
+    assert [row[0] for row in rows[1:]] == list(range(n))
+    assert [row[-1] for row in rows[1:]] == [
+        "zero-variance prediction" if flag else "" for flag in degenerate]
 
 
 def test_pearson_matrix_matches_numpy_corrcoef():
@@ -239,10 +271,10 @@ def test_score_items_cached_statistics_match_direct_pearson():
     ):
         for _ in range(2):
             results = score_items(S_hat, gold, pool, d, cfg)
-            r_own = [r.r_target for r in results]
+            r_own = results.r_target.tolist()
             assert r_own == rowwise_pearson(S_hat, gold.S).tolist()
             best = pearson_matrix(S_hat, pool_rows(pool, space)).argmax(axis=1).tolist()
-            assert [r.best_index for r in results] == best
+            assert results.best_index.tolist() == best
 
 
 @st.composite
@@ -325,17 +357,19 @@ def test_score_items_is_the_direct_pearson_on_copies(case):
     np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"], pool_rows(pool, space)))
     np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"], gold.S, True))
     assert np.array_equal(S_hat, case["S_hat"])
-    assert [r.item_id for r in results] == list(range(n))
-    np.testing.assert_array_equal([r.r_target for r in results], r_own)
-    for i, (res, r) in enumerate(zip(results, R)):
+    assert [len(field) for field in results] == [n] * len(results)
+    np.testing.assert_array_equal(results.r_target, r_own)
+    reasons = [row[-1] for row in item_score_rows(results, split_random(d, 0.5, seed=0))][1:]
+    for i, r in enumerate(R):
         if np.isnan(r).all():
-            assert (res.best_index, res.best_key, res.reason) == (-1, None, "zero-variance prediction")
-            assert not (res.correct_strict or res.correct_lenient)
+            assert (results.best_index[i], results.best_key[i], reasons[i]) == (
+                -1, None, "zero-variance prediction")
+            assert not (results.correct_strict[i] or results.correct_lenient[i])
             continue
         best = int(np.nanargmax(r))
-        assert (res.best_index, res.best_key) == (best, pool.first_key[best])
-        assert res.correct_strict == (keys[i] in pool.keys[best])
-        assert res.correct_lenient == (cfg.cue_string(d[i]) in pool.cue_strings[best])
+        assert (results.best_index[i], results.best_key[i]) == (best, pool.first_key[best])
+        assert results.correct_strict[i] == (keys[i] in pool.keys[best])
+        assert results.correct_lenient[i] == (cfg.cue_string(d[i]) in pool.cue_strings[best])
 
 
 def test_score_items_leaves_its_input_unchanged():
@@ -419,19 +453,23 @@ class TestDistinctForms:
     def test_entries_of_one_form_share_the_best_row_only(self, case):
         d, cfg, space, pool, forms, S_forms = case
         results = score_items(S_forms, space, pool, d, cfg, forms.row)
+        best, keys = results.best_index, results.best_key
         mixed_strict = 0
         for k in range(len(forms.first)):
-            group = [r for r in results if forms.row[r.item_id] == k]
-            assert len({(r.best_index, r.best_key, r.correct_lenient) for r in group}) == 1
+            group = np.flatnonzero(forms.row == k).tolist()
+            assert len({(best[i], keys[i], results.correct_lenient[i]) for i in group}) == 1
             if len(group) > 1:
-                assert len({r.r_target for r in group}) == len(group)
-                mixed_strict += len({r.correct_strict for r in group}) > 1
-            for r in group:
-                assert r.r_target == pearson(S_forms[k], space.S[r.item_id])
-                assert r.correct_strict == (space.gold_keys[r.item_id] in pool.keys[r.best_index])
+                assert len(set(results.r_target[group])) == len(group)
+                mixed_strict += len(set(results.correct_strict[group])) > 1
+            for i in group:
+                assert results.r_target[i] == pearson(S_forms[k], space.S[i])
+                assert results.correct_strict[i] == (space.gold_keys[i] in pool.keys[best[i]])
         assert mixed_strict > 0
         # the same scores as one prediction row per entry
-        assert results == score_items(S_forms[forms.row], space, pool, d, cfg)
+        per_entry = score_items(S_forms[forms.row], space, pool, d, cfg)
+        assert keys == per_entry.best_key
+        for name in ("r_target", "best_index", "correct_strict", "correct_lenient"):
+            assert np.array_equal(getattr(results, name), getattr(per_entry, name)), name
 
     def test_forms_of_the_wrong_length_or_out_of_range_rejected(self, case):
         d, cfg, space, pool, forms, S_forms = case

@@ -1155,8 +1155,7 @@ class TestOverlappedFits:
             (p, caller) for p in filled]
         # the scores sent back are those of F, scored on a state that
         # still has the cue rows this process has released
-        assert [r.r_target for r in results] == [
-            r.r_target for r in scores(ex.build_pipeline(cfg), F)]
+        assert results.r_target.tolist() == scores(ex.build_pipeline(cfg), F).r_target.tolist()
 
     def test_the_caller_holds_no_cue_rows_or_g_at_the_positional_fit(self, data_path, tmp_path,
                                                                      monkeypatch):
@@ -1448,14 +1447,16 @@ class TestOverlappedScoring:
     def test_a_baseline_result_larger_than_a_pipe_arrives_whole(self, tmp_path, monkeypatch):
         # A result over the pipe's 64 KiB blocks the baseline's child on its
         # write until this process reads it.  The demo's is smaller, so each
-        # score is padded, with a string of its own that pickle stores whole.
+        # entry's best key is padded, with a string of its own that pickle
+        # stores whole.
         expected = incremental_outputs(tmp_path / "out")
         log = CallLog(tmp_path / "baseline.jsonl")
         scores = ex.comprehension_scores
 
         def padded_scores(state, F):
-            results = [dataclasses.replace(r, reason=f"{r.reason}{r.item_id:>1024}")
-                       for r in scores(state, F)]
+            results = scores(state, F)
+            results = results._replace(best_key=[f"{key}{i:>1024}"
+                                                 for i, key in enumerate(results.best_key)])
             if not F.trained_tokens:
                 log.add(size=len(pickle.dumps((True, results))))
             return results
@@ -1590,7 +1591,7 @@ class TestBlasThreads:
 def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
     """Traced bytes of one comprehension_scores call: the (forms, dims)
     predictions and the (forms, pool rows) correlations, plus a slack of
-    two row blocks and 1 KiB per item (the ItemScore list and per-item
+    two row blocks and 1 KiB per item (the Scores arrays and per-item
     vectors).  A further copy of the predictions or of the gold matrix, or
     correlations per entry rather than per distinct form, exceed it."""
     data = tmp_path / "paradigm100.tsv"
@@ -1609,7 +1610,7 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(results) == n and dims > 500 and n_forms == n // 2
+    assert len(results.r_target) == n and dims > 500 and n_forms == n // 2
     assert peak < bound
 
 
@@ -1621,7 +1622,7 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
 ])
 def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
     """comprehension_scores maps each distinct form once; scoring the
-    per-entry product C @ W gives the same best rows, flags and reasons,
+    per-entry product C @ W gives the same best rows, best keys and flags,
     and r_target within 1e-12, for an end-state F and for the weights at a
     checkpoint of the token stream."""
     data = ROOT / "data" / "demo.tsv"
@@ -1645,12 +1646,10 @@ def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
         ours = ex.comprehension_scores(state, m)
         oracle = comprehension.score_items(state.C.rows @ m.W, state.space, state.pool,
                                            state.dataset, state.cue_cfg)
-        assert len(ours) == len(oracle) == n
-        for a, b in zip(ours, oracle):
-            assert (a.item_id, a.best_index, a.best_key, a.correct_strict, a.correct_lenient,
-                    a.reason) == (b.item_id, b.best_index, b.best_key, b.correct_strict,
-                                  b.correct_lenient, b.reason)
-            assert a.r_target == pytest.approx(b.r_target, abs=1e-12, nan_ok=True)
+        assert len(ours.r_target) == len(oracle.r_target) == n
+        for name in ("best_index", "best_key", "correct_strict", "correct_lenient"):
+            assert list(getattr(ours, name)) == list(getattr(oracle, name)), name
+        assert ours.r_target == pytest.approx(oracle.r_target, abs=1e-12, nan_ok=True)
 
 
 def test_pruning_thresholds_are_the_quantiles_one_at_a_time(data_path, tmp_path):

@@ -1,5 +1,8 @@
 """Closed-form and incremental estimation of the linear mappings."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
 from ldlkit.cues import csr_arrays
-from ldlkit.mappings import MappingError
+from ldlkit import mappings
+from ldlkit.mappings import MappingError, _dedup_pairs
 
 from corpora import loss_gradient
 
@@ -57,6 +61,39 @@ class TestSolveEndstate:
         X2 = np.vstack([X, X[:3]])
         Y2 = np.vstack([Y, Y[:3]])
         np.testing.assert_allclose(solve_endstate(X2, Y2).W, solve_endstate(X, Y).W)
+
+    def test_dedup_keeps_first_occurrences_and_drops_exact_duplicates(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(10, 4))
+        Y = rng.normal(size=(10, 3))
+        order = [0, 1, 2, 1, 3, 4, 5, 6, 0, 7, 8, 9, 9]
+        X_kept, Y_kept = _dedup_pairs(X[order], Y[order])
+        assert np.array_equal(X_kept, X) and np.array_equal(Y_kept, Y)
+
+    def test_dedup_pairs_with_one_hash_stay_apart_unless_equal(self):
+        # equal inputs with unequal outputs, and the reverse, are distinct pairs
+        X = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                      [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        Y = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+        with mock.patch.object(mappings, "hash", lambda key: 0, create=True):
+            colliding = _dedup_pairs(X, Y)
+        for X_kept, Y_kept in (_dedup_pairs(X, Y), colliding):
+            assert np.array_equal(X_kept, X[:3]) and np.array_equal(Y_kept, Y[:3])
+
+    def test_dedup_copies_no_pair(self):
+        # Pairs are keyed by the hash of their bytes, so while they are
+        # deduplicated nothing of the size of the inputs is held beside them.
+        rng = np.random.default_rng(5)
+        X = (rng.random((600, 600)) < 0.05).astype(float)
+        Y = rng.normal(size=(600, 600))
+        tracemalloc.start()
+        try:
+            X_kept, Y_kept = _dedup_pairs(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X_kept is X and Y_kept is Y  # every pair is distinct
+        assert peak < (X.nbytes + Y.nbytes) / 10
 
     def test_consistency_on_realizable_targets(self):
         rng = np.random.default_rng(3)
