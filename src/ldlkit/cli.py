@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
-    print(json.dumps(summary, sort_keys=True))
+    print(experiments.json_text(summary))
     return 0
 
 

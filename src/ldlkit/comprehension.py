@@ -16,6 +16,7 @@ import numpy as np
 
 from .cues import CueConfig
 from .lexicon import Dataset, SplitResult
+from .mappings import distinct_rows
 
 if TYPE_CHECKING:
     from .semantics import SemanticSpace
@@ -141,46 +142,33 @@ class GoldPool:
     """Deduplicated gold rows with the entries collapsed into each row.
 
     Strict credit requires the winning row to carry the item's own key;
-    lenient credit requires it to carry the item's cue string.  The rows
-    are kept only in centred form, since a run scores against the same
-    pool many times; the raw row of pool row r is space.S[entry_ids[r][0]].
+    lenient credit requires it to carry the item's form (Forms.row).  The
+    rows are kept only in centred form, since a run scores against the
+    same pool many times; the raw row of pool row r is
+    space.S[entry_ids[r][0]].
     """
 
     centred: Centred
     keys: list[set]
-    cue_strings: list[set]
-    first_key: list[tuple]
+    form_ids: list[set]
     entry_ids: list[list[int]]
 
     @classmethod
     def build(
         cls,
         space: SemanticSpace,
-        d: Dataset,
-        cfg: CueConfig,
+        forms: Forms,
         restrict_ids: Optional[Sequence[int]] = None,
     ) -> "GoldPool":
-        ids = range(len(d)) if restrict_ids is None else restrict_ids
-        # pool rows by the hash of their bytes, so that no key copies a row
-        index: dict[int, list[int]] = {}
-        rows, keys, strings, first_key, entry_ids = [], [], [], [], []
-        for i in ids:
-            raw = space.S[i].tobytes()
-            same = index.setdefault(hash(raw), [])
-            at = next((r for r in same if rows[r].tobytes() == raw), None)
-            if at is None:
-                same.append(len(rows))
-                rows.append(space.S[i])
-                keys.append({space.gold_keys[i]})
-                strings.append({cfg.cue_string(d[i])})
-                first_key.append(space.gold_keys[i])
-                entry_ids.append([i])
-            else:
-                keys[at].add(space.gold_keys[i])
-                strings[at].add(cfg.cue_string(d[i]))
-                entry_ids[at].append(i)
-        stacked = np.vstack(rows)
-        return cls(centre(stacked, out=stacked), keys, strings, first_key, entry_ids)
+        entry_ids = distinct_rows(space.S, ids=restrict_ids)
+        rows = space.S[[ids[0] for ids in entry_ids]]
+        form_of = forms.row.tolist()
+        return cls(
+            centre(rows, out=rows),
+            [{space.gold_keys[i] for i in ids} for ids in entry_ids],
+            [{form_of[i] for i in ids} for ids in entry_ids],
+            entry_ids,
+        )
 
 
 class Forms(NamedTuple):
@@ -210,7 +198,7 @@ class Scores(NamedTuple):
     row nearest to the prediction, -1 where the prediction has zero
     variance, and best_key that row's first key (None at -1);
     correct_strict and correct_lenient whether that row carries the
-    entry's own key, or its cue string (both False at -1)."""
+    entry's own key, or its form (both False at -1)."""
 
     r_target: np.ndarray
     best_index: np.ndarray
@@ -219,69 +207,49 @@ class Scores(NamedTuple):
     correct_lenient: np.ndarray
 
 
-def score_items(
-    S_hat: np.ndarray | Centred,
-    space: SemanticSpace,
-    pool: GoldPool,
-    d: Dataset,
-    cfg: CueConfig,
-    forms: Optional[np.ndarray] = None,
-) -> Scores:
+def score_items(preds: Centred, space: SemanticSpace, pool: GoldPool, forms: Forms) -> Scores:
     """Grade every dataset entry's prediction against the pool.
 
-    forms[i] is the row of S_hat that predicts entry i (Forms.row, with
-    one row of S_hat per distinct form); by default S_hat has one row per
-    entry.  S_hat is an array, which is left unchanged, or already
-    centred (e.g. centre(P, out=P) of a fresh product P, which is then not
-    copied).  The correlations R with the pool, the degenerate test and
-    the best pool row are computed once per row of S_hat.  Per entry,
-    r_target is the correlation of its prediction with its own gold row;
-    the strict/lenient flags compare the best pool row's keys and cue
-    strings with the entry's own.
+    preds holds one centred prediction row per form (row k predicts the
+    entries i with forms.row[i] == k), e.g. centre(P, out=P) of a fresh
+    product P, which is then not copied.  The correlations R with the
+    pool, the degenerate test and the best pool row are computed once per
+    form.  Per entry, r_target is the correlation of its prediction with
+    its own gold row; the strict/lenient flags compare the best pool
+    row's keys and forms with the entry's own.
 
-    One scoring allocates two large arrays: the centred predictions (none
-    when S_hat is already centred) and their (rows of S_hat, pool rows)
+    One scoring allocates one large array: the (forms, pool rows)
     correlations R.  Everything else is a row block of about CHUNK_BYTES
     or one value per entry; the entries' gold rows are copied from
     space.S and centred one block at a time.
     """
-    m = (S_hat.rows if isinstance(S_hat, Centred) else S_hat).shape[0]
     n = len(space.S)
-    if forms is None:
-        if m != n:
-            raise ComprehensionError("S_hat must have one row per dataset entry")
-        forms = np.arange(n)
-    else:
-        forms = np.asarray(forms)
-        if forms.shape != (n,) or not np.issubdtype(forms.dtype, np.integer):
-            raise ComprehensionError("forms must give one row of S_hat per dataset entry")
-        if n and (forms.min() < 0 or forms.max() >= m):
-            raise ComprehensionError(f"forms names a row outside S_hat's {m} rows")
-    preds = centre(S_hat)
+    if forms.row.shape != (n,) or preds.rows.shape[0] != len(forms.first):
+        raise ComprehensionError("preds must hold one row per form of the scored entries")
     r_own = np.empty(n)
     for rows in _row_chunks(n, space.S.shape[1]):
         gold = np.array(space.S[rows], dtype=np.float64)
-        r_own[rows] = rowwise_pearson(preds.take(forms[rows]), centre(gold, out=gold))
+        r_own[rows] = rowwise_pearson(preds.take(forms.row[rows]), centre(gold, out=gold))
     R = pearson_matrix(preds, pool.centred)
     # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
     # wins, and argmax keeps the first of tied maxima; -1 for a row of
     # NaN only (a zero-variance prediction).
-    best = np.empty(m, dtype=np.intp)
+    best = np.empty(len(R), dtype=np.intp)
     for rows in _row_chunks(*R.shape):
         block = R[rows]
         undefined = np.isnan(block)
         block[undefined] = -np.inf
         best[rows] = np.where(undefined.all(axis=1), -1, block.argmax(axis=1))
-    best = best[forms]
+    best = best[forms.row]
     at = best.tolist()
     return Scores(
         r_target=r_own,
         best_index=best,
-        best_key=[None if b < 0 else pool.first_key[b] for b in at],
+        best_key=[None if b < 0 else space.gold_keys[pool.entry_ids[b][0]] for b in at],
         correct_strict=np.array([b >= 0 and key in pool.keys[b]
                                  for b, key in zip(at, space.gold_keys)], dtype=bool),
-        correct_lenient=np.array([b >= 0 and cfg.cue_string(e) in pool.cue_strings[b]
-                                  for b, e in zip(at, d)], dtype=bool),
+        correct_lenient=np.array([b >= 0 and f in pool.form_ids[b]
+                                  for b, f in zip(at, forms.row.tolist())], dtype=bool),
     )
 
 

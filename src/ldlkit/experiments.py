@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import os
 import pickle
@@ -117,7 +118,6 @@ class ExperimentConfig:
     production_top_n: int = _key("production.top_n", 5)
     production_max_paths: Optional[int] = _key("production.max_paths", None, int)
     max_len_margin: int = _key("production.max_len_margin", 2, low=(">=", 0))
-    frequency_effect: bool = _key("analyses.frequency_effect", True)
     error_analysis: bool = _key("analyses.error_analysis", False)
     seed_split: int = _key("seeds.split", 1)
     seed_semantics: int = _key("seeds.semantics", 2)
@@ -234,6 +234,23 @@ def resolved_pairs(cfg: ExperimentConfig) -> dict[str, str]:
     return out
 
 
+def _finite(obj):
+    """obj with every non-finite float, however deep, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def json_text(obj, indent: Optional[int] = None) -> str:
+    """obj as JSON with sorted keys.  JSON (RFC 8259) has no NaN or
+    infinity, so a non-finite statistic is written as null."""
+    return json.dumps(_finite(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def write_outputs(
     cfg: ExperimentConfig,
     report: Optional[dict] = None,
@@ -255,8 +272,7 @@ def write_outputs(
     report["config"] = pairs
     report["seeds"] = {"split": cfg.seed_split, "semantics": cfg.seed_semantics, "stream": cfg.seed_stream}
     with open(os.path.join(cfg.output, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(report, indent=2) + "\n")
 
 
 @dataclass
@@ -287,7 +303,7 @@ class PipelineState:
         own, and the calling process builds it only to score the final
         weights itself or for the role error analysis."""
         ids = None if self.cfg.gold_pool == "all" else list(self.split.train_ids)
-        return comp.GoldPool.build(self.space, self.dataset, self.cue_cfg, restrict_ids=ids)
+        return comp.GoldPool.build(self.space, self.forms, restrict_ids=ids)
 
     @cached_property
     def forms(self) -> comp.Forms:
@@ -472,9 +488,7 @@ def comprehension_scores(state: PipelineState, F: Mapping) -> comp.Scores:
     first scoring in a process builds its gold pool and its forms."""
     forms = state.forms
     S_hat = state.C.rows[forms.first] @ F.W
-    preds = comp.centre(S_hat, out=S_hat)
-    return comp.score_items(preds, state.space, state.pool, state.dataset, state.cue_cfg,
-                            forms.row)
+    return comp.score_items(comp.centre(S_hat, out=S_hat), state.space, state.pool, forms)
 
 
 def comprehension_accuracies(state: PipelineState, results: comp.Scores) -> dict[str, float]:
@@ -855,22 +869,21 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
         ]
     }
 
-    if cfg.frequency_effect:
-        freq = np.array([d[i].token_frequency for i in split.train_ids], dtype=np.float64)
-        r_inc = inc_results.r_target[train_ids]
-        r_end = end_results.r_target[train_ids]
-        logf = np.log1p(freq)
-        ok = ~(np.isnan(r_inc) | np.isnan(r_end))
-        report["frequency_effect"] = {
-            "spearman_incremental": comp.spearman(logf[ok], r_inc[ok]),
-            "spearman_endstate": comp.spearman(logf[ok], r_end[ok]),
-            "pearson_incremental": comp.pearson(logf[ok], r_inc[ok]),
-            "pearson_endstate": comp.pearson(logf[ok], r_end[ok]),
-        }
-        tables["items.csv"] = [["id", "frequency", "r_target_incremental", "r_target_endstate"]] + [
-            [i, int(f0), repr(float(ri)), repr(float(re_))]
-            for i, f0, ri, re_ in zip(split.train_ids, freq, r_inc, r_end)
-        ]
+    freq = np.array([d[i].token_frequency for i in split.train_ids], dtype=np.float64)
+    r_inc = inc_results.r_target[train_ids]
+    r_end = end_results.r_target[train_ids]
+    logf = np.log1p(freq)
+    ok = ~(np.isnan(r_inc) | np.isnan(r_end))
+    report["frequency_effect"] = {
+        "spearman_incremental": comp.spearman(logf[ok], r_inc[ok]),
+        "spearman_endstate": comp.spearman(logf[ok], r_end[ok]),
+        "pearson_incremental": comp.pearson(logf[ok], r_inc[ok]),
+        "pearson_endstate": comp.pearson(logf[ok], r_end[ok]),
+    }
+    tables["items.csv"] = [["id", "frequency", "r_target_incremental", "r_target_endstate"]] + [
+        [i, int(f0), repr(float(ri)), repr(float(re_))]
+        for i, f0, ri, re_ in zip(split.train_ids, freq, r_inc, r_end)
+    ]
 
     if cfg.error_analysis and cfg.feature_scheme == "role":
         report["role_errors"] = {

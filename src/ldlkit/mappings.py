@@ -39,22 +39,32 @@ class Mapping:
     trained_tokens: int = 0
 
 
-def _dedup_pairs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop exact duplicate (x_row, y_row) pairs, keeping first occurrences.
+def distinct_rows(*arrays: np.ndarray, ids: Optional[Sequence[int]] = None) -> list[list[int]]:
+    """The ids (by default every row's) grouped by equal rows in every
+    array, groups and ids in order of first occurrence.  Rows are keyed by
+    the hash of their bytes, and compared on a hit, so that no key copies
+    a row."""
+    index: dict[int, list[list[int]]] = {}
+    groups: list[list[int]] = []
+    for i in range(len(arrays[0])) if ids is None else ids:
+        raw = tuple(A[i].tobytes() for A in arrays)
+        same = index.setdefault(hash(raw), [])
+        group = next((g for g in same
+                      if all(A[g[0]].tobytes() == r for A, r in zip(arrays, raw))), None)
+        if group is None:
+            group = []
+            same.append(group)
+            groups.append(group)
+        group.append(i)
+    return groups
 
-    Identical inputs mapped to different outputs are distinct pairs and
-    are kept: the regression then predicts their average.  Pairs are
-    keyed by the hash of their bytes, and the rows compared on a hit, so
-    that no key copies a pair.
-    """
-    index: dict[int, list[int]] = {}
-    keep = []
-    for i in range(X.shape[0]):
-        x, y = X[i].tobytes(), Y[i].tobytes()
-        same = index.setdefault(hash((x, y)), [])
-        if not any(X[j].tobytes() == x and Y[j].tobytes() == y for j in same):
-            same.append(i)
-            keep.append(i)
+
+def _dedup_pairs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop exact duplicate (x_row, y_row) pairs, keeping first occurrences
+    (distinct_rows).  Identical inputs mapped to different outputs are
+    distinct pairs and are kept: the regression then predicts their
+    average."""
+    keep = [ids[0] for ids in distinct_rows(X, Y)]
     if len(keep) == X.shape[0]:
         return X, Y
     return X[keep], Y[keep]

@@ -14,6 +14,7 @@ from ldlkit import (
     CueConfig,
     CueInventory,
     Dataset,
+    Forms,
     GoldPool,
     PositionalSupportModel,
     WordEntry,
@@ -24,6 +25,7 @@ from ldlkit import (
     simulate_vectors,
     split_random,
 )
+from ldlkit.comprehension import centre
 from ldlkit.mappings import solve_endstate
 from ldlkit.production import CandidatePaths, positional_targets, train_positional
 
@@ -135,8 +137,9 @@ def paradigm_lexicon(n_lemmas: int = 50, seed: int = 11, homophones: bool = True
 
 def noisy_scores(predict_noise: float, seed: int = 0, homophones: bool = True):
     """(split, results) of scoring the paradigm lexicon's meanings plus
-    predict_noise times standard normal noise: 12 lemmas with homophones,
-    or 10 without, whose forms are then all distinct."""
+    predict_noise times standard normal noise, each form predicted by its
+    first entry's (score_entries): 12 lemmas with homophones, or 10
+    without, whose forms are then all distinct."""
     n_lemmas, dim, space_seed, fraction = (12, 30, 4, 0.75) if homophones else (10, 25, 5, 0.7)
     d = paradigm_lexicon(n_lemmas, homophones=homophones)
     cfg = CueConfig(unit="phone", n=3)
@@ -145,7 +148,16 @@ def noisy_scores(predict_noise: float, seed: int = 0, homophones: bool = True):
     rng = np.random.default_rng(seed)
     S_hat = space.S + predict_noise * rng.normal(size=space.S.shape)
     split = split_random(d, fraction, seed=seed, cue_string_of=cfg.cue_string)
-    return split, score_items(S_hat, space, GoldPool.build(space, d, cfg), d, cfg)
+    return split, score_entries(S_hat, space, d, cfg)
+
+
+def score_entries(S_hat: np.ndarray, space, d: Dataset, cfg: CueConfig, pool=None):
+    """score_items on per-entry predictions S_hat taken at each form's
+    first entry, so that every entry of a form gets that entry's
+    prediction, against pool (by default a pool of every entry)."""
+    forms = Forms.build(d, cfg)
+    pool = GoldPool.build(space, forms) if pool is None else pool
+    return score_items(centre(S_hat[forms.first]), space, pool, forms)
 
 
 def loss_gradient(W: np.ndarray, c: np.ndarray, o: np.ndarray, h: float = 1e-5) -> np.ndarray:

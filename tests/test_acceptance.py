@@ -20,6 +20,7 @@ from scipy import stats
 from ldlkit import (
     CueConfig,
     Dataset,
+    Forms,
     GoldPool,
     build_cue_matrix,
     build_inventory,
@@ -29,7 +30,6 @@ from ldlkit import (
     novel_cues,
     prune,
     sample_token_stream,
-    score_items,
     simulate_vectors,
     solve_endstate,
     split_no_novel_cues,
@@ -41,7 +41,7 @@ from ldlkit.lexicon import save_dataset
 from ldlkit.production import ProductionParams, positional_targets, produce, train_positional
 from ldlkit.experiments import resolve_config, run_wug
 
-from corpora import loss_gradient, noisy_scores, paradigm_lexicon, toy_lexicon
+from corpora import loss_gradient, noisy_scores, paradigm_lexicon, score_entries, toy_lexicon
 
 
 @contextmanager
@@ -65,7 +65,7 @@ def toy100():
     assert np.linalg.matrix_rank(C.rows) == 100, "toy rows must be independent"
     space = simulate_vectors(d, dim=130, seed=2)
     F = solve_endstate(C.rows, space.S)
-    pool = GoldPool.build(space, d, cfg)
+    pool = GoldPool.build(space, Forms.build(d, cfg))
     return d, cfg, strings, inv, C, space, F, pool
 
 
@@ -86,7 +86,7 @@ def test_criterion_01_regression_oracle_equivalence():
 def test_criterion_02_exact_memorization(toy100):
     with criterion(2, "end-state memorizes the 100-form toy lexicon"):
         d, cfg, strings, inv, C, space, F, pool = toy100
-        results = score_items(C.rows @ F.W, space, pool, d, cfg)
+        results = score_entries(C.rows @ F.W, space, d, cfg, pool)
         accuracy = np.count_nonzero(results.correct_lenient) / len(results.correct_lenient)
         assert accuracy == 1.0
         assert (results.r_target >= 1 - 1e-9).all()
@@ -220,7 +220,7 @@ def test_criterion_09_pruning_curve(toy100, tmp_path):
         d, cfg, strings, inv, C, space, F, pool = toy100
 
         def train_accuracy(mapping):
-            res = score_items(C.rows @ mapping.W, space, pool, d, cfg)
+            res = score_entries(C.rows @ mapping.W, space, d, cfg, pool)
             return np.count_nonzero(res.correct_lenient) / len(res.correct_lenient)
 
         baseline = train_accuracy(F)

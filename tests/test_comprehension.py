@@ -24,7 +24,7 @@ from ldlkit import (
     solve_endstate,
     split_random,
 )
-from ldlkit import comprehension
+from ldlkit import comprehension, mappings
 from ldlkit.comprehension import (
     ComprehensionError,
     Forms,
@@ -40,7 +40,7 @@ from ldlkit.comprehension import (
 from ldlkit.lexicon import WordEntry
 from ldlkit.semantics import SemanticSpace
 
-from corpora import noisy_scores, paradigm_lexicon, toy_lexicon
+from corpora import noisy_scores, paradigm_lexicon, score_entries, toy_lexicon
 
 
 def entry(wordform, lemma, case, number):
@@ -56,9 +56,7 @@ class TestFullRankToy:
         C = build_cue_matrix(strings, inv, cfg)
         space = simulate_vectors(d, dim=60, seed=1)
         F = solve_endstate(C.rows, space.S)
-        S_hat = C.rows @ F.W
-        pool = GoldPool.build(space, d, cfg)
-        results = score_items(S_hat, space, pool, d, cfg)
+        results = score_entries(C.rows @ F.W, space, d, cfg)
         assert results.correct_strict.all()
         assert (results.r_target >= 1 - 1e-9).all()
 
@@ -134,9 +132,10 @@ class TestGoldPool:
         space = SemanticSpace(S=np.vstack([vec, vec, [0.0, 1.0, -1.0]]),
                               gold_keys=[("Aal",), ("Aal",), ("Buch",)])
         cfg = CueConfig(unit="letter", n=2)
-        pool = GoldPool.build(space, d, cfg)
+        pool = GoldPool.build(space, Forms.build(d, cfg))
         assert pool.centred.rows.shape[0] == 2
-        assert pool.entry_ids[0] == [0, 1]
+        assert pool.entry_ids == [[0, 1], [2]]
+        assert pool.form_ids == [{0}, {1}]
 
     def test_shared_vector_scores_all_readings_strict(self):
         d = Dataset([entry("Aal", "Aal", "nominative", "singular"),
@@ -144,9 +143,27 @@ class TestGoldPool:
         vec = np.array([1.0, -2.0, 0.5, 3.0])
         space = SemanticSpace(S=np.vstack([vec, vec]), gold_keys=[("Aal",), ("Aal",)])
         cfg = CueConfig(unit="letter", n=2)
-        pool = GoldPool.build(space, d, cfg)
-        results = score_items(np.vstack([vec, vec]), space, pool, d, cfg)
+        results = score_entries(np.vstack([vec, vec]), space, d, cfg)
         assert results.correct_strict.all()
+
+    def test_lenient_credit_follows_the_cue_unit(self):
+        # one pronunciation, two spellings: one form under phone cues, two
+        # under letter cues; both forms predict the second entry's meaning
+        d = Dataset([WordEntry(wordform=w, pronunciation="al", lemma=w, case="nominative",
+                               number="singular", gender="masculine", frequency=1)
+                     for w in ("Aal", "Ahl")])
+        space = SemanticSpace(S=np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, -1.0, 2.0]]),
+                              gold_keys=[("Aal",), ("Ahl",)])
+        for unit, form_ids, lenient in (("phone", [{0}, {0}], [True, True]),
+                                        ("letter", [{0}, {1}], [False, True])):
+            cfg = CueConfig(unit=unit, n=2)
+            forms = Forms.build(d, cfg)
+            pool = GoldPool.build(space, forms)
+            assert pool.form_ids == form_ids
+            results = score_items(centre(space.S[[1] * len(forms.first)]), space, pool, forms)
+            assert results.best_index.tolist() == [1, 1]
+            assert results.correct_strict.tolist() == [False, True]
+            assert results.correct_lenient.tolist() == lenient
 
 
 def test_score_items_best_rows_match_per_row_nanargmax():
@@ -158,14 +175,16 @@ def test_score_items_best_rows_match_per_row_nanargmax():
     d = Dataset([entry(f"W{i}", f"W{i}", "nominative", "singular") for i in range(n)])
     space = SemanticSpace(S=gold, gold_keys=[(f"W{i}",) for i in range(n)])
     cfg = CueConfig(unit="letter", n=2)
-    pool = GoldPool.build(space, d, cfg)
+    forms = Forms.build(d, cfg)
+    assert np.array_equal(forms.first, np.arange(n))  # one form per entry
+    pool = GoldPool.build(space, forms)
     split = split_random(d, 0.5, seed=0, cue_string_of=cfg.cue_string)
     S_hat = np.vstack([base[1], rng.normal(size=(n - 2, 6)), np.full(6, 1.0)])
     bests = None
     # the plain predictions, then affine rescalings of them: correlation
     # ignores scale and offset, so every best row stays
     for a, b in ((1.0, 0.0), (2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
-        results = score_items(a * S_hat + b, space, pool, d, cfg)
+        results = score_items(centre(a * S_hat + b), space, pool, forms)
         R = pearson_matrix(a * S_hat + b, pool_rows(pool, space))
         assert np.isnan(R[:-1]).any(axis=0).sum() == 1 and np.isnan(R[-1]).all()
         assert R[0, 1] == R[0, 4]
@@ -185,15 +204,17 @@ def test_scores_hold_one_row_per_entry_and_minus_one_at_zero_variance_only():
     d = paradigm_lexicon(12, seed=5)
     cfg = CueConfig(unit="phone", n=3)
     space = simulate_vectors(d, dim=30, seed=4)
-    S_hat = space.S + 2.0 * np.random.default_rng(2).normal(size=space.S.shape)
+    forms = Forms.build(d, cfg)
+    S_hat = space.S[forms.first] + 2.0 * np.random.default_rng(2).normal(
+        size=(len(forms.first), 30))
     S_hat[::7] = 1.5
     n = len(d)
-    results = score_items(S_hat, space, GoldPool.build(space, d, cfg), d, cfg)
+    results = score_items(centre(S_hat), space, GoldPool.build(space, forms), forms)
     assert [len(field) for field in results] == [n] * len(Scores._fields) and n > 40
     assert results.r_target.dtype == np.float64 and results.best_index.dtype == np.intp
     assert results.correct_strict.dtype == results.correct_lenient.dtype == bool
     degenerate = results.best_index == -1
-    assert np.array_equal(degenerate, np.arange(n) % 7 == 0)
+    assert np.array_equal(degenerate, forms.row % 7 == 0) and 0 < degenerate.sum() < n
     assert [key is None for key in results.best_key] == degenerate.tolist()
     assert not (results.correct_strict[degenerate] | results.correct_lenient[degenerate]).any()
     assert results.correct_lenient[~degenerate].any()
@@ -264,17 +285,32 @@ def test_score_items_cached_statistics_match_direct_pearson():
     inv = build_inventory([cfg.cue_string(e) for e in d], cfg)
     C = build_cue_matrix([cfg.cue_string(e) for e in d], inv, cfg)
     space = simulate_vectors(d, dim=30, seed=4)
-    S_hat = C.rows @ solve_endstate(C.rows, space.S).W
+    forms = Forms.build(d, cfg)
+    S_hat = (C.rows @ solve_endstate(C.rows, space.S).W)[forms.first]
+    preds = centre(S_hat)
     for pool, gold in itertools.product(
-        (GoldPool.build(space, d, cfg), GoldPool.build(space, d, cfg, restrict_ids=range(0, len(d), 2))),
+        (GoldPool.build(space, forms), GoldPool.build(space, forms, restrict_ids=range(0, len(d), 2))),
         (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)),
     ):
         for _ in range(2):
-            results = score_items(S_hat, gold, pool, d, cfg)
+            results = score_items(preds, gold, pool, forms)
             r_own = results.r_target.tolist()
-            assert r_own == rowwise_pearson(S_hat, gold.S).tolist()
-            best = pearson_matrix(S_hat, pool_rows(pool, space)).argmax(axis=1).tolist()
-            assert results.best_index.tolist() == best
+            assert r_own == rowwise_pearson(S_hat[forms.row], gold.S).tolist()
+            best = pearson_matrix(S_hat, pool_rows(pool, space)).argmax(axis=1)[forms.row]
+            assert results.best_index.tolist() == best.tolist()
+
+
+# Values of the drawn matrices, one byte each: half the table holds the
+# integers -2 to 2, so that rows tie, repeat and turn constant; the other
+# half floats of full mantissa in [-8, 8].
+_VALUES = np.concatenate([np.arange(128) % 5 - 2.0, np.random.default_rng(9).uniform(-8, 8, 128)])
+
+
+def matrices(rows, dims):
+    """A (rows, dims) matrix of _VALUES, drawn as one byte string."""
+    size = rows * dims
+    return st.binary(min_size=size, max_size=size).map(
+        lambda raw: _VALUES[np.frombuffer(raw, dtype=np.uint8)].reshape(rows, dims))
 
 
 @st.composite
@@ -283,19 +319,17 @@ def scoring_cases(draw):
     forms, and every way of choosing the pool and the gold space."""
     n = draw(st.integers(2, 9))
     dims = draw(st.integers(2, 40))  # past numpy's pairwise-summation block of 8
-    value = st.integers(-2, 2) | st.floats(-8, 8, allow_subnormal=False)
-    row = st.lists(value, min_size=dims, max_size=dims)
-    distinct = draw(st.lists(row, min_size=1, max_size=n))
-    gold = np.array([distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(n)], dtype=float)
-    S_hat = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
-    for i in draw(st.sets(st.integers(0, n - 1))):
-        S_hat[i] = S_hat[i, 0]  # zero variance
     forms = [f"W{draw(st.integers(0, n // 2))}" for _ in range(n)]
+    distinct = draw(matrices(draw(st.integers(1, n)), dims))
+    gold = distinct[draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))]
+    n_forms = len(set(forms))
+    S_hat = draw(matrices(n_forms, dims))  # one row per form
+    for k in draw(st.sets(st.integers(0, n_forms - 1))):
+        S_hat[k] = S_hat[k, 0]  # zero variance
     return dict(
         gold=gold, S_hat=S_hat, forms=forms,
         pool_ids=draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted)),
-        other_gold=draw(st.none() | st.just(np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float))),
-        centred_input=draw(st.booleans()),
+        other_gold=draw(st.none() | matrices(n, dims)),
         chunk_bytes=draw(st.integers(8, 160)),
     )
 
@@ -332,8 +366,8 @@ _WIDE = np.random.default_rng(8).normal(size=(4, 37))
 @given(case=scoring_cases())
 @settings(max_examples=300, deadline=None)
 @example(case=dict(  # one-row blocks of 37 dims: several pairwise-summation blocks per row
-    gold=_WIDE[[0, 1, 1, 2]], S_hat=_WIDE[[1, 2, 3, 0]] * 3.7 + 0.1, forms=["W0", "W1", "W0", "W2"],
-    pool_ids=[0, 1, 3], other_gold=None, centred_input=False, chunk_bytes=8,
+    gold=_WIDE[[0, 1, 1, 2]], S_hat=_WIDE[[1, 2, 0]] * 3.7 + 0.1, forms=["W0", "W1", "W0", "W2"],
+    pool_ids=[0, 1, 3], other_gold=None, chunk_bytes=8,
 ))
 def test_score_items_is_the_direct_pearson_on_copies(case):
     """Bit for bit, in row blocks of one to a few rows: a pool of every
@@ -344,32 +378,33 @@ def test_score_items_is_the_direct_pearson_on_copies(case):
     d = Dataset([entry(f, f, "nominative", "singular") for f in case["forms"]])
     keys = [(f"K{i}",) for i in range(n)]
     space = SemanticSpace(S=case["gold"], gold_keys=keys)
-    cfg = CueConfig(unit="letter", n=2)
-    pool = GoldPool.build(space, d, cfg, restrict_ids=case["pool_ids"])
+    forms = Forms.build(d, CueConfig(unit="letter", n=2))
+    pool = GoldPool.build(space, forms, restrict_ids=case["pool_ids"])
     gold = space if case["other_gold"] is None else SemanticSpace(S=case["other_gold"], gold_keys=keys)
     S_hat = case["S_hat"].copy()
-    given_rows = centre(S_hat) if case["centred_input"] else S_hat
+    per_entry = case["S_hat"][forms.row]
     with mock.patch.object(comprehension, "CHUNK_BYTES", case["chunk_bytes"]):
-        results = score_items(given_rows, gold, pool, d, cfg)
+        results = score_items(centre(S_hat), gold, pool, forms)
         R = pearson_matrix(case["S_hat"], pool_rows(pool, space))
-        r_own = rowwise_pearson(case["S_hat"], gold.S.copy())
+        r_own = rowwise_pearson(per_entry, gold.S.copy())
 
     np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"], pool_rows(pool, space)))
-    np.testing.assert_array_equal(r_own, _one_block_pearson(case["S_hat"], gold.S, True))
+    np.testing.assert_array_equal(r_own, _one_block_pearson(per_entry, gold.S, True))
     assert np.array_equal(S_hat, case["S_hat"])
     assert [len(field) for field in results] == [n] * len(results)
     np.testing.assert_array_equal(results.r_target, r_own)
     reasons = [row[-1] for row in item_score_rows(results, split_random(d, 0.5, seed=0))][1:]
-    for i, r in enumerate(R):
+    for i, r in enumerate(R[forms.row]):
         if np.isnan(r).all():
             assert (results.best_index[i], results.best_key[i], reasons[i]) == (
                 -1, None, "zero-variance prediction")
             assert not (results.correct_strict[i] or results.correct_lenient[i])
             continue
         best = int(np.nanargmax(r))
-        assert (results.best_index[i], results.best_key[i]) == (best, pool.first_key[best])
-        assert results.correct_strict[i] == (keys[i] in pool.keys[best])
-        assert results.correct_lenient[i] == (cfg.cue_string(d[i]) in pool.cue_strings[best])
+        at_best = pool.entry_ids[best]
+        assert (results.best_index[i], results.best_key[i]) == (best, keys[at_best[0]])
+        assert results.correct_strict[i] == (keys[i] in {keys[j] for j in at_best})
+        assert results.correct_lenient[i] == (case["forms"][i] in {case["forms"][j] for j in at_best})
 
 
 def test_score_items_leaves_its_input_unchanged():
@@ -377,12 +412,12 @@ def test_score_items_leaves_its_input_unchanged():
     S = rng.normal(size=(4, 6))
     d = Dataset([entry(f"W{i}", f"W{i}", "nominative", "singular") for i in range(4)])
     space = SemanticSpace(S=S, gold_keys=[(i,) for i in range(4)])
-    cfg = CueConfig(unit="letter", n=2)
-    pool = GoldPool.build(space, d, cfg)
-    S_hat = S + rng.normal(scale=0.1, size=S.shape)
-    before = S_hat.copy()
-    score_items(S_hat, space, pool, d, cfg)
-    assert np.array_equal(S_hat, before)
+    forms = Forms.build(d, CueConfig(unit="letter", n=2))
+    pool = GoldPool.build(space, forms)
+    preds = centre(S + rng.normal(scale=0.1, size=S.shape))
+    before = [a.copy() for a in preds]
+    score_items(preds, space, pool, forms)
+    assert all(np.array_equal(a, b) for a, b in zip(preds, before))
     assert np.array_equal(space.S, S)
 
 
@@ -390,7 +425,7 @@ def test_gold_pool_keeps_no_copy_of_the_gold_matrix():
     d = paradigm_lexicon(6, seed=5)
     cfg = CueConfig(unit="phone", n=3)
     space = simulate_vectors(d, dim=12, seed=4)
-    pool = GoldPool.build(space, d, cfg, restrict_ids=range(0, len(d), 2))
+    pool = GoldPool.build(space, Forms.build(d, cfg), restrict_ids=range(0, len(d), 2))
     assert not hasattr(pool, "gold_centred")
     arrays = [v for v in vars(pool).values() if isinstance(v, np.ndarray)]
     arrays += list(pool.centred)
@@ -403,9 +438,10 @@ def test_gold_pool_build_copies_no_gold_row():
     d = paradigm_lexicon(250)
     cfg = CueConfig(unit="phone", n=3)
     space = simulate_vectors(d, dim=1000, seed=4)
+    forms = Forms.build(d, cfg)
     tracemalloc.start()
     try:
-        pool = GoldPool.build(space, d, cfg)
+        pool = GoldPool.build(space, forms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,13 +455,15 @@ def test_gold_pool_rows_with_one_hash_stay_apart_unless_equal():
     cfg = CueConfig(unit="phone", n=3)
     space = simulate_vectors(d, dim=12, seed=4)
     space = SemanticSpace(S=space.S[[0, 1, 0, 2, 1]], gold_keys=space.gold_keys[:5])
-    d = Dataset(list(d)[:5])
-    expected = GoldPool.build(space, d, cfg)
+    forms = Forms.build(Dataset(list(d)[:5]), cfg)
+    expected = GoldPool.build(space, forms)
     assert expected.entry_ids == [[0, 2], [1, 4], [3]]
-    with mock.patch.object(comprehension, "hash", lambda raw: 0, create=True):
-        colliding = GoldPool.build(space, d, cfg)
+    assert expected.form_ids == [{forms.row[0], forms.row[2]}, {forms.row[1], forms.row[4]},
+                                 {forms.row[3]}]
+    with mock.patch.object(mappings, "hash", lambda raw: 0, create=True):
+        colliding = GoldPool.build(space, forms)
     assert colliding.entry_ids == expected.entry_ids
-    assert colliding.first_key == expected.first_key
+    assert (colliding.keys, colliding.form_ids) == (expected.keys, expected.form_ids)
     assert np.array_equal(colliding.centred.rows, expected.centred.rows)
 
 
@@ -441,7 +479,7 @@ class TestDistinctForms:
         # each form predicts its first entry's meaning, slightly off
         rng = np.random.default_rng(3)
         S_forms = space.S[forms.first] + 0.1 * rng.normal(size=(len(forms.first), 30))
-        return d, cfg, space, GoldPool.build(space, d, cfg), forms, S_forms
+        return d, cfg, space, GoldPool.build(space, forms), forms, S_forms
 
     def test_forms_index_each_entry_by_its_cue_string(self, case):
         d, cfg, _, _, forms, _ = case
@@ -452,8 +490,9 @@ class TestDistinctForms:
 
     def test_entries_of_one_form_share_the_best_row_only(self, case):
         d, cfg, space, pool, forms, S_forms = case
-        results = score_items(S_forms, space, pool, d, cfg, forms.row)
+        results = score_items(centre(S_forms), space, pool, forms)
         best, keys = results.best_index, results.best_key
+        R = pearson_matrix(S_forms, pool_rows(pool, space))
         mixed_strict = 0
         for k in range(len(forms.first)):
             group = np.flatnonzero(forms.row == k).tolist()
@@ -462,25 +501,25 @@ class TestDistinctForms:
                 assert len(set(results.r_target[group])) == len(group)
                 mixed_strict += len(set(results.correct_strict[group])) > 1
             for i in group:
+                # the entry's own oracle: its form's nearest pool row, whose
+                # entries' cue strings give the lenient credit
+                at_best = pool.entry_ids[np.nanargmax(R[k])]
+                assert (best[i], keys[i]) == (np.nanargmax(R[k]), space.gold_keys[at_best[0]])
                 assert results.r_target[i] == pearson(S_forms[k], space.S[i])
                 assert results.correct_strict[i] == (space.gold_keys[i] in pool.keys[best[i]])
+                assert results.correct_lenient[i] == (
+                    cfg.cue_string(d[i]) in {cfg.cue_string(d[j]) for j in at_best})
         assert mixed_strict > 0
-        # the same scores as one prediction row per entry
-        per_entry = score_items(S_forms[forms.row], space, pool, d, cfg)
-        assert keys == per_entry.best_key
-        for name in ("r_target", "best_index", "correct_strict", "correct_lenient"):
-            assert np.array_equal(getattr(results, name), getattr(per_entry, name)), name
 
     def test_forms_of_the_wrong_length_or_out_of_range_rejected(self, case):
-        d, cfg, space, pool, forms, S_forms = case
-        with pytest.raises(ComprehensionError, match="one row of S_hat per dataset entry"):
-            score_items(S_forms, space, pool, d, cfg, forms.row[:-1])
-        with pytest.raises(ComprehensionError, match="one row of S_hat per dataset entry"):
-            score_items(S_forms, space, pool, d, cfg, forms.row.astype(float))
-        for bad_row in (len(forms.first), -1):
-            bad = forms.row.copy()
-            bad[3] = bad_row
-            with pytest.raises(ComprehensionError, match="outside S_hat's"):
-                score_items(S_forms, space, pool, d, cfg, bad)
-        with pytest.raises(ComprehensionError, match="one row per dataset entry"):
-            score_items(S_forms, space, pool, d, cfg)
+        """Forms of another number of entries, and predictions of another
+        number of forms: too few, so that a form names a row outside them,
+        or one row per entry."""
+        _, _, space, pool, forms, S_forms = case
+        for preds, forms_given in (
+            (S_forms, Forms(forms.first, forms.row[:-1])),
+            (S_forms[:-1], forms),
+            (S_forms[forms.row], forms),
+        ):
+            with pytest.raises(ComprehensionError, match="one row per form of the scored entries"):
+                score_items(centre(preds), space, pool, forms_given)

@@ -669,6 +669,22 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert "comprehension" in out
 
+    @pytest.mark.parametrize("verb, scores", [("endstate", "comprehension"),
+                                              ("incremental", "incremental")])
+    def test_a_nan_statistic_is_written_as_null(self, data_path, tmp_path, capsys, verb, scores):
+        # three lemmas leave no new form to validate on: val_newform is NaN
+        argv = cli_argv(verb, data_path, tmp_path) + [
+            "--set", "roles.subsample_lemmas=3", "--set", "production.enabled=false"]
+        assert cli.main(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"),
+                            parse_constant=reject)
+        assert summary[scores]["val_newform"] is None and report[scores]["val_newform"] is None
+
     def test_error_is_machine_readable(self, tmp_path, capsys):
         [err] = cli_errors(cli_argv("endstate", "/does/not/exist.tsv", tmp_path), capsys)
         assert "error" in err
@@ -1622,9 +1638,9 @@ def test_one_scoring_holds_the_predictions_and_correlations_only(tmp_path):
 ])
 def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
     """comprehension_scores maps each distinct form once; scoring the
-    per-entry product C @ W gives the same best rows, best keys and flags,
-    and r_target within 1e-12, for an end-state F and for the weights at a
-    checkpoint of the token stream."""
+    per-entry product C @ W, taken at each form's first entry, gives the
+    same best rows, best keys and flags, and r_target within 1e-12, for an
+    end-state F and for the weights at a checkpoint of the token stream."""
     data = ROOT / "data" / "demo.tsv"
     if corpus != "demo":
         data = tmp_path / "corpus.tsv"
@@ -1644,8 +1660,8 @@ def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
                                    eta=0.01)
     for m in (ex.solve_f(state), checkpoint):
         ours = ex.comprehension_scores(state, m)
-        oracle = comprehension.score_items(state.C.rows @ m.W, state.space, state.pool,
-                                           state.dataset, state.cue_cfg)
+        oracle = comprehension.score_items(comprehension.centre((state.C.rows @ m.W)[forms.first]),
+                                           state.space, state.pool, forms)
         assert len(ours.r_target) == len(oracle.r_target) == n
         for name in ("best_index", "best_key", "correct_strict", "correct_lenient"):
             assert list(getattr(ours, name)) == list(getattr(oracle, name)), name
