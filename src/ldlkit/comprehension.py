@@ -145,13 +145,14 @@ class GoldPool:
     lenient credit requires it to carry the item's form (Forms.row).  The
     rows are kept only in centred form, since a run scores against the
     same pool many times; the raw row of pool row r is
-    space.S[entry_ids[r][0]].
+    space.S[entry_ids[r][0]], and row[i] is entry i's pool row (-1: none).
     """
 
     centred: Centred
     keys: list[set]
     form_ids: list[set]
     entry_ids: list[list[int]]
+    row: np.ndarray
 
     @classmethod
     def build(
@@ -163,11 +164,15 @@ class GoldPool:
         entry_ids = distinct_rows(space.S, ids=restrict_ids)
         rows = space.S[[ids[0] for ids in entry_ids]]
         form_of = forms.row.tolist()
+        row = np.full(len(space.S), -1, dtype=np.intp)
+        for b, ids in enumerate(entry_ids):
+            row[ids] = b
         return cls(
             centre(rows, out=rows),
             [{space.gold_keys[i] for i in ids} for ids in entry_ids],
             [{form_of[i] for i in ids} for ids in entry_ids],
             entry_ids,
+            row,
         )
 
 
@@ -208,7 +213,7 @@ class Scores(NamedTuple):
 
 
 def score_items(preds: Centred, space: SemanticSpace, pool: GoldPool, forms: Forms) -> Scores:
-    """Grade every dataset entry's prediction against the pool.
+    """Grade every dataset entry's prediction against the pool of space.
 
     preds holds one centred prediction row per form (row k predicts the
     entries i with forms.row[i] == k), e.g. centre(P, out=P) of a fresh
@@ -220,16 +225,20 @@ def score_items(preds: Centred, space: SemanticSpace, pool: GoldPool, forms: For
 
     One scoring allocates one large array: the (forms, pool rows)
     correlations R.  Everything else is a row block of about CHUNK_BYTES
-    or one value per entry; the entries' gold rows are copied from
-    space.S and centred one block at a time.
+    or one value per entry.  An entry's centred gold row is its pool row
+    (centring is per row); only rows outside the pool are copied and centred.
     """
     n = len(space.S)
     if forms.row.shape != (n,) or preds.rows.shape[0] != len(forms.first):
         raise ComprehensionError("preds must hold one row per form of the scored entries")
     r_own = np.empty(n)
     for rows in _row_chunks(n, space.S.shape[1]):
-        gold = np.array(space.S[rows], dtype=np.float64)
-        r_own[rows] = rowwise_pearson(preds.take(forms.row[rows]), centre(gold, out=gold))
+        gold = pool.centred.take(pool.row[rows])
+        outside = np.flatnonzero(pool.row[rows] < 0)
+        if outside.size:
+            own = np.asarray(space.S[rows][outside], dtype=np.float64)
+            gold.rows[outside], gold.sq[outside] = centre(own, out=own)
+        r_own[rows] = rowwise_pearson(preds.take(forms.row[rows]), gold)
     R = pearson_matrix(preds, pool.centred)
     # Row-wise nanargmax, with NaN set to -inf in R itself: NaN never
     # wins, and argmax keeps the first of tied maxima; -1 for a row of

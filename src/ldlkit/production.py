@@ -185,8 +185,9 @@ class PositionalTargets:
     """Which gram fills which slot, as attested (item, flat column) pairs.
 
     Item items[t] has cue j at position p, where columns[t] == p * n_cues + j;
-    every other slot is empty.  No dense (n_items, max_len, n_cues) tensor
-    is built: training fills one position at a time.
+    every other slot is empty.  No dense (n_items, n_cues) slice of any
+    position is built: training sums the pseudo-inverse's columns of each
+    (position, cue) pair's items (train_positional).
     """
 
     items: np.ndarray
@@ -194,16 +195,6 @@ class PositionalTargets:
     n_items: int
     max_len: int
     n_cues: int
-
-    def position(self, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dense binary (n_items, n_cues) targets of position p, written
-        into out when it is given."""
-        at = self.columns // self.n_cues == p
-        if out is None:
-            out = np.empty((self.n_items, self.n_cues))
-        out.fill(0.0)
-        out[self.items[at], self.columns[at] - p * self.n_cues] = 1.0
-        return out
 
 
 def positional_targets(
@@ -238,34 +229,34 @@ def train_positional(
 ) -> PositionalSupportModel:
     """Least-squares positional support model.
 
-    One end-state solve per position over a shared input matrix; the
-    input factorization is computed once and reused, which matches the
-    per-position minimum-norm solutions.  Only the (position, cue)
-    columns that some training form fills are solved for: the
-    minimum-norm weights of an all-zero target column are zero, so a
-    position no form fills is not solved at all.  Every position's
-    targets and product go through one pair of buffers.
+    One minimum-norm solve per position over a shared input matrix: the
+    weights of a binary target column are the sum of pinv(inputs)'s
+    columns at the items that fill it.  Only the (position, cue) columns
+    that some training form fills are stored; an all-zero column's
+    weights are zero.  Each is summed in ascending item order, the first
+    item's column copied and each next one added, so its bits do not
+    depend on a BLAS's blocking.  No dense target slice or product is built.
     """
     if targets.n_items == 0:
         raise ProductionError("empty training set")
     if inputs.shape[0] != targets.n_items:
         raise ProductionError("inputs and targets must have one row per item")
-    n_cues = targets.n_cues
-    columns = np.unique(targets.columns)
+    columns, col = np.unique(targets.columns, return_inverse=True)
     pinv = np.linalg.pinv(np.asarray(inputs, dtype=np.float64))
     m = PositionalSupportModel(weights=np.empty((pinv.shape[0], columns.size)), columns=columns,
                                max_len=targets.max_len, inventory=inv, cfg=cfg)
-    dense = np.empty((targets.n_items, n_cues))
-    product = np.empty((pinv.shape[0], n_cues))
-    for p in range(m.max_len):
-        a, b = m.ends[p], m.ends[p + 1]
-        if a == b:
-            continue
-        # Each position's product runs over all its cues, so every stored
-        # column has the bits of the dense per-position solve
-        # pinv @ targets.position(p).
-        np.matmul(pinv, targets.position(p, out=dense), out=product)
-        m.weights[:, a:b] = product[:, columns[a:b] - p * n_cues]
+    # The pairs by stored column, each column's items ascending; a pair's
+    # rank is its place among its column's items.
+    order = np.lexsort((targets.items, col))
+    col, items = col[order], targets.items[order]
+    rank = np.arange(col.size) - np.searchsorted(col, col)
+    by_rank = [(col[rank == k], items[rank == k]) for k in range(rank.max(initial=0) + 1)]
+    step = max(1, (1 << 18) // (8 * targets.n_items))  # 256 KiB of pinv rows stay in cache
+    for a in range(0, pinv.shape[0], step):
+        P, W = pinv[a : a + step], m.weights[a : a + step]
+        W[:] = P[:, by_rank[0][1]]  # rank 0 holds every column once, in order
+        for cols, ids in by_rank[1:]:
+            W[:, cols] += P[:, ids]
     return m
 
 

@@ -279,7 +279,7 @@ def test_spearman_and_pearson_match_scipy(xy, swap):
 def test_score_items_cached_statistics_match_direct_pearson():
     """The pool's centred rows, and the gold rows centred block by block,
     give the bits of the direct helpers, for a pool of every entry or of
-    some and for the pool's own gold matrix or another."""
+    some, on two gold matrices, each scored against a pool of its own."""
     d = paradigm_lexicon(12, seed=5)
     cfg = CueConfig(unit="phone", n=3)
     inv = build_inventory([cfg.cue_string(e) for e in d], cfg)
@@ -288,16 +288,47 @@ def test_score_items_cached_statistics_match_direct_pearson():
     forms = Forms.build(d, cfg)
     S_hat = (C.rows @ solve_endstate(C.rows, space.S).W)[forms.first]
     preds = centre(S_hat)
-    for pool, gold in itertools.product(
-        (GoldPool.build(space, forms), GoldPool.build(space, forms, restrict_ids=range(0, len(d), 2))),
+    for gold, restrict_ids in itertools.product(
         (space, SemanticSpace(S=np.roll(space.S, 1, axis=0), gold_keys=space.gold_keys)),
+        (None, range(0, len(d), 2)),
     ):
+        pool = GoldPool.build(gold, forms, restrict_ids=restrict_ids)
         for _ in range(2):
             results = score_items(preds, gold, pool, forms)
             r_own = results.r_target.tolist()
             assert r_own == rowwise_pearson(S_hat[forms.row], gold.S).tolist()
-            best = pearson_matrix(S_hat, pool_rows(pool, space)).argmax(axis=1)[forms.row]
+            best = pearson_matrix(S_hat, pool_rows(pool, gold)).argmax(axis=1)[forms.row]
             assert results.best_index.tolist() == best.tolist()
+
+
+@pytest.mark.parametrize("pool_of", ["all", "train"])
+def test_r_target_reads_the_pool_rows_bit_for_bit(pool_of):
+    """score_items reads each entry's centred gold row from its pool row
+    and copies and centres only the rows of entries outside the pool
+    (semantics.pool=train's validation entries): r_target has the bits of
+    copying and centring every entry's own row, also for shared, constant
+    and rescaled rows."""
+    d = paradigm_lexicon(12, seed=5)
+    cfg = CueConfig(unit="phone", n=3)
+    S = simulate_vectors(d, dim=30, seed=4).S
+    S[[1, 3]] = S[0]  # one vector for three entries, as embeddings give homophones
+    S[5] = 0.25  # no variance
+    S[6] *= 1e-155  # a sum of squares that centre rescales
+    space = SemanticSpace(S=S, gold_keys=[(e.lemma, e.case, e.number) for e in d])
+    forms = Forms.build(d, cfg)
+    train = sorted(split_random(d, 0.7, seed=3, cue_string_of=cfg.cue_string).train_ids)
+    pool = GoldPool.build(space, forms, restrict_ids=None if pool_of == "all" else train)
+    inside = sorted(i for ids in pool.entry_ids for i in ids)
+    assert inside == (list(range(len(d))) if pool_of == "all" else train)
+    assert [b for b in pool.row.tolist() if b >= 0] == [
+        b for i in range(len(d)) for b, ids in enumerate(pool.entry_ids) if i in ids]
+    assert 0 < len(inside) and (pool_of == "all" or len(inside) < len(d))
+    preds = centre(np.random.default_rng(2).normal(size=(len(forms.first), 30)))
+    with mock.patch.object(comprehension, "CHUNK_BYTES", 3 * 30 * 8):  # three rows a block
+        got = score_items(preds, space, pool, forms).r_target
+    expected = rowwise_pearson(preds.take(forms.row), centre(space.S.copy()))
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(got[5]) and not np.isnan(got[6])
 
 
 # Values of the drawn matrices, one byte each: half the table holds the
@@ -371,24 +402,24 @@ _WIDE = np.random.default_rng(8).normal(size=(4, 37))
 ))
 def test_score_items_is_the_direct_pearson_on_copies(case):
     """Bit for bit, in row blocks of one to a few rows: a pool of every
-    entry or of some, the pool's own gold matrix or another, duplicate gold
-    rows, and NaN for zero-variance rows.  The blocked helpers give the
-    bits of one block."""
+    entry or of some, built from the gold matrix with duplicate rows or
+    from a second one, and NaN for zero-variance rows.  The blocked
+    helpers give the bits of one block."""
     n = len(case["gold"])
     d = Dataset([entry(f, f, "nominative", "singular") for f in case["forms"]])
     keys = [(f"K{i}",) for i in range(n)]
     space = SemanticSpace(S=case["gold"], gold_keys=keys)
     forms = Forms.build(d, CueConfig(unit="letter", n=2))
-    pool = GoldPool.build(space, forms, restrict_ids=case["pool_ids"])
     gold = space if case["other_gold"] is None else SemanticSpace(S=case["other_gold"], gold_keys=keys)
+    pool = GoldPool.build(gold, forms, restrict_ids=case["pool_ids"])
     S_hat = case["S_hat"].copy()
     per_entry = case["S_hat"][forms.row]
     with mock.patch.object(comprehension, "CHUNK_BYTES", case["chunk_bytes"]):
         results = score_items(centre(S_hat), gold, pool, forms)
-        R = pearson_matrix(case["S_hat"], pool_rows(pool, space))
+        R = pearson_matrix(case["S_hat"], pool_rows(pool, gold))
         r_own = rowwise_pearson(per_entry, gold.S.copy())
 
-    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"], pool_rows(pool, space)))
+    np.testing.assert_array_equal(R, _one_block_pearson(case["S_hat"], pool_rows(pool, gold)))
     np.testing.assert_array_equal(r_own, _one_block_pearson(per_entry, gold.S, True))
     assert np.array_equal(S_hat, case["S_hat"])
     assert [len(field) for field in results] == [n] * len(results)

@@ -40,7 +40,7 @@ from ldlkit.experiments import (
 )
 from ldlkit.lexicon import Dataset, save_dataset
 from ldlkit.mappings import MappingError, solve_endstate, train_incremental
-from ldlkit.production import PositionalTargets, ProductionError
+from ldlkit.production import ProductionError
 
 from corpora import paradigm_lexicon, serial_production_model
 
@@ -1107,21 +1107,21 @@ class TestOverlappedFits:
         # no G is solved and nothing is predicted, in any process: only the
         # F child is forked
         calls = [r["call"] for r in log.records()]
-        assert sorted(set(calls)) == ["F", "pinv", "pool", "position", "score"]
+        assert sorted(set(calls)) == ["F", "pinv", "pool", "score", "train_positional"]
         assert forked == ["solving and scoring the end-state F"]
 
     @staticmethod
     def record_fits(log, monkeypatch):
         """Log each call to F's and G's solve, F's scoring, the gold pool's
-        build, the input prediction, the pseudo-inverse and each positional
-        solve."""
+        build, the input prediction, the pseudo-inverse and the positional
+        fit, which solves every position."""
         solve, scores = ex.solve_endstate, ex.comprehension_scores
         build_pool = comprehension.GoldPool.build
-        predict, pinv, position = ex.production_inputs, np.linalg.pinv, PositionalTargets.position
+        predict, pinv, fit = ex.production_inputs, np.linalg.pinv, ex.train_positional
 
         def recording(name, f):
             def call(*args, **kwargs):
-                log.add(call=name, p=args[1] if name == "position" else None)
+                log.add(call=name)
                 return f(*args, **kwargs)
             return call
 
@@ -1131,7 +1131,7 @@ class TestOverlappedFits:
         monkeypatch.setattr(comprehension.GoldPool, "build", recording("pool", build_pool))
         monkeypatch.setattr(ex, "production_inputs", recording("predict", predict))
         monkeypatch.setattr(np.linalg, "pinv", recording("pinv", pinv))
-        monkeypatch.setattr(PositionalTargets, "position", recording("position", position))
+        monkeypatch.setattr(ex, "train_positional", recording("train_positional", fit))
 
     def test_build_pipeline_fits_nothing(self, data_path, tmp_path, monkeypatch):
         log = CallLog(tmp_path / "calls.jsonl")
@@ -1156,19 +1156,17 @@ class TestOverlappedFits:
         assert_no_child_left()
         assert F.W.shape == (len(state.C.inventory), state.space.S.shape[1])
         calls = log.records()
-        pids = {r["call"]: r["pid"] for r in calls if r["call"] != "position"}
-        assert sorted(r["call"] for r in calls if r["call"] != "position") == [
-            "F", "G", "pinv", "pool", "predict", "score"]
+        pids = {r["call"]: r["pid"] for r in calls}
+        assert sorted(r["call"] for r in calls) == [
+            "F", "G", "pinv", "pool", "predict", "score", "train_positional"]
         # one child solves and scores F against the gold pool it builds,
         # another predicts the inputs, and this process fits G, the
         # pseudo-inverse and every position
         assert pids["F"] == pids["score"] == pids["pool"] != caller
         assert pids["predict"] not in (caller, pids["F"])
-        assert pids["G"] == pids["pinv"] == caller
+        assert pids["G"] == pids["pinv"] == pids["train_positional"] == caller
         filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
         assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
-        assert [(r["p"], r["pid"]) for r in calls if r["call"] == "position"] == [
-            (p, caller) for p in filled]
         # the scores sent back are those of F, scored on a state that
         # still has the cue rows this process has released
         assert results.r_target.tolist() == scores(ex.build_pipeline(cfg), F).r_target.tolist()

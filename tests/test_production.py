@@ -140,12 +140,11 @@ class TestPositionalTargets:
         inv = build_inventory(["al@"], PHONE3)
         T = positional_targets(["al@"], inv, PHONE3, margin=2)
         assert T.max_len == 5  # three grams, then the margin
-        assert T.position(0)[0, inv.index["#al"]] == 1.0
-        assert T.position(1)[0, inv.index["al@"]] == 1.0
-        assert T.position(2)[0, inv.index["l@#"]] == 1.0
-        assert T.position(3).sum() == T.position(4).sum() == 0
-        assert sorted(T.columns) == [inv.index["#al"], len(inv) + inv.index["al@"],
-                                     2 * len(inv) + inv.index["l@#"]]
+        assert (T.n_items, T.n_cues) == (1, len(inv))
+        # one (item, p * n_cues + j) pair per gram; positions 3 and 4 stay empty
+        assert T.items.tolist() == [0, 0, 0]
+        assert T.columns.tolist() == [inv.index["#al"], len(inv) + inv.index["al@"],
+                                      2 * len(inv) + inv.index["l@#"]]
 
     def test_full_rank_inputs_interpolate_supports(self):
         d, cfg = toy_lexicon(30, seed=5)

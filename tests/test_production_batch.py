@@ -14,7 +14,7 @@ from ldlkit import production
 from ldlkit.comprehension import pearson_matrix
 from ldlkit.cues import CueConfig, CueInventory, extract_grams
 from ldlkit.lexicon import save_dataset
-from ldlkit.mappings import Mapping
+from ldlkit.mappings import Mapping, solve_endstate
 from ldlkit.production import (
     CandidatePath,
     PositionalSupportModel,
@@ -82,17 +82,59 @@ def check_dense_top_k(got, support, k, theta, tolerance):
     assert all(support[j] == kth and weak == bool(kth < theta) for j, weak in tied)
 
 
-def dense_solve(state, inputs):
-    """Reference: the dense tensor, one solve per position over every cue,
-    from the training inputs."""
+def training_targets(state):
+    """The positional targets of the training forms."""
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
-    t = positional_targets(forms, state.C.inventory, cfg, state.cfg.max_len_margin)
-    targets = np.zeros((t.n_items, t.max_len * t.n_cues))
-    targets[t.items, t.columns] = 1.0
-    targets = targets.reshape(t.n_items, t.max_len, t.n_cues)
+    return positional_targets(forms, state.C.inventory, cfg, state.cfg.max_len_margin)
+
+
+def item_order_weights(pinv, t):
+    """Reference: each attested (position, cue) column's sum of pinv's
+    columns at the items that fill it, the first copied and each next one
+    added, in ascending item order."""
+    columns = np.unique(t.columns)
+    W = np.empty((pinv.shape[0], columns.size))
+    for c, flat in enumerate(columns):
+        first, *rest = np.sort(t.items[t.columns == flat])
+        w = pinv[:, first].copy()
+        for i in rest:
+            w += pinv[:, i]
+        W[:, c] = w
+    return columns, W
+
+
+def check_positional_weights(m, inputs, t):
+    """m's weights are the item-order sums of pinv(inputs)'s columns, bit
+    for bit.  They are also within the rounding bound of two orders of
+    the same sums of the dense per-position solves pinv @ T_p, whose
+    other columns are exactly 0: per entry, 2 * count * eps * sum_i
+    |pinv[:, i]| over the count items that fill the column."""
     pinv = np.linalg.pinv(inputs)
-    return np.stack([pinv @ targets[:, p, :] for p in range(targets.shape[1])])
+    columns, W = item_order_weights(pinv, t)
+    assert np.array_equal(m.columns, columns)
+    assert np.array_equal(m.weights, W)
+    T = np.empty((t.n_items, t.n_cues))
+    for p in range(t.max_len):
+        at = t.columns // t.n_cues == p
+        T.fill(0.0)
+        T[t.items[at], t.columns[at] - p * t.n_cues] = 1.0
+        dense = pinv @ T
+        a, b = m.ends[p], m.ends[p + 1]
+        cues = m.columns[a:b] - p * t.n_cues
+        assert not np.delete(dense, cues, axis=1).any()
+        bound = 2 * T[:, cues].sum(axis=0) * EPS * (np.abs(pinv) @ T[:, cues])
+        assert np.all(np.abs(m.weights[:, a:b] - dense[:, cues]) <= bound)
+
+
+def dense_weights(m):
+    """m's weights scattered into the dense (max_len, input_dim, n_cues)
+    tensor, every unattested column 0."""
+    n_cues = len(m.inventory)
+    W = np.zeros((m.max_len, m.weights.shape[0], n_cues))
+    p, j = np.divmod(m.columns, n_cues)
+    W[p, :, j] = m.weights.T
+    return W
 
 
 def chunk_budget(m, rows):
@@ -254,16 +296,52 @@ def pipeline(request, tmp_path_factory):
     F, _, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
     S = state.space.S[list(state.split.train_ids)]
-    W = dense_solve(state, S @ G.W if input_space == "predicted_cues" else S)
-    # the state, F, G, the positional model and the oracle's inputs, the items, the dense weights
-    return state, (F, G, m, X), ids, W
+    inputs = S @ G.W if input_space == "predicted_cues" else S
+    # the state, F, G, the positional model and the oracle's inputs, the items, the training inputs
+    return state, (F, G, m, X), ids, inputs
 
 
 def test_compact_weights_are_the_attested_dense_columns(pipeline):
-    _, (_, _, m, _), _, W = pipeline
-    dense = model_from_dense(W, m.inventory, m.cfg)
-    assert np.array_equal(dense.columns, m.columns)
-    assert np.array_equal(dense.weights, m.weights)
+    state, (_, _, m, _), _, inputs = pipeline
+    check_positional_weights(m, inputs, training_targets(state))
+
+
+@pytest.mark.parametrize("pipeline", [pytest.param(("demo", "predicted_cues"), id="demo")],
+                         indirect=True)
+def test_weights_of_duplicated_training_rows_are_item_order_sums(pipeline):
+    """Rank-deficient inputs: every third training item listed twice."""
+    state, (_, _, m, _), _, inputs = pipeline
+    t = training_targets(state)
+    cfg = state.cue_cfg
+    forms = [cfg.cue_string(e) for e in state.split.train]
+    twice = np.r_[np.arange(t.n_items), np.arange(0, t.n_items, 3)]
+    inputs = inputs[twice]
+    assert np.linalg.matrix_rank(inputs) < len(twice)
+    t = positional_targets([forms[i] for i in twice], m.inventory, cfg, state.cfg.max_len_margin)
+    check_positional_weights(production.train_positional(inputs, t, m.inventory, cfg), inputs, t)
+
+
+def test_positional_fit_holds_no_dense_slice_beside_pinv(tmp_path):
+    """On paradigm250's training inputs (predicted cues), the positional
+    fit holds, beyond the pseudo-inverse's own peak, less than one
+    (n_items, n_cues) slice of dense targets."""
+    data = tmp_path / "paradigm250.tsv"
+    save_dataset(paradigm_lexicon(250), data)
+    state = ex.build_pipeline(ex.load_config("data/demo.config", [f"data={data}", "output=unused"]))
+    train = list(state.split.train_ids)
+    S = state.space.S[train]
+    inputs = S @ solve_endstate(S, state.C.rows[train]).W
+    t = training_targets(state)
+    peaks = []
+    for fit in (np.linalg.pinv,
+                lambda X: production.train_positional(X, t, state.C.inventory, state.cue_cfg)):
+        tracemalloc.start()
+        try:
+            fit(inputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < t.n_items * t.n_cues * 8
 
 
 def summary(res):
@@ -274,19 +352,16 @@ def summary(res):
 @pytest.mark.parametrize("tolerance", [False, True])
 # production.input is a parameter of the pipeline fixture
 def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
-    state, (F, G, m, X), ids, W = pipeline
+    state, (F, G, m, X), ids, _ = pipeline
     params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance, top_n=10**9)
     with mock.patch.object(production, "SUPPORT_CHUNK_BYTES", chunk_budget(m, 50)):
         batched = production.produce_batch(X[ids], state.space.S[ids], m, F, params)
     assert sum(r.n_candidates for r in batched) > len(ids) // 2
-    unattested = np.ones(W.shape[0] * W.shape[2], dtype=bool)
-    unattested[m.columns] = False
+    W = dense_weights(m)
     for i, got in zip(ids, batched):
         s = state.space.S[i]
         x = s @ G.W if params.input_space == "predicted_cues" else s
-        dense = dense_supports(W, x).reshape(-1)
-        assert not dense[unattested].any()
-        ref = produce(s, G, m, F, params, support=dense[m.columns])
+        ref = produce(s, G, m, F, params, support=dense_supports(W, x).reshape(-1)[m.columns])
         assert summary(got) == summary(ref)
 
 
