@@ -311,10 +311,9 @@ def test_compact_weights_are_the_attested_dense_columns(pipeline):
 def test_weights_of_duplicated_training_rows_are_item_order_sums(pipeline):
     """Rank-deficient inputs: every third training item listed twice."""
     state, (_, _, m, _), _, inputs = pipeline
-    t = training_targets(state)
     cfg = state.cue_cfg
     forms = [cfg.cue_string(e) for e in state.split.train]
-    twice = np.r_[np.arange(t.n_items), np.arange(0, t.n_items, 3)]
+    twice = np.r_[np.arange(len(forms)), np.arange(0, len(forms), 3)]
     inputs = inputs[twice]
     assert np.linalg.matrix_rank(inputs) < len(twice)
     t = positional_targets([forms[i] for i in twice], m.inventory, cfg, state.cfg.max_len_margin)
