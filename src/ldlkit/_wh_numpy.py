@@ -2,8 +2,8 @@
 
 run_stream applies one update per token of a stream segment to W, in
 place.  The rows of W a token touches are exactly the active cue columns
-of its entry, given as CSR arrays (indptr, indices); cue values are
-assumed binary.  Checkpoints are not handled here: train_incremental
+of its entry, given as a CueMatrix's CSR arrays (indptr, indices), which
+hold binary cues.  Checkpoints are not handled here: train_incremental
 runs the stream in segments between them.
 
 Each token works on row views of W rather than on fancy-indexed copies:

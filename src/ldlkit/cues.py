@@ -8,7 +8,7 @@ the item contains the cue at least once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,48 +109,68 @@ def build_inventory(corpus: Iterable[str], cfg: CueConfig) -> CueInventory:
 
 @dataclass
 class CueMatrix:
-    """Binary item-by-cue matrix with per-item novel-gram drop counts."""
+    """Binary item-by-cue matrix as CSR arrays, with per-item novel-gram
+    drop counts.  Row i's cues are the columns
+    indices[indptr[i]:indptr[i + 1]], ascending and distinct; a cell is 1
+    where its column is listed and 0 elsewhere, so no value is stored.
+    Solves and scorings take their rows dense from dense()."""
 
-    rows: np.ndarray  # (n_items, n_cues) float64 of 0/1
+    indptr: np.ndarray  # (n_items + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
     inventory: CueInventory
     novel_dropped: np.ndarray  # (n_items,) ints
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, len(self.inventory)
 
-def csr_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the nonzero columns of each row, in index order.
+    def dense(self, ids: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Fresh float64 0/1 rows of the items ids (by default every
+        item), in the order given, repeats included."""
+        ids = np.arange(self.shape[0]) if ids is None else np.asarray(ids, dtype=np.int64)
+        starts = self.indptr[ids]
+        counts = self.indptr[ids + 1] - starts
+        # position in indices of every listed cell of the chosen rows, row by row
+        first = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        out = np.zeros((len(ids), self.shape[1]))
+        out[np.repeat(np.arange(len(ids)), counts),
+            self.indices[first + np.arange(first.size)]] = 1.0
+        return out
 
-    One row-major np.nonzero lists the columns of row 0, then row 1, and
-    so on, so indices[indptr[i]:indptr[i + 1]] are row i's columns.
-    """
-    row_of, indices = np.nonzero(rows)
-    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of, minlength=rows.shape[0]), out=indptr[1:])
-    # nonzero returns strided views of one (nnz, 2) array; a contiguous copy
-    # does not keep the row numbers alive beside the column indices
-    return indptr, np.ascontiguousarray(indices, dtype=np.int64)
+    @property
+    def rows(self) -> np.ndarray:
+        """Every item's dense row, read-only and built on each read, for
+        readers of the whole matrix outside the package (perfbench's
+        tracer); the package itself reads dense()."""
+        rows = self.dense()
+        rows.flags.writeable = False
+        return rows
 
 
 def build_cue_matrix(corpus: Sequence[str], inv: CueInventory, cfg: CueConfig) -> CueMatrix:
-    """Binary presence rows over the inventory.
+    """Binary presence rows over the inventory, as CSR arrays.
 
     Grams missing from the inventory (validation items) are dropped and
     counted per item; an item with no in-inventory gram at all is an
     error since its row would be unusable.
     """
-    rows = np.zeros((len(corpus), len(inv)), dtype=np.float64)
+    indptr = np.zeros(len(corpus) + 1, dtype=np.int64)
+    indices: list[int] = []
     dropped = np.zeros(len(corpus), dtype=np.int64)
     for i, s in enumerate(corpus):
-        hit = False
+        cols: set[int] = set()
         for g in extract_grams(s, cfg):
             j = inv.index.get(g)
             if j is None:
                 dropped[i] += 1
             else:
-                rows[i, j] = 1.0
-                hit = True
-        if not hit:
+                cols.add(j)
+        if not cols:
             raise CueError(f"item {s!r} has no cue in the inventory")
-    return CueMatrix(rows=rows, inventory=inv, novel_dropped=dropped)
+        indices.extend(sorted(cols))
+        indptr[i + 1] = len(indices)
+    return CueMatrix(indptr=indptr, indices=np.array(indices, dtype=np.int64),
+                     inventory=inv, novel_dropped=dropped)
 
 
 def novel_cues(items: Iterable[str], inv: CueInventory, cfg: CueConfig) -> set[str]:

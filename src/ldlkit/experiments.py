@@ -19,7 +19,7 @@ import operator
 import os
 import pickle
 from collections import Counter
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from functools import cached_property
 from typing import BinaryIO, Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
@@ -281,9 +281,10 @@ class PipelineState:
     returns what it fits (solve_f, _production_stage).
 
     A process holds only what its own stages read: the gold pool is built
-    by the first read of pool in each process, and _production_stage
-    releases C.rows (leaving None) once the F child, forked before, has
-    them, keeping the inventory and drop counts that the report reads."""
+    by the first read of pool in each process, and C stays sparse (CSR),
+    so every process that forks inherits only its index arrays; a solve
+    or a scoring takes the dense rows it reads from C.dense() and lets
+    go of them when done."""
 
     cfg: ExperimentConfig
     dataset: lexicon.Dataset
@@ -316,7 +317,7 @@ class PipelineState:
 def solve_f(state: PipelineState) -> Mapping:
     """The end-state comprehension mapping F, solved on the train rows."""
     train_ids = list(state.split.train_ids)
-    return solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
+    return solve_endstate(state.C.dense(train_ids), state.space.S[train_ids])
 
 
 def _prepare_dataset(cfg: ExperimentConfig) -> lexicon.Dataset:
@@ -381,13 +382,12 @@ def _production_stage(
     A child forked beside the production fits (_beside) solves F on the
     train rows, builds the gold pool, writes F's weights into an array
     shared with this process (_shared_array) and sends back the scores.
-    Meanwhile this process takes G's train slice of the cue rows and
-    releases state.C.rows (_release_cue_rows), which the child keeps in
-    its own copy-on-write view, and fits the positional model
-    (_production_model), which lets go of the train rows, and of G with
-    predicted cues, before the positional solves.  Each product is the same single-thread BLAS
-    call on the same values as in a serial run, so every bit is that of
-    one."""
+    Meanwhile this process makes G's train rows of the cue matrix dense
+    (CueMatrix.dense), as a temporary passed to _production_model, and
+    fits the positional model there, which lets go of those rows, and of
+    G with predicted cues, before the positional solves.  Each product is
+    the same single-thread BLAS call on the same values as in a serial
+    run, so every bit is that of one."""
     S, train_ids = state.space.S, list(state.split.train_ids)
     F_W = _shared_array((len(state.C.inventory), S.shape[1]))
 
@@ -399,20 +399,10 @@ def _production_stage(
     scores, (positional, X) = _beside(
         "solving and scoring the end-state F", solve_and_score,
         lambda: _production_model(state.cfg, state.C.inventory, S[train_ids],
-                                  _release_cue_rows(state, train_ids),
+                                  state.C.dense(train_ids),
                                   [state.cue_cfg.cue_string(e) for e in state.split.train], S),
     )
     return Mapping(W=F_W), scores, positional, X
-
-
-def _release_cue_rows(state: PipelineState, ids: Sequence[int]) -> np.ndarray:
-    """state.C.rows[ids], after which state.C holds no rows (None): only
-    its inventory and drop counts are read later in this process.  Called
-    in _production_model's argument list, so that the slice reaches it as
-    a temporary, which it frees before the positional solves."""
-    rows = state.C.rows[ids]
-    state.C = replace(state.C, rows=None)
-    return rows
 
 
 def _production_model(
@@ -428,8 +418,9 @@ def _production_model(
     child forked beside the positional fit (_beside), so holding no train
     copies, computes X into an array shared with this process
     (_shared_array), and this process lets go of G, which only that child
-    reads.  A caller that holds no other reference to cue_rows thus has
-    them freed before the positional solves (train_positional)."""
+    reads.  cue_rows are dense rows of the cue matrix (CueMatrix.dense),
+    which each caller passes as a temporary that nothing else holds, so
+    they are freed before the positional solves (train_positional)."""
     cue_cfg = cfg.cue_config()
 
     def fit(inputs: np.ndarray) -> PositionalSupportModel:
@@ -487,7 +478,7 @@ def comprehension_scores(state: PipelineState, F: Mapping) -> comp.Scores:
     place, so it is the scoring's only copy of the predictions.  The
     first scoring in a process builds its gold pool and its forms."""
     forms = state.forms
-    S_hat = state.C.rows[forms.first] @ F.W
+    S_hat = state.C.dense(forms.first) @ F.W
     return comp.score_items(comp.centre(S_hat, out=S_hat), state.space, state.pool, forms)
 
 
@@ -809,7 +800,7 @@ def _train_and_score(
         baseline = _fork("scoring the end-state baseline",
                          lambda: comprehension_scores(state, solve_f(state)))
         if checkpoints:
-            shape = (state.C.rows.shape[1], state.space.S.shape[1])
+            shape = (state.C.shape[1], state.space.S.shape[1])
             snapshot = _shared_array(shape)
             requests, to_scorer = os.pipe()
             try:
@@ -817,7 +808,7 @@ def _train_and_score(
             finally:
                 os.close(requests)
         final = train_incremental(
-            stream, state.C.rows, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
+            stream, state.C, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
             on_checkpoint=on_checkpoint,
         )
         collect(wait_for_baseline=False)
@@ -846,8 +837,7 @@ def run_incremental(cfg: ExperimentConfig) -> dict:
     d, split = state.dataset, state.split
 
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
-    local_stream = lexicon.sample_token_stream(split.train, cfg.seed_stream)
-    stream = train_ids[local_stream]
+    stream = train_ids[lexicon.sample_token_stream(split.train, cfg.seed_stream)]
     checkpoints = _default_checkpoints(stream.size, cfg.n_checkpoints)
     curve_rows, inc_results, end_results = _train_and_score(state, stream, checkpoints)
     inc_acc = comprehension_accuracies(state, inc_results)
@@ -983,12 +973,12 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         (usable if known else skipped).append(w)
     if not usable:
         raise ConfigError("every nonce word consists of unseen cues only")
-    C_nonce = build_cue_matrix(usable, inv, cue_cfg).rows
+    C_nonce = build_cue_matrix(usable, inv, cue_cfg).dense()
     S_nonce_sg = C_nonce @ F.W
     S_pl = np.vstack([semantics.wug_plural_vector(s, space.registry) for s in S_nonce_sg])
 
     posmodel, X = _production_model(
-        cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.rows, C_nonce]),
+        cfg, inv, np.vstack([space.S, S_nonce_sg]), np.vstack([state.C.dense(), C_nonce]),
         [cue_cfg.cue_string(e) for e in d] + usable, S_pl,
     )
     results = _produce_in_two(X, S_pl, posmodel, F, cfg.production_params())

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _wh_numpy
-from .cues import csr_arrays
+from .cues import CueMatrix
 
 # There is one token loop; the name stays because perfbench/run.py prints it.
 WH_BACKEND = "python"
@@ -126,7 +126,7 @@ def _as_checkpoint_array(checkpoints: Sequence[int], n_tokens: int) -> np.ndarra
 
 def train_incremental(
     stream: np.ndarray,
-    C: np.ndarray,
+    C: CueMatrix,
     S: np.ndarray,
     eta: float = 0.001,
     checkpoints: Sequence[int] = (),
@@ -135,35 +135,33 @@ def train_incremental(
     """Single sequential pass of delta-rule updates over a token stream.
 
     stream holds entry ids; each token applies one update with the
-    entry's binary cue row and target row.  W starts at zero.  After each
-    checkpoint's token count (0 = before any token) on_checkpoint is
-    called with a Mapping whose W is the live weight matrix: it must be
-    read, or copied, before the callback returns, since training goes on
-    in place; a caller that needs a snapshot copies it there.  The final
-    Mapping shares that live matrix.
+    entry's cue row, read from C's CSR arrays (binary by construction),
+    and its target row.  W starts at zero.  After each checkpoint's token
+    count (0 = before any token) on_checkpoint is called with a Mapping
+    whose W is the live weight matrix: it must be read, or copied, before
+    the callback returns, since training goes on in place; a caller that
+    needs a snapshot copies it there.  The final Mapping shares that live
+    matrix.
     """
     if eta <= 0:
         raise MappingError(f"eta must be positive, got {eta}")
-    C = np.ascontiguousarray(C, dtype=np.float64)
     S = np.ascontiguousarray(S, dtype=np.float64)
-    if C.shape[0] != S.shape[0]:
+    n_entries, n_cues = C.shape
+    if n_entries != S.shape[0]:
         raise MappingError("C and S must have one row per entry")
-    if not np.isin(C, (0.0, 1.0)).all():
-        raise MappingError("cue rows must be binary")
     stream = np.ascontiguousarray(stream, dtype=np.int64)
-    if stream.size and (stream.min() < 0 or stream.max() >= C.shape[0]):
+    if stream.size and (stream.min() < 0 or stream.max() >= n_entries):
         raise MappingError("stream contains out-of-range entry ids")
     ck = _as_checkpoint_array(checkpoints, stream.size)
 
-    indptr, indices = csr_arrays(C)
-    W = np.zeros((C.shape[1], S.shape[1]), dtype=np.float64)
+    W = np.zeros((n_cues, S.shape[1]), dtype=np.float64)
     done = 0
     for t in ck.tolist():
-        _wh_numpy.run_stream(W, indptr, indices, S, stream[done:t], float(eta))
+        _wh_numpy.run_stream(W, C.indptr, C.indices, S, stream[done:t], float(eta))
         done = t
         if on_checkpoint is not None:
             on_checkpoint(Mapping(W=W, trained_tokens=t))
-    _wh_numpy.run_stream(W, indptr, indices, S, stream[done:], float(eta))
+    _wh_numpy.run_stream(W, C.indptr, C.indices, S, stream[done:], float(eta))
     return Mapping(W=W, trained_tokens=int(stream.size))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from ldlkit import (
     CueConfig,
     CueInventory,
+    CueMatrix,
     Dataset,
     Forms,
     GoldPool,
@@ -20,6 +21,7 @@ from ldlkit import (
     WordEntry,
     build_cue_matrix,
     build_inventory,
+    extract_grams,
     merge_grams,
     score_items,
     simulate_vectors,
@@ -49,7 +51,7 @@ def independent_forms(n: int, cfg: CueConfig, seed: int = 7, pool: int = 60) -> 
         candidates.setdefault(_random_form(rng))
     forms = list(candidates)
     inv = build_inventory(forms, cfg)
-    rows = build_cue_matrix(forms, inv, cfg).rows
+    rows = build_cue_matrix(forms, inv, cfg).dense()
 
     chosen: list[int] = []
     basis = np.zeros((0, rows.shape[1]))
@@ -160,6 +162,39 @@ def score_entries(S_hat: np.ndarray, space, d: Dataset, cfg: CueConfig, pool=Non
     return score_items(centre(S_hat[forms.first]), space, pool, forms)
 
 
+def dense_cue_rows(corpus, inv: CueInventory, cfg: CueConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The dense oracle of build_cue_matrix: (n_items, n_cues) float64 0/1
+    presence rows and the per-item counts of grams missing from inv."""
+    rows = np.zeros((len(corpus), len(inv)), dtype=np.float64)
+    dropped = np.zeros(len(corpus), dtype=np.int64)
+    for i, s in enumerate(corpus):
+        for g in extract_grams(s, cfg):
+            j = inv.index.get(g)
+            if j is None:
+                dropped[i] += 1
+            else:
+                rows[i, j] = 1.0
+    return rows, dropped
+
+
+def csr_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the nonzero columns of each dense row, in
+    index order: one row-major np.nonzero lists the columns of row 0,
+    then row 1, and so on."""
+    row_of, indices = np.nonzero(rows)
+    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=rows.shape[0]), out=indptr[1:])
+    return indptr, np.ascontiguousarray(indices, dtype=np.int64)
+
+
+def cue_matrix(rows: np.ndarray) -> CueMatrix:
+    """A CueMatrix of dense binary rows, over cues named by their column."""
+    indptr, indices = csr_arrays(rows)
+    inv = CueInventory([f"c{j}" for j in range(rows.shape[1])])
+    return CueMatrix(indptr=indptr, indices=indices, inventory=inv,
+                     novel_dropped=np.zeros(rows.shape[0], dtype=np.int64))
+
+
 def loss_gradient(W: np.ndarray, c: np.ndarray, o: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of 0.5 * ||c @ W - o||^2 over W's entries."""
     def loss(M):
@@ -208,12 +243,10 @@ def serial_production_model(state):
     """The serial oracle of experiments._production_stage's production
     fits: G, the positional model and its inputs for every entry, each
     computed as it was on one thread, from the meanings mapped through G
-    or, with production.input=semantics, from the meanings themselves.
-    It reads state.C.rows, which _production_stage releases, so it is
-    called before that."""
+    or, with production.input=semantics, from the meanings themselves."""
     cfg, inv = state.cfg, state.C.inventory
     train_ids = list(state.split.train_ids)
-    S, cue_rows = state.space.S[train_ids], state.C.rows[train_ids]
+    S, cue_rows = state.space.S[train_ids], state.C.dense(train_ids)
     forms = [state.cue_cfg.cue_string(e) for e in state.split.train]
     G = solve_endstate(S, cue_rows)
     targets = positional_targets(forms, inv, state.cue_cfg, cfg.max_len_margin)

@@ -120,9 +120,9 @@ def test_criterion_04_widrow_hoff_convergence():
         d, cfg = toy_lexicon(20, seed=23)
         strings = [cfg.cue_string(e) for e in d]
         inv = build_inventory(strings, cfg)
-        C = build_cue_matrix(strings, inv, cfg).rows
+        C = build_cue_matrix(strings, inv, cfg)
         S = simulate_vectors(d, dim=30, seed=3).S
-        W_end = solve_endstate(C, S).W
+        W_end = solve_endstate(C.rows, S).W
 
         epochs, eta = 500, 0.01
         stream = np.tile(np.arange(len(d)), epochs).astype(np.int64)
@@ -174,7 +174,7 @@ def test_criterion_07_frequency_effect():
         space = simulate_vectors(d, dim=len(inv), seed=5)
 
         stream = sample_token_stream(d, seed=7)
-        final = train_incremental(stream, C.rows, space.S, eta=0.01)
+        final = train_incremental(stream, C, space.S, eta=0.01)
         r_inc = rowwise_pearson(C.rows @ final.W, space.S)
         rho_inc = stats.spearmanr(np.log1p(freqs), r_inc).statistic
 

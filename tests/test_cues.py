@@ -1,5 +1,8 @@
 """Cue extraction, inventories, and the binary cue matrix."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,15 @@ from ldlkit import (
     build_cue_matrix,
     build_inventory,
     extract_grams,
+    load_dataset,
     merge_grams,
     novel_cues,
 )
-from ldlkit.cues import CueError, csr_arrays
+from ldlkit.cues import CueError
+
+from corpora import csr_arrays, dense_cue_rows, paradigm_lexicon
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PHONE2 = CueConfig(unit="phone", n=2)
 PHONE3 = CueConfig(unit="phone", n=3)
@@ -121,9 +129,112 @@ class TestCueMatrix:
         corpus = ["al@", "al@n", "bu"]
         inv = build_inventory(corpus, PHONE3)
         cm = build_cue_matrix(corpus, inv, PHONE3)
-        indptr, indices = csr_arrays(cm.rows)
-        for i in range(len(corpus)):
-            assert sorted(indices[indptr[i]:indptr[i + 1]]) == sorted(np.flatnonzero(cm.rows[i]))
+        rows, _ = dense_cue_rows(corpus, inv, PHONE3)
+        indptr, indices = csr_arrays(rows)
+        assert cm.indptr.tolist() == indptr.tolist()
+        assert cm.indices.tolist() == indices.tolist()
+        assert cm.shape == rows.shape
+
+    def test_rows_is_a_read_only_dense_view(self):
+        corpus = ["al@", "al@n", "bu"]
+        inv = build_inventory(corpus, PHONE3)
+        cm = build_cue_matrix(corpus, inv, PHONE3)
+        rows = cm.rows
+        assert np.array_equal(rows, dense_cue_rows(corpus, inv, PHONE3)[0])
+        assert not rows.flags.writeable
+        assert cm.rows is not rows  # built on each read
+
+
+VOWELS = "aeiou@"
+
+
+def cv_syllables(form: str) -> str:
+    """form split into syllables after each vowel; consonants after the
+    last vowel close the last syllable."""
+    parts, open_ = [], ""
+    for ch in form:
+        open_ += ch
+        if ch in VOWELS:
+            parts.append(open_)
+            open_ = ""
+    if open_:
+        if parts:
+            parts[-1] += open_
+        else:
+            parts.append(open_)
+    return "-".join(parts)
+
+
+def cue_corpus(name: str, unit: str) -> list[str]:
+    """The cue strings of the demo lexicon or of paradigm250 (the
+    paradigm lexicon of 250 lemmas, 1,000 entries) in one unit; the
+    syllables are CV splits of the pronunciations."""
+    d = load_dataset(ROOT / "data" / "demo.tsv") if name == "demo" else paradigm_lexicon(250)
+    if unit == "letter":
+        return [e.wordform for e in d]
+    if unit == "phone":
+        return [e.pronunciation for e in d]
+    return [cv_syllables(e.pronunciation) for e in d]
+
+
+CUE_CONFIGS = {"letter": CueConfig(unit="letter", n=2), "phone": PHONE3, "syllable": SYLL2}
+
+
+class TestCueMatrixAgainstDenseOracle:
+    """build_cue_matrix's CSR arrays against today's dense presence loop
+    (corpora.dense_cue_rows)."""
+
+    @pytest.mark.parametrize("unit", list(CUE_CONFIGS))
+    @pytest.mark.parametrize("corpus", ["demo", "paradigm250"])
+    @pytest.mark.parametrize("inventory", ["every_item", "first_half"])
+    def test_equal_to_the_dense_oracle(self, corpus, unit, inventory):
+        cfg = CUE_CONFIGS[unit]
+        strings = cue_corpus(corpus, unit)
+        inv = build_inventory(strings if inventory == "every_item" else strings[: len(strings) // 2], cfg)
+        rows, dropped = dense_cue_rows(strings, inv, cfg)
+        # build_cue_matrix rejects an item with no known cue
+        known = [s for s, r in zip(strings, rows) if r.any()]
+        assert len(known) > len(strings) // 2
+        rows, dropped = dense_cue_rows(known, inv, cfg)
+        cm = build_cue_matrix(known, inv, cfg)
+
+        assert cm.shape == rows.shape
+        assert cm.indptr.dtype == cm.indices.dtype == np.int64
+        for i in range(len(known)):
+            cols = cm.indices[cm.indptr[i]:cm.indptr[i + 1]]
+            assert (np.diff(cols) > 0).all(), "columns ascending and distinct"
+            assert cols.tolist() == np.flatnonzero(rows[i]).tolist()
+        assert np.array_equal(cm.novel_dropped, dropped)
+        assert (dropped > 0).any() == (inventory == "first_half")
+        dense = cm.dense()
+        assert dense.dtype == np.float64 and dense.flags.c_contiguous and dense.flags.writeable
+        assert np.array_equal(dense, rows)
+
+    @pytest.mark.parametrize("ids", [[3, 3, 0, 3], [9, 2, 7, 0, 5], [], np.array([4, 1, 1])],
+                             ids=["repeated", "unsorted", "empty", "array"])
+    def test_dense_rows_of_ids(self, ids):
+        strings = cue_corpus("demo", "phone")
+        inv = build_inventory(strings, PHONE3)
+        rows, _ = dense_cue_rows(strings, inv, PHONE3)
+        cm = build_cue_matrix(strings, inv, PHONE3)
+        got = cm.dense(ids)
+        assert got.shape == (len(ids), len(inv)) and got.dtype == np.float64
+        assert np.array_equal(got, rows[np.asarray(ids, dtype=np.int64)])
+        assert not np.shares_memory(got, cm.dense(ids)), "fresh rows on each call"
+
+    def test_build_peak_is_a_fraction_of_the_dense_matrix(self):
+        # paradigm250 under triphones: ~8.3 MB dense at 0.56% nonzeros
+        strings = cue_corpus("paradigm250", "phone")
+        inv = build_inventory(strings, PHONE3)
+        dense_bytes = len(strings) * len(inv) * 8
+        assert dense_bytes > 8e6
+        tracemalloc.start()
+        try:
+            build_cue_matrix(strings, inv, PHONE3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
 
 
 class TestNovelCues:

@@ -23,6 +23,7 @@ import pytest
 
 from ldlkit import _wh_numpy, cli, comprehension, lexicon, production
 from ldlkit import experiments as ex
+from ldlkit.cues import CueMatrix
 from ldlkit.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -107,6 +108,23 @@ class CallLog:
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def dense_calls(monkeypatch):
+    """A spy on CueMatrix.dense: for each call made in this process, not
+    in a forked child, the ids asked for (None for every item) and a weak
+    reference to the rows returned."""
+    calls, dense, caller = [], CueMatrix.dense, os.getpid()
+
+    def spy(self, ids=None):
+        rows = dense(self, ids)
+        if os.getpid() == caller:
+            calls.append((None if ids is None else [int(i) for i in ids], weakref.ref(rows)))
+        return rows
+
+    monkeypatch.setattr(CueMatrix, "dense", spy)
+    return calls
 
 
 def cli_argv(verb, data_path, tmp_path):
@@ -1074,9 +1092,8 @@ class TestOverlappedFits:
     def test_mappings_equal_serial_solves_bit_for_bit(self, data_path, tmp_path, monkeypatch):
         cfg = base_config(data_path, tmp_path)
         state = ex.build_pipeline(cfg)
-        # the oracles read the cue rows, which _production_stage releases
         train_ids = list(state.split.train_ids)
-        F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
+        F = solve_endstate(state.C.dense(train_ids), state.space.S[train_ids])
         G, positional, X = serial_production_model(state)
         solved = []  # the mappings solved in this process: G only, as F is solved in a child
 
@@ -1167,18 +1184,17 @@ class TestOverlappedFits:
         assert pids["G"] == pids["pinv"] == pids["train_positional"] == caller
         filled = [p for p in range(m.max_len) if m.ends[p] < m.ends[p + 1]]
         assert len(filled) >= 4 and filled[-1] < m.max_len - 1  # the margin stays empty
-        # the scores sent back are those of F, scored on a state that
-        # still has the cue rows this process has released
+        # the scores sent back are those of F, scored on a fresh state
         assert results.r_target.tolist() == scores(ex.build_pipeline(cfg), F).r_target.tolist()
 
     def test_the_caller_holds_no_cue_rows_or_g_at_the_positional_fit(self, data_path, tmp_path,
-                                                                     monkeypatch):
+                                                                     monkeypatch, dense_calls):
         # The positional fit is the calling process's peak. By then only the
-        # F child reads the cue rows and only the prediction child reads G,
-        # each in its own copy, so this process has let go of both.
+        # F child reads dense cue rows and only the prediction child reads
+        # G, each its own, so this process has let go of G's dense train
+        # rows and of G.
         state = ex.build_pipeline(base_config(data_path, tmp_path))
-        rows = weakref.ref(state.C.rows)
-        inventory, novel_dropped = state.C.inventory, state.C.novel_dropped
+        C = state.C
         g_weights, held = [], []
         solve, fit = ex.solve_endstate, ex.train_positional
 
@@ -1188,7 +1204,8 @@ class TestOverlappedFits:
             return mapping
 
         def recording_fit(*args, **kwargs):
-            held.append((rows() is not None, g_weights[0]() is not None))
+            dense_rows_alive = any(rows() is not None for _, rows in dense_calls)
+            held.append((dense_rows_alive, g_weights[0]() is not None))
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(ex, "solve_endstate", recording_solve)
@@ -1196,9 +1213,29 @@ class TestOverlappedFits:
         ex._production_stage(state)
         assert len(g_weights) == 1
         assert held == [(False, False)]
-        # the report's cue facts stay
-        assert state.C.rows is None
-        assert state.C.inventory is inventory and state.C.novel_dropped is novel_dropped
+        # G's train rows are this process's only dense cue rows, and the
+        # sparse matrix, which the report reads, stays
+        assert [ids for ids, _ in dense_calls] == [list(state.split.train_ids)]
+        assert state.C is C
+
+    @pytest.mark.parametrize("verb", ["endstate", "incremental"])
+    def test_the_caller_densifies_only_the_train_rows(self, tmp_path, dense_calls, verb):
+        # endstate's calling process makes G's train rows dense, and F's
+        # rows and the scorings' are made dense in forked children only;
+        # incremental's token loop reads the CSR arrays, and its children
+        # solve and score
+        if verb == "endstate":
+            cfg = load_config(ROOT / "data" / "demo.config", [
+                f"data={ROOT / 'data' / 'demo.tsv'}", f"output={tmp_path / 'out'}"])
+            run_endstate(cfg)
+        else:
+            cfg = demo_incremental_config(tmp_path / "out")
+            run_incremental(cfg)
+        assert_no_child_left()
+        calls = [ids for ids, _ in dense_calls]
+        state = ex.build_pipeline(cfg)  # makes nothing dense
+        assert calls == ([list(state.split.train_ids)] if verb == "endstate" else [])
+        assert all(ids is not None and len(ids) < len(state.dataset) for ids in calls)
 
     @pytest.mark.parametrize("verb, config, extra", VERB_ARGS, ids=[v for v, _, _ in VERB_ARGS])
     def test_no_verb_starts_a_thread(self, tmp_path, monkeypatch, capsys, verb, config, extra):
@@ -1226,7 +1263,7 @@ def production_state(tmp_path_factory):
     data_path = tmp_path / "corpus.tsv"
     save_dataset(paradigm_lexicon(25, seed=21), data_path)
     state = ex.build_pipeline(base_config(data_path, tmp_path))
-    _, _, serial_X = serial_production_model(state)  # before _production_stage releases the cue rows
+    _, _, serial_X = serial_production_model(state)
     F, _, m, X = ex._production_stage(state)
     return state, F, serial_X, m, X
 
@@ -1283,11 +1320,11 @@ def serial_train_and_score(state, stream, checkpoints):
         latest[m.trained_tokens] = results
         curve.append((m.trained_tokens, ex.comprehension_accuracies(state, results)))
 
-    final = train_incremental(stream, state.C.rows, state.space.S, eta=state.cfg.eta,
+    final = train_incremental(stream, state.C, state.space.S, eta=state.cfg.eta,
                               checkpoints=checkpoints, on_checkpoint=score)
     inc = latest.get(final.trained_tokens) or ex.comprehension_scores(state, final)
     train_ids = list(state.split.train_ids)
-    F = solve_endstate(state.C.rows[train_ids], state.space.S[train_ids])
+    F = solve_endstate(state.C.dense(train_ids), state.space.S[train_ids])
     return curve, inc, ex.comprehension_scores(state, F)
 
 
@@ -1654,8 +1691,7 @@ def test_scoring_per_form_is_the_per_entry_product(tmp_path, corpus, settings):
         assert len(forms.first) < n
     stream = np.asarray(state.split.train_ids)[
         lexicon.sample_token_stream(state.split.train, cfg.seed_stream)]
-    checkpoint = train_incremental(stream[: stream.size // 2], state.C.rows, state.space.S,
-                                   eta=0.01)
+    checkpoint = train_incremental(stream[: stream.size // 2], state.C, state.space.S, eta=0.01)
     for m in (ex.solve_f(state), checkpoint):
         ours = ex.comprehension_scores(state, m)
         oracle = comprehension.score_items(comprehension.centre((state.C.rows @ m.W)[forms.first]),

@@ -9,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldlkit import Mapping, prune, solve_endstate, train_incremental, wh_update
-from ldlkit.cues import csr_arrays
 from ldlkit import mappings
 from ldlkit.mappings import MappingError, _dedup_pairs
 
-from corpora import loss_gradient
+from corpora import csr_arrays, cue_matrix, loss_gradient
 
 
 def normal_equations_oracle(X, Y):
@@ -176,33 +175,34 @@ class TestWhUpdate:
 
 class TestTrainIncremental:
     def _toy(self, seed=0, n=12, cues=20, dim=6):
+        """Dense random binary cue rows, their CueMatrix and targets."""
         rng = np.random.default_rng(seed)
         C = (rng.random((n, cues)) < 0.25).astype(float)
         C[C.sum(axis=1) == 0, 0] = 1.0
         S = rng.normal(size=(n, dim))
-        return C, S
+        return C, cue_matrix(C), S
 
     def test_empty_stream_gives_zero_mapping(self):
-        C, S = self._toy()
-        final = train_incremental(np.zeros(0, dtype=np.int64), C, S, eta=0.1)
+        C, cm, S = self._toy()
+        final = train_incremental(np.zeros(0, dtype=np.int64), cm, S, eta=0.1)
         assert not final.W.any()
         assert final.trained_tokens == 0
 
     def test_matches_sequential_wh_update(self):
-        C, S = self._toy()
+        C, cm, S = self._toy()
         stream = np.array([0, 3, 1, 3, 2, 0, 5], dtype=np.int64)
-        final = train_incremental(stream, C, S, eta=0.07)
+        final = train_incremental(stream, cm, S, eta=0.07)
         W = np.zeros((C.shape[1], S.shape[1]))
         for t in stream:
             W = wh_update(W, C[t], S[t], eta=0.07)
         np.testing.assert_allclose(final.W, W, atol=1e-12)
 
     def test_checkpoints(self):
-        C, S = self._toy()
+        C, cm, S = self._toy()
         stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
         snaps = []
         final = train_incremental(
-            stream, C, S, eta=0.05, checkpoints=[0, 10, len(stream)],
+            stream, cm, S, eta=0.05, checkpoints=[0, 10, len(stream)],
             on_checkpoint=lambda m: snaps.append((m.trained_tokens, m.W.copy())),
         )
         assert [t for t, _ in snaps] == [0, 10, len(stream)]
@@ -210,30 +210,30 @@ class TestTrainIncremental:
         np.testing.assert_array_equal(snaps[-1][1], final.W)
 
     def test_order_sensitivity(self):
-        C, S = self._toy()
+        C, cm, S = self._toy()
         s1 = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
         s2 = s1[::-1].copy()
-        w1 = train_incremental(s1, C, S, eta=0.2)
-        w2 = train_incremental(s2, C, S, eta=0.2)
+        w1 = train_incremental(s1, cm, S, eta=0.2)
+        w2 = train_incremental(s2, cm, S, eta=0.2)
         assert np.abs(w1.W - w2.W).max() > 1e-9
 
     def test_epochs_approach_endstate(self):
-        C, S = self._toy(seed=5, n=10, cues=25)
+        C, cm, S = self._toy(seed=5, n=10, cues=25)
         W_end = solve_endstate(C, S).W
         dists = []
         for epochs in (5, 50, 500):
             stream = np.tile(np.arange(len(C)), epochs).astype(np.int64)
-            final = train_incremental(stream, C, S, eta=0.02)
+            final = train_incremental(stream, cm, S, eta=0.02)
             dists.append(np.linalg.norm(final.W - W_end))
         assert dists[0] > dists[1] > dists[2]
 
     def test_on_checkpoint_sees_live_weights_in_order(self):
-        C, S = self._toy(seed=3)
+        C, cm, S = self._toy(seed=3)
         stream = np.tile(np.arange(len(C)), 5).astype(np.int64)
         checkpoints = [0, 10, 10, 33, len(stream)]
         seen = []
         final = train_incremental(
-            stream, C, S, eta=0.05, checkpoints=checkpoints,
+            stream, cm, S, eta=0.05, checkpoints=checkpoints,
             on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W, m.W.copy())),
         )
         assert [t for t, _, _ in seen] == checkpoints
@@ -241,16 +241,10 @@ class TestTrainIncremental:
 
         # the copies taken at each checkpoint are the weights of a run that stops there
         for t, _, W_at in seen:
-            stopped = train_incremental(stream[:t], C, S, eta=0.05)
+            stopped = train_incremental(stream[:t], cm, S, eta=0.05)
             np.testing.assert_array_equal(stopped.W, W_at)
-        without_callback = train_incremental(stream, C, S, eta=0.05, checkpoints=checkpoints)
+        without_callback = train_incremental(stream, cm, S, eta=0.05, checkpoints=checkpoints)
         np.testing.assert_array_equal(without_callback.W, final.W)
-
-    def test_nonbinary_cues_rejected(self):
-        C, S = self._toy()
-        C[0, 0] = 0.5
-        with pytest.raises(MappingError, match="binary"):
-            train_incremental(np.zeros(1, dtype=np.int64), C, S)
 
 
 @given(
@@ -280,13 +274,12 @@ def test_run_stream_is_bit_identical_to_gather_scatter(
     checkpoints = np.sort(np.concatenate([[0, 0], inner, inner, [n_tokens]])).astype(np.int64)
 
     indptr, indices = csr_arrays(C)
-    assert indices.flags.c_contiguous  # a copy, not a view of nonzero's (nnz, 2) array
     np.testing.assert_array_equal(indices, np.concatenate([np.flatnonzero(r) for r in C]))
     np.testing.assert_array_equal(indptr[1:], np.cumsum(C.sum(axis=1)))
 
     seen = []
     final = train_incremental(
-        stream, C, S, eta=eta, checkpoints=checkpoints,
+        stream, cue_matrix(C), S, eta=eta, checkpoints=checkpoints,
         on_checkpoint=lambda m: seen.append((m.trained_tokens, m.W.copy())),
     )
     assert [t for t, _ in seen] == checkpoints.tolist()

@@ -292,7 +292,7 @@ def pipeline(request, tmp_path_factory):
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused",
                                               f"production.input={input_space}"])
     state = ex.build_pipeline(cfg)
-    G, _, X = serial_production_model(state)  # before _production_stage releases the cue rows
+    G, _, X = serial_production_model(state)
     F, _, m, _ = ex._production_stage(state)
     ids = sorted(set(state.split.train_ids) | set(state.split.validation_ids))[::every]
     S = state.space.S[list(state.split.train_ids)]
@@ -329,7 +329,7 @@ def test_positional_fit_holds_no_dense_slice_beside_pinv(tmp_path):
     state = ex.build_pipeline(ex.load_config("data/demo.config", [f"data={data}", "output=unused"]))
     train = list(state.split.train_ids)
     S = state.space.S[train]
-    inputs = S @ solve_endstate(S, state.C.rows[train]).W
+    inputs = S @ solve_endstate(S, state.C.dense(train)).W
     t = training_targets(state)
     peaks = []
     for fit in (np.linalg.pinv,
@@ -385,7 +385,7 @@ def test_production_allocates_no_dense_support_block(tmp_path):
     save_dataset(paradigm_lexicon(40), data)
     cfg = ex.load_config("data/demo.config", [f"data={data}", "output=unused"])
     state = ex.build_pipeline(cfg)
-    G, _, _ = serial_production_model(state)  # before _production_stage releases the cue rows
+    G, _, _ = serial_production_model(state)
     F, _, m, _ = ex._production_stage(state)
     S, params = state.space.S, cfg.production_params()
     dense_bytes = S.shape[0] * m.max_len * len(m.inventory) * 8
