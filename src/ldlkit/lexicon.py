@@ -344,12 +344,13 @@ def attach_articles(d: Dataset, mode: str = "definite") -> Dataset:
     return Dataset(definite + indefinite)
 
 
-def _split_ids(
+def split_ids(
     d: Dataset,
     cue_string_of: Callable[[WordEntry], str],
     train_ids: Sequence[int],
     val_ids: Sequence[int],
 ) -> SplitResult:
+    """d split into train_ids and val_ids, validation classed by cue string and lemma."""
     train_strings = {cue_string_of(d[i]) for i in train_ids}
     train_lemmas = {d[i].lemma for i in train_ids}
     homophones = frozenset(i for i in val_ids if cue_string_of(d[i]) in train_strings)
@@ -387,7 +388,7 @@ def split_random(
     n_train = min(max(n_train, 1), len(d) - 1)
     train_ids = sorted(int(i) for i in order[:n_train])
     val_ids = sorted(int(i) for i in order[n_train:])
-    return _split_ids(d, cue_string_of, train_ids, val_ids)
+    return split_ids(d, cue_string_of, train_ids, val_ids)
 
 
 def split_no_novel_cues(
@@ -438,7 +439,7 @@ def split_no_novel_cues(
             for g in gram_sets[i]:
                 counts[g] -= 1
 
-    return _split_ids(d, cue_string_of, sorted(train), sorted(val))
+    return split_ids(d, cue_string_of, sorted(train), sorted(val))
 
 
 def save_split(split: SplitResult, outdir: str | os.PathLike) -> None:

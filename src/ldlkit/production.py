@@ -290,6 +290,31 @@ def _check_search_ranges(k: int, theta: float, max_tolerated: int, max_paths: Op
         raise ProductionError(f"max_paths must be >= 1, got {max_paths}")
 
 
+# The vector the positional model reads (config key production.input): the
+# meaning mapped through G, or the meaning itself.
+INPUT_SPACES = ("predicted_cues", "semantics")
+
+
+@dataclass(frozen=True)
+class ProductionParams:
+    """One parameter set for a batch; the only home of production's defaults."""
+
+    k: int = 10
+    theta: float = 0.008
+    tolerance: bool = False
+    max_tolerated: int = 2
+    input_space: str = "predicted_cues"  # one of INPUT_SPACES
+    top_n: int = 5
+    max_paths: Optional[int] = None
+
+    def __post_init__(self):
+        _check_search_ranges(self.k, self.theta, self.max_tolerated, self.max_paths)
+        if self.input_space not in INPUT_SPACES:
+            raise ProductionError(f"unknown input space: {self.input_space!r}")
+        if self.top_n < 1:
+            raise ProductionError(f"top_n must be >= 1, got {self.top_n}")
+
+
 def _candidates_by_position(
     m: PositionalSupportModel, support: np.ndarray, k: int, theta: float, tolerance: bool
 ) -> list[list[tuple[int, bool]]]:
@@ -299,17 +324,15 @@ def _candidates_by_position(
 
     Cues at or above theta are free; below-theta cues appear only in
     tolerance mode and draw on the path's tolerated budget.  The chosen k
-    are ordered by (-support, cue index), so expansion is deterministic.
-    Which of the cues tied at the k-th place enter the top k is left to
-    argpartition, not to the cue index; ROADMAP item 3 plans to break
-    those ties by the lowest cue index.
+    (every cue when k >= n_cues) are ordered by (-support, cue index), so
+    expansion is deterministic.  Which of the cues tied at the k-th place
+    enter the top k is left to argpartition, not to the cue index; ROADMAP
+    item 3 plans to break those ties by the lowest cue index.
     """
-    n_cues = len(m.inventory)
-    block = np.zeros((m.max_len, n_cues))
+    block = np.zeros((m.max_len, len(m.inventory)))
     block.flat[m.columns] = support
-    k = min(k, n_cues)
-    top = (np.argpartition(-block, k - 1, axis=1)[:, :k] if k < n_cues
-           else np.broadcast_to(np.arange(n_cues), block.shape))
+    k = min(k, block.shape[1])
+    top = np.argpartition(-block, k - 1, axis=1)[:, :k]
     vals = np.take_along_axis(block, top, axis=1)
     order = np.lexsort((top, -vals), axis=1)
     top = np.take_along_axis(top, order, axis=1).tolist()
@@ -320,17 +343,17 @@ def _candidates_by_position(
 def enumerate_paths(
     m: PositionalSupportModel,
     support: np.ndarray,
-    k: int = 10,
-    theta: float = 0.008,
-    tolerance: bool = False,
-    max_tolerated: int = 2,
-    max_paths: Optional[int] = None,
+    k: int = ProductionParams.k,
+    theta: float = ProductionParams.theta,
+    tolerance: bool = ProductionParams.tolerance,
+    max_tolerated: int = ProductionParams.max_tolerated,
+    max_paths: Optional[int] = ProductionParams.max_paths,
 ) -> CandidatePaths:
     """All overlap-valid boundary-to-boundary paths over supported cues.
 
-    support is one item's (n_attested,) row from m.search_supports; each
-    position's top-k cues are chosen from its attested values and 0 for
-    every other cue (_candidates_by_position).
+    support is one item's (n_attested,) row of m.search_supports, as
+    produce_batch computes it; each position's top-k cues are chosen from
+    its attested values and 0 for every other cue (_candidates_by_position).
     Depth-first expansion over the per-position top-k candidate cues, in
     rank order; a path may use at most max_tolerated sub-threshold cues
     when tolerance is on.  Each complete path is returned as its cue ids
@@ -482,29 +505,6 @@ def synthesize_by_analysis(
             for i in kept]
 
 
-# The vector the positional model reads (config key production.input): the
-# meaning mapped through G, or the meaning itself.
-INPUT_SPACES = ("predicted_cues", "semantics")
-
-
-@dataclass(frozen=True)
-class ProductionParams:
-    k: int = 10
-    theta: float = 0.008
-    tolerance: bool = False
-    max_tolerated: int = 2
-    input_space: str = "predicted_cues"  # one of INPUT_SPACES
-    top_n: int = 5
-    max_paths: Optional[int] = None
-
-    def __post_init__(self):
-        _check_search_ranges(self.k, self.theta, self.max_tolerated, self.max_paths)
-        if self.input_space not in INPUT_SPACES:
-            raise ProductionError(f"unknown input space: {self.input_space!r}")
-        if self.top_n < 1:
-            raise ProductionError(f"top_n must be >= 1, got {self.top_n}")
-
-
 @dataclass
 class ProductionResult:
     top_n: list[CandidatePath]
@@ -535,37 +535,18 @@ def production_inputs(
 
 def produce(
     s_target: np.ndarray,
-    G: Optional[Mapping],
+    G: Mapping,
     m: PositionalSupportModel,
     F: Mapping,
     params: ProductionParams = ProductionParams(),
-    support: Optional[np.ndarray] = None,
 ) -> ProductionResult:
-    """Synthesize the best-supported form for a target meaning.
-
-    Paths are enumerated from the positional support of the target's
-    input to m (production_inputs: the meaning mapped through the
-    production matrix, or the meaning itself), and reranked by synthesis
-    score.  support is the item's (n_attested,) row of m.search_supports
-    when the caller has already computed supports for a batch of items
-    (produce_batch); G is read only when it is not, so it may then be
-    None.  An empty candidate set is a production failure.
-    """
-    s_target = np.asarray(s_target, dtype=np.float64)
-    if support is None:
-        x = production_inputs(s_target[None, :], G, params.input_space)
-        support = m.search_supports(x, params)[0]
-    candidates = enumerate_paths(
-        m, support, k=params.k, theta=params.theta,
-        tolerance=params.tolerance, max_tolerated=params.max_tolerated,
-        max_paths=params.max_paths,
-    )
-    ranked = synthesize_by_analysis(candidates, F, s_target, m, top_n=params.top_n)
-    return ProductionResult(
-        top_n=ranked,
-        n_candidates=len(candidates),
-        truncated=candidates.truncated,
-    )
+    """Synthesize the best-supported form for a target meaning: a batch
+    of one (produce_batch), its input to m from production_inputs (the
+    meaning mapped through the production matrix G, or the meaning
+    itself, G then unread).  An item's result is its row of any batch.
+    An empty candidate set is a production failure."""
+    s = np.asarray(s_target, dtype=np.float64)[None, :]
+    return produce_batch(production_inputs(s, G, params.input_space), s, m, F, params)[0]
 
 
 # produce_batch computes supports for chunks of items whose compact
@@ -578,18 +559,24 @@ def produce_batch(
     X: np.ndarray, S_targets: np.ndarray, m: PositionalSupportModel, F: Mapping,
     params: ProductionParams,
 ) -> list[ProductionResult]:
-    """produce() for every row of S_targets, X holding the rows' inputs to
-    m (production_inputs).  search_supports, which makes an item's
-    candidates independent of its batch, runs on chunks of rows that fit
-    SUPPORT_CHUNK_BYTES: per row it holds two float64 copies of the input
-    (|x| and x transposed), float64 supports and a bool flag per column."""
+    """Every row of S_targets produced, X holding the rows' inputs to m
+    (production_inputs): per item, the paths over its support row
+    (enumerate_paths), reranked by synthesis score (synthesize_by_analysis).
+    search_supports, which makes an item's candidates independent of its
+    batch, runs on chunks of rows that fit SUPPORT_CHUNK_BYTES: per row it
+    holds two float64 copies of the input (|x| and x transposed), float64
+    supports and a bool flag per column."""
     input_dim, n_attested = m.weights.shape
     step = max(1, SUPPORT_CHUNK_BYTES // (8 * (2 * input_dim + n_attested) + n_attested))
     results = []
     for a in range(0, len(X), step):
         supports = m.search_supports(X[a : a + step], params)
-        results += [produce(s, None, m, F, params, support=sup)
-                    for s, sup in zip(S_targets[a : a + step], supports)]
+        for s, support in zip(S_targets[a : a + step], supports):
+            paths = enumerate_paths(m, support, k=params.k, theta=params.theta,
+                                    tolerance=params.tolerance, max_tolerated=params.max_tolerated,
+                                    max_paths=params.max_paths)
+            ranked = synthesize_by_analysis(paths, F, s, m, top_n=params.top_n)
+            results.append(ProductionResult(ranked, len(paths), paths.truncated))
     return results
 
 

@@ -871,16 +871,16 @@ class TestCli:
                                                                      capsys, monkeypatch, verb,
                                                                      how):
         caller = os.getpid()
-        produce = production.produce
+        synthesize = production.synthesize_by_analysis
 
-        def produce_in_child_fails(*args, **kwargs):
+        def synthesis_in_child_fails(*args, **kwargs):
             if os.getpid() != caller:
                 if how == "exits":
                     os._exit(1)
                 raise ProductionError("production failed")
-            return produce(*args, **kwargs)
+            return synthesize(*args, **kwargs)
 
-        monkeypatch.setattr(production, "produce", produce_in_child_fails)
+        monkeypatch.setattr(production, "synthesize_by_analysis", synthesis_in_child_fails)
         [err] = cli_errors(cli_argv(verb, data_path, tmp_path), capsys)
         if how == "raises":
             assert err == {"error": "production failed", "type": "ProductionError"}
@@ -896,15 +896,15 @@ class TestCli:
                                                                monkeypatch, verb):
         # The child's half would take a minute; the run must not wait for it.
         caller = os.getpid()
-        produce = production.produce
+        synthesize = production.synthesize_by_analysis
 
-        def produce_fails_here(*args, **kwargs):
+        def synthesis_fails_here(*args, **kwargs):
             if os.getpid() == caller:
                 raise ProductionError("production failed")
             time.sleep(60)
-            return produce(*args, **kwargs)
+            return synthesize(*args, **kwargs)
 
-        monkeypatch.setattr(production, "produce", produce_fails_here)
+        monkeypatch.setattr(production, "synthesize_by_analysis", synthesis_fails_here)
         start = time.monotonic()
         [err] = cli_errors(cli_argv(verb, data_path, tmp_path), capsys)
         assert time.monotonic() - start < 30
@@ -1282,13 +1282,13 @@ class TestProductionInTwo:
         assert len(expected) == n
 
         log = CallLog(tmp_path / "produced.jsonl")
-        produce = production.produce
+        synthesize = production.synthesize_by_analysis
 
-        def recording_produce(s, *args, **kwargs):
+        def recording_synthesis(candidates, F, s, *args, **kwargs):  # once per item
             log.add(row=int(np.flatnonzero((S == s).all(axis=1))[0]))
-            return produce(s, *args, **kwargs)
+            return synthesize(candidates, F, s, *args, **kwargs)
 
-        monkeypatch.setattr(production, "produce", recording_produce)
+        monkeypatch.setattr(production, "synthesize_by_analysis", recording_synthesis)
         caller = os.getpid()
         results = ex._produce_in_two(X, S, m, F, params)
         assert production_summary(results) == production_summary(expected)

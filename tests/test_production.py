@@ -512,14 +512,6 @@ class TestProduce:
         assert res.n_candidates == 0
         assert not res.truncated
 
-    def test_precomputed_support_matches_own(self):
-        d, cfg, strings, space, F, G, model = self.build(n_forms=10, seed=13)
-        params = ProductionParams(k=10, theta=0.1)
-        support = model.search_supports((space.S[0] @ G.W)[None], params)[0]
-        own = produce(space.S[0], G, model, F, params)
-        given = produce(space.S[0], G, model, F, params, support=support)
-        assert [(c.surface, c.score) for c in own.top_n] == [(c.surface, c.score) for c in given.top_n]
-
 
 class TestProductionParams:
     @pytest.mark.parametrize(

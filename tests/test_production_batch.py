@@ -19,7 +19,9 @@ from ldlkit.production import (
     CandidatePath,
     PositionalSupportModel,
     ProductionParams,
+    ProductionResult,
     _candidates_by_position,
+    enumerate_paths,
     positional_targets,
     produce,
     synthesize_by_analysis,
@@ -249,8 +251,13 @@ def test_search_supports_choose_as_input_order_sums(
     calls, rows = [], []
     supports = m.supports
     m.supports = lambda X: calls.append(len(X)) or supports(X)
+
+    def record_support(m, support, **kwargs):
+        rows.append(support)
+        return production.CandidatePaths()
+
     with mock.patch.object(production, "SUPPORT_CHUNK_BYTES", chunk_budget(m, rows_per_chunk)), \
-            mock.patch.object(production, "produce", lambda *args, support: rows.append(support)):
+            mock.patch.object(production, "enumerate_paths", record_support):
         production.produce_batch(X, X, m, None, params)
     assert calls == [min(rows_per_chunk, n - s) for s in range(0, n, rows_per_chunk)]
     assert len(rows) == n
@@ -360,8 +367,29 @@ def test_batched_production_matches_per_item_dense_path(pipeline, tolerance):
     for i, got in zip(ids, batched):
         s = state.space.S[i]
         x = s @ G.W if params.input_space == "predicted_cues" else s
-        ref = produce(s, G, m, F, params, support=dense_supports(W, x).reshape(-1)[m.columns])
+        support = dense_supports(W, x).reshape(-1)[m.columns]
+        cands = enumerate_paths(m, support, k=params.k, theta=params.theta,
+                                tolerance=params.tolerance, max_tolerated=params.max_tolerated,
+                                max_paths=params.max_paths)
+        ref = ProductionResult(synthesize_by_analysis(cands, F, s, m, top_n=params.top_n),
+                               len(cands), cands.truncated)
         assert summary(got) == summary(ref)
+
+
+@pytest.mark.parametrize("tolerance", [False, True])
+# production.input is a parameter of the pipeline fixture
+def test_produce_is_its_row_of_one_batch_over_every_item(pipeline, tolerance):
+    """Batch independence: each item produced on its own (a batch of one,
+    its input from production_inputs) equals its row of one batch over
+    every entry."""
+    state, (F, G, m, X), _, _ = pipeline
+    params = dataclasses.replace(state.cfg.production_params(), tolerance=tolerance)
+    S = state.space.S
+    batched = production.produce_batch(X, S, m, F, params)
+    assert len(batched) == len(S)
+    assert sum(r.n_candidates for r in batched) > len(S) // 2
+    for s, got in zip(S, batched):
+        assert summary(produce(s, G, m, F, params)) == summary(got)
 
 
 def test_candidate_paths_are_built_for_the_kept_top_n_only(pipeline, monkeypatch):
