@@ -1,6 +1,6 @@
 """Configuration-driven experiment harness.
 
-A flat dotted-key config selects the data, cue granularity, article
+A flat dotted-key config picks the data, cue granularity, article
 handling, semantic space, split mode, learning regime, and production
 parameters.  Runners cover end-state training with full evaluation,
 single-pass incremental learning with trajectory and frequency
@@ -279,8 +279,9 @@ def write_outputs(
 
 @dataclass
 class PipelineState:
-    """The inputs every verb shares.  It holds no fitted model: each stage
-    returns what it fits (solve_f, _production_stage).
+    """The inputs every verb shares, which build_pipeline alone assembles.
+    It holds no fitted model: each stage returns what it fits (solve_f,
+    _production_stage).
 
     A process holds only what its own stages read: the gold pool is built
     by the first read of pool in each process, and C stays sparse (CSR),
@@ -294,8 +295,8 @@ class PipelineState:
     cue_cfg: CueConfig
     C: CueMatrix
     space: semantics.SemanticSpace
-    dropped_entries: int = 0
-    analytical_corr_mean: Optional[float] = None
+    dropped_entries: int  # entries with no embedding, dropped from the dataset
+    analytical_corr_mean: Optional[float]  # analytical mode's mean reconstruction r
 
     @cached_property
     def pool(self) -> comp.GoldPool:
@@ -356,23 +357,6 @@ def _simulated_space(
         feature_scale=cfg.feature_scale, scheme=cfg.feature_scheme,
         number_opposition=cfg.number_opposition,
     )
-
-
-def _comprehension_stage(
-    cfg: ExperimentConfig,
-    split: lexicon.SplitResult,
-    cue_cfg: CueConfig,
-    space: Optional[semantics.SemanticSpace] = None,
-) -> PipelineState:
-    """The stage every verb shares: the inventory of the training forms,
-    the cue matrix of every form and the simulated space (unless space is
-    given).  A verb that needs F solves it (solve_f)."""
-    d = split.dataset
-    inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
-    C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
-    if space is None:
-        space = _simulated_space(cfg, d, inv)
-    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space)
 
 
 def _production_stage(
@@ -453,11 +437,14 @@ def _production_model(
     return positional, X
 
 
-def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
-    """Assemble the split, cue matrix and semantic space.  Nothing is
-    fitted here, and the gold pool is not built: a verb fits what it
-    needs (solve_f, _production_stage), and each process that scores
-    builds the pool on its first read of PipelineState.pool."""
+def build_pipeline(cfg: ExperimentConfig, train_on_all: bool = False) -> PipelineState:
+    """Assemble the split, the inventory of the train forms, the cue
+    matrix of every form and the semantic space, simulated unless one is
+    loaded; train_on_all trains on every entry, whatever the split keys
+    say (wug).  Nothing is fitted here, and the gold pool is not built: a
+    verb fits what it needs (solve_f, _production_stage), and each
+    process that scores builds the pool on its first read of
+    PipelineState.pool."""
     d = _prepare_dataset(cfg)
     cue_cfg = cfg.cue_config()
     space, dropped, corr_mean = None, 0, None
@@ -471,10 +458,16 @@ def build_pipeline(cfg: ExperimentConfig) -> PipelineState:
         if cfg.semantics_mode == "analytical":
             _, space, corr = semantics.reconstruct_analytical(space, d)
             corr_mean = float(np.nanmean(corr))
-
-    state = _comprehension_stage(cfg, _split(cfg, d, cue_cfg), cue_cfg, space)
-    state.dropped_entries, state.analytical_corr_mean = dropped, corr_mean
-    return state
+    if train_on_all:
+        split = lexicon.split_ids(d, cue_cfg.cue_string, range(len(d)), ())
+    else:
+        split = _split(cfg, d, cue_cfg)
+    inv = build_inventory([cue_cfg.cue_string(e) for e in split.train], cue_cfg)
+    C = build_cue_matrix([cue_cfg.cue_string(e) for e in d], inv, cue_cfg)
+    if space is None:
+        space = _simulated_space(cfg, d, inv)
+    return PipelineState(cfg=cfg, dataset=d, split=split, cue_cfg=cue_cfg, C=C, space=space,
+                         dropped_entries=dropped, analytical_corr_mean=corr_mean)
 
 
 def comprehension_scores(state: PipelineState, F: Mapping) -> comp.Scores:
@@ -617,20 +610,18 @@ class _Child(NamedTuple):
     what: str
 
 
-def _fork(what: str, work: Callable[[], object]) -> _Child:
-    """Run work() in a forked child process that sends back its outcome
-    (_send) and ends; _join collects it."""
-    return _fork_serving(what, lambda out: _send(out, work))
-
-
 def _beside(what: str, theirs: Callable[[], object], ours: Callable[[], object]) -> tuple:
-    """(theirs(), ours()): theirs runs in a child forked with _fork while
-    this process runs ours.  On any error here the child is killed and
-    reaped."""
-    child = _fork(what, theirs)
+    """(theirs(), ours()): theirs runs in a child forked with _fork_serving,
+    which sends back its one result (_send) and ends, while this process
+    runs ours; the child is then reaped.  ours may itself run a _beside,
+    so that two children work beside this process.  On any error here
+    the child is killed and reaped."""
+    child = _fork_serving(what, lambda out: _send(out, theirs))
     try:
         mine = ours()
-        return _join(child), mine
+        value = _receive(child)
+        _reap(child)
+        return value, mine
     finally:
         _kill(child)
 
@@ -697,13 +688,6 @@ def _receive(child: _Child):
     return value
 
 
-def _join(child: _Child):
-    """Receive the one result of a child forked by _fork and reap it."""
-    value = _receive(child)
-    _reap(child)
-    return value
-
-
 def _reap(child: _Child) -> int:
     """Close child's pipe, wait for it to end and return its wait status."""
     child.results.close()
@@ -719,8 +703,8 @@ def _shared_array(shape: tuple[int, int]) -> np.ndarray:
 
 
 def _kill(child: _Child) -> None:
-    """Kill and reap a child that will not be joined, unless it was
-    reaped already."""
+    """Kill and reap a child whose result will not be read, unless it
+    was reaped already."""
     if child.results.closed:
         return
     # imported here, not with the module: importing signal at start-up
@@ -738,37 +722,30 @@ def _train_and_score(
     at every checkpoint, the final weights and the end-state F.
 
     Returns the curve, one (tokens, accuracies) pair per checkpoint in
-    order, then the incremental and the end-state scores.  This process
-    runs the loop; before the first token, and so before W exists (the
-    loop's writes to W then take no copy-on-write faults), it forks
-    - the baseline's child (_fork), which solves F (solve_f) and scores
-      it, so that F does not hold up the checkpoints: serially on
-      incremental-stream corpus 11 (one BLAS thread, 2-CPU Xeon), F took
-      0.82 s, against a checkpoint every ~0.14 s of a 2.84 s loop over
-      269,480 tokens.  It is collected at the first checkpoint after its
-      result is waiting, so it does not outlive its work.
-    - with checkpoints, one scorer (_fork_serving) for all of them, each
-      scoring (~0.05 s) off the loop.  At each checkpoint the loop collects
-      the previous checkpoint's result, copies W into one W-sized shared
-      anonymous mmap and writes the token count down the scorer's request
-      pipe.  So at most one checkpoint is in flight, and the buffer
-      (_shared_array) is its only snapshot.  The scorer ends when its
-      request pipe does.
-    Only a checkpoint at the stream's end sends its item scores back, the
-    others their accuracies; without one, the final weights are scored
-    here.  Each product is the same single-thread BLAS call on the same
-    values as in a serial run, so the bits are the same.  A child's
-    exception is raised here, and on every path out any child still
-    running is killed and reaped."""
-    import select  # imported here, as signal is in _kill
+    order, then the incremental and the end-state scores.  A child forked
+    beside the token loop (_beside) solves F (solve_f) and scores it, so
+    that F does not hold up the checkpoints: serially on
+    incremental-stream corpus 11 (one BLAS thread, 2-CPU Xeon), F took
+    0.82 s, against a checkpoint every ~0.14 s of a 2.84 s loop over
+    269,480 tokens.  Its pickled scores (32-33 KB on every
+    incremental-stream corpus) fit in the pipe's buffer, so it ends once
+    they are written; it is reaped after the loop.
 
-    baseline: Optional[_Child] = None
-    scorer: Optional[_Child] = None
-    to_scorer: Optional[int] = None  # the write end of the scorer's request pipe
-    in_flight = False
-    end_scores: Optional[comp.Scores] = None
+    With checkpoints, the loop first forks one scorer (_fork_serving) for
+    all of them, before the first token and so before W exists (the
+    loop's writes to W then take no copy-on-write faults), and each
+    scoring (~0.05 s) runs off the loop.  At each checkpoint the loop
+    collects the previous checkpoint's result, copies W into one W-sized
+    shared anonymous mmap and writes the token count down the scorer's
+    request pipe.  So at most one checkpoint is in flight, and the buffer
+    (_shared_array) is its only snapshot.  The scorer ends when its
+    request pipe does.  Only a checkpoint at the stream's end sends its
+    item scores back, the others their accuracies; without one, the final
+    weights are scored here.  Each product is the same single-thread BLAS
+    call on the same values as in a serial run, so the bits are the same.
+    A child's exception is raised here, and on every path out any child
+    still running is killed and reaped: the scorer, then the baseline's."""
     curve: list[tuple[int, dict[str, float]]] = []
-    latest: Optional[comp.Scores] = None  # the scores at the stream's end
 
     def score_checkpoint(m: Mapping):
         results = comprehension_scores(state, m)
@@ -776,63 +753,62 @@ def _train_and_score(
         acc = comprehension_accuracies(state, results)
         return m.trained_tokens, acc, results if at_end else None
 
-    def serve(out: BinaryIO) -> None:
-        os.close(to_scorer)
-        with open(requests, "rb") as fh:
-            for line in fh:  # one token count per checkpoint
-                m = Mapping(W=snapshot, trained_tokens=int(line))
-                if not _send(out, lambda: score_checkpoint(m)):
-                    return
+    def train() -> comp.Scores:
+        """The token loop, serving the scorer; returns the final scores."""
+        scorer: Optional[_Child] = None
+        to_scorer: Optional[int] = None  # the write end of the scorer's request pipe
+        in_flight = False
+        latest: Optional[comp.Scores] = None  # the scores at the stream's end
 
-    def collect(wait_for_baseline: bool) -> None:
-        nonlocal baseline, in_flight, end_scores, latest
-        if in_flight:
-            in_flight = False
-            tokens, acc, latest = _receive(scorer)
-            curve.append((tokens, acc))
-        if baseline is not None and (
-            wait_for_baseline or select.select([baseline.results], [], [], 0)[0]  # its result waits
-        ):
-            child, baseline = baseline, None
-            end_scores = _join(child)
-
-    def on_checkpoint(m: Mapping) -> None:
-        nonlocal scorer, in_flight
-        collect(wait_for_baseline=False)
-        np.copyto(snapshot, m.W)
-        scorer = scorer._replace(what=f"scoring the checkpoint at {m.trained_tokens} tokens")
-        try:
-            os.write(to_scorer, b"%d\n" % m.trained_tokens)
-        except BrokenPipeError:
-            pass  # the scorer has ended; collecting this checkpoint says how
-        in_flight = True
-
-    try:
-        baseline = _fork("scoring the end-state baseline",
-                         lambda: comprehension_scores(state, solve_f(state)))
-        if checkpoints:
-            shape = (state.C.shape[1], state.space.S.shape[1])
-            snapshot = _shared_array(shape)
-            requests, to_scorer = os.pipe()
-            try:
-                scorer = _fork_serving("the checkpoint scorer", serve)
-            finally:
-                os.close(requests)
-        final = train_incremental(
-            stream, state.C, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
-            on_checkpoint=on_checkpoint,
-        )
-        collect(wait_for_baseline=False)
-        if latest is None:  # no checkpoint at the stream's end
-            latest = comprehension_scores(state, final)
-        collect(wait_for_baseline=True)
-        return curve, latest, end_scores
-    finally:
-        if to_scorer is not None:
+        def serve(out: BinaryIO) -> None:
             os.close(to_scorer)
-        for child in (baseline, scorer):
-            if child is not None:
-                _kill(child)
+            with open(requests, "rb") as fh:
+                for line in fh:  # one token count per checkpoint
+                    m = Mapping(W=snapshot, trained_tokens=int(line))
+                    if not _send(out, lambda: score_checkpoint(m)):
+                        return
+
+        def collect() -> None:
+            nonlocal in_flight, latest
+            if in_flight:
+                in_flight = False
+                tokens, acc, latest = _receive(scorer)
+                curve.append((tokens, acc))
+
+        def on_checkpoint(m: Mapping) -> None:
+            nonlocal scorer, in_flight
+            collect()
+            np.copyto(snapshot, m.W)
+            scorer = scorer._replace(what=f"scoring the checkpoint at {m.trained_tokens} tokens")
+            try:
+                os.write(to_scorer, b"%d\n" % m.trained_tokens)
+            except BrokenPipeError:
+                pass  # the scorer has ended; collecting this checkpoint says how
+            in_flight = True
+
+        try:
+            if checkpoints:
+                snapshot = _shared_array((state.C.shape[1], state.space.S.shape[1]))
+                requests, to_scorer = os.pipe()
+                try:
+                    scorer = _fork_serving("the checkpoint scorer", serve)
+                finally:
+                    os.close(requests)
+            final = train_incremental(
+                stream, state.C, state.space.S, eta=state.cfg.eta, checkpoints=checkpoints,
+                on_checkpoint=on_checkpoint,
+            )
+            collect()
+            return latest if latest is not None else comprehension_scores(state, final)
+        finally:
+            if to_scorer is not None:
+                os.close(to_scorer)
+            if scorer is not None:
+                _kill(scorer)
+
+    end_scores, latest = _beside("scoring the end-state baseline",
+                                 lambda: comprehension_scores(state, solve_f(state)), train)
+    return curve, latest, end_scores
 
 
 def run_incremental(cfg: ExperimentConfig) -> dict:
@@ -969,12 +945,9 @@ def run_wug(cfg: ExperimentConfig, nonce_words: Sequence[str]) -> dict:
         raise ConfigError("the wug experiment simulates its meanings; "
                           f"{_key_of('semantics_mode')} must be simulate, "
                           f"got {cfg.semantics_mode!r}")
-    d = _prepare_dataset(cfg)
-    cue_cfg = cfg.cue_config()
-    state = _comprehension_stage(
-        cfg, lexicon.split_ids(d, cue_cfg.cue_string, range(len(d)), ()), cue_cfg
-    )
-    inv, space, F = state.C.inventory, state.space, solve_f(state)
+    state = build_pipeline(cfg, train_on_all=True)
+    d, cue_cfg, inv, space = state.dataset, state.cue_cfg, state.C.inventory, state.space
+    F = solve_f(state)
 
     usable, skipped, novel_counts = [], [], {}
     for w in nonce_words:

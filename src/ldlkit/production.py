@@ -152,8 +152,10 @@ class PositionalSupportModel:
                 cutoff = np.maximum(cutoff, params.theta)
             redo[:, a:b] = (v + bound >= cutoff) & (bound > 0)
         # Columns with huge weights must be summed again for most rows: do
-        # those for all rows as one product, and the other values one by one.
-        wide = redo.sum(axis=0) * 2 >= n
+        # those for all rows as one product, and the other values one by
+        # one.  A batch of one row has no such column: its values cost less
+        # one by one than column blocks do.
+        wide = (redo.sum(axis=0) * 2 >= n) & (n > 1)
         rows, cols = np.nonzero(redo & ~wide)
         wide = np.flatnonzero(wide)
         XT = np.ascontiguousarray(X.T)

@@ -581,6 +581,19 @@ class TestRunWug:
         with pytest.raises(ConfigError, match="equipollent"):
             run_wug(cfg, ["Bral"])
 
+    def test_wug_trains_on_every_entry_whatever_the_split_says(self, tmp_path):
+        nonces = (ROOT / "data" / "nonce.txt").read_text(encoding="utf-8").split()
+
+        def candidates(*overrides):
+            cfg = load_config(ROOT / "data" / "demo-wug.config", [
+                f"data={ROOT / 'data' / 'demo.tsv'}", f"output={tmp_path / 'out'}", *overrides])
+            run_wug(cfg, nonces)
+            return (tmp_path / "out" / "candidates.csv").read_bytes()
+
+        expected = candidates()
+        assert candidates("split.mode=no_novel_cues", "split.fraction=0.5") == expected
+        assert candidates("split.mode=random", "split.fraction=0.3") == expected
+
     def test_known_singulars_elicit_their_attested_plurals(self, tmp_path):
         # probing with forms the model actually knows: the attested plural
         # must surface among the top candidates
@@ -799,18 +812,18 @@ class TestCli:
         # The n-th fork of an endstate run raises, as os.fork does when the
         # system is out of processes; the forks before it succeed.
         fork, forking = os.fork, []
-        fork_work = ex._fork
+        fork_serving = ex._fork_serving
 
-        def recording_fork(work_what, work):
+        def recording_fork(work_what, serve):
             forking.append(work_what)
-            return fork_work(work_what, work)
+            return fork_serving(work_what, serve)
 
         def nth_fork_fails():
             if len(forking) == n:
                 raise OSError(errno.EAGAIN, "fork failed")
             return fork()
 
-        monkeypatch.setattr(ex, "_fork", recording_fork)
+        monkeypatch.setattr(ex, "_fork_serving", recording_fork)
         monkeypatch.setattr(os, "fork", nth_fork_fails)
         argv = cli_argv("endstate", data_path, tmp_path)
         open_fds = len(os.listdir("/proc/self/fd"))
@@ -937,6 +950,12 @@ class TestCli:
         def second_segment_fails(*args):
             segments.append(args)
             if len(segments) == 2:
+                # The scorer is killed as soon as the loop fails: wait, up
+                # to 10 s, for its log record of the first checkpoint,
+                # which the assertions below read.
+                deadline = time.monotonic() + 10
+                while not log.records() and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 raise MappingError("loop failed")
             return run_stream(*args)
 
@@ -1113,8 +1132,9 @@ class TestOverlappedFits:
     def test_semantic_inputs_are_the_targets_meanings(self, data_path, tmp_path, monkeypatch):
         log = CallLog(tmp_path / "calls.jsonl")
         self.record_fits(log, monkeypatch)
-        forked, fork = [], ex._fork
-        monkeypatch.setattr(ex, "_fork", lambda what, work: forked.append(what) or fork(what, work))
+        forked, fork = [], ex._fork_serving
+        monkeypatch.setattr(ex, "_fork_serving",
+                            lambda what, serve: forked.append(what) or fork(what, serve))
         state = ex.build_pipeline(base_config(data_path, tmp_path,
                                               **{"production.input": "semantics"}))
         *_, X = ex._production_stage(state)
@@ -1460,41 +1480,6 @@ class TestOverlappedScoring:
         else:  # the final weights, here
             assert [(r["pid"], r["scored"]) for r in scored] == [(os.getpid(), report["n_tokens"])]
 
-    def test_the_baseline_child_is_collected_once_its_result_waits(self, tmp_path,
-                                                                    monkeypatch):
-        # The demo's baseline takes well under a second; each stream segment
-        # is made to take 0.5 s, so the baseline's child has sent its scores
-        # before the last segment and must be reaped by then, not only after
-        # the loop: a result larger than a pipe holds keeps the child alive,
-        # with F and its heap, until the result is read.
-        log = CallLog(tmp_path / "baseline.jsonl")
-        scores = ex.comprehension_scores
-
-        def recording_scores(state, F):
-            if not F.trained_tokens:
-                log.add()
-            return scores(state, F)
-
-        run_stream = _wh_numpy.run_stream
-        reaped = []  # per segment, whether the baseline's child was reaped
-
-        def slow_segment(*args):
-            time.sleep(0.5)
-            try:  # WNOWAIT leaves a child that has ended to be reaped by the run
-                os.waitid(os.P_PID, log.records()[0]["pid"],
-                          os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                reaped.append(False)
-            except ChildProcessError:
-                reaped.append(True)
-            return run_stream(*args)
-
-        monkeypatch.setattr(ex, "comprehension_scores", recording_scores)
-        monkeypatch.setattr(_wh_numpy, "run_stream", slow_segment)
-        incremental_outputs(tmp_path / "out")
-        assert_no_child_left()
-        # five checkpoint segments and the empty one after the last
-        assert len(reaped) == 6 and reaped[-1]
-
     def test_a_baseline_result_larger_than_a_pipe_arrives_whole(self, tmp_path, monkeypatch):
         # A result over the pipe's 64 KiB blocks the baseline's child on its
         # write until this process reads it.  The demo's is smaller, so each
@@ -1542,6 +1527,38 @@ def test_incremental_imports_no_thread_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert [line for line in proc.stdout.splitlines() if not line.startswith("{")] == [
         f"{verb} 0 False" for verb, _, _ in VERB_ARGS]
+
+
+def open_descriptors():
+    """This process's open descriptors, each with what it refers to."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the one listdir read the directory through
+            pass
+    return fds
+
+
+@pytest.mark.parametrize("verb, extra", [
+    pytest.param("endstate", [], id="endstate"),
+    pytest.param("incremental", ["--set", "learning.eta=0.01", "--set", "learning.checkpoints=0"],
+                 id="incremental-0"),
+    pytest.param("incremental", ["--set", "learning.eta=0.01"], id="incremental"),
+    pytest.param("wug", ["--nonce", str(ROOT / "data" / "nonce.txt")], id="wug"),
+])
+def test_a_forking_verb_leaves_the_process_as_it_found_it(tmp_path, capsys, verb, extra):
+    # Each verb's children are reaped and each pipe end closed, on the
+    # demo run in this process.
+    config = "demo-wug.config" if verb == "wug" else "demo.config"
+    argv = [verb, "--config", str(ROOT / "data" / config),
+            "--set", f"data={ROOT / 'data' / 'demo.tsv'}", "--set", f"output={tmp_path / 'out'}",
+            *extra]
+    before = open_descriptors()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert open_descriptors() == before
+    assert_no_child_left()
 
 
 # Runs the CLI with scipy unimportable: a None entry in sys.modules makes
